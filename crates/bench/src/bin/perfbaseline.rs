@@ -33,8 +33,9 @@
 //!   masquerade as a scaling regression.
 //! * `oracle_plan_100k` — oracle-mode multicast planning over a 100k-node
 //!   directory (trees per second).
-//! * `latency_matrix_4800` — `TransitStubNetwork::build` wall time at the
-//!   paper-scale 4800-stub topology.
+//! * `latency_matrix_build` — `TransitStubNetwork::build` wall time at the
+//!   paper-scale 4800-stub topology (the key predates the gateway-factored
+//!   table; no matrix is built any more).
 //! * `metrics_overhead` — the 4-shard fanout with the engine's runtime
 //!   metrics layer enabled vs. unmetered: what a profiled run pays for
 //!   the per-window counters, histograms, and barrier-wait laps (a bench
@@ -670,7 +671,7 @@ fn main() {
     drop(sp);
 
     let sp = prof.span("latency_matrix");
-    // Latency-matrix build at the paper-scale 4800-stub topology.
+    // Latency-model build at the paper-scale 4800-stub topology.
     let params = if quick {
         TransitStubParams::small()
     } else {

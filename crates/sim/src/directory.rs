@@ -6,8 +6,10 @@
 //! structure, and only record erroneous items in nodes' individual data
 //! structures." The directory holds the live membership in sorted vectors
 //! (one global, one per level), so every peer-list-shaped question — list
-//! sizes, audience sets, multicast target selection — is a pair of binary
-//! searches instead of per-node state.
+//! sizes, group populations, multicast target selection — is a pair of
+//! binary searches instead of per-node state, and an audience set is one
+//! linear pass over the global vector and the `(level, slot, addr)` column
+//! kept beside it.
 
 use peerwindow_core::prelude::{Level, NodeId, Prefix};
 use std::collections::HashMap; // audit: ordered — key lookups only, never iterated
@@ -42,11 +44,22 @@ pub struct SlotData {
     pub pressure: i8,
 }
 
+/// What audience extraction needs to know about one live node, so that
+/// it reads neither `index` nor `slots`.
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    slot: u32,
+    addr: u32,
+    level: u8,
+}
+
 /// The ground-truth directory.
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
     /// All live ids, sorted.
     all: Vec<u128>,
+    /// `members[i]` describes the node `all[i]` (same length, same order).
+    members: Vec<Member>,
     /// Live ids per level, each sorted.
     levels: Vec<Vec<u128>>,
     /// id → slot index.
@@ -123,6 +136,13 @@ impl Directory {
         self.slot_of(id).map(|s| &self.slots[s as usize])
     }
 
+    /// Position of a live id in `all` (and `members`).
+    fn position(&self, id: NodeId) -> usize {
+        self.all
+            .binary_search(&id.raw())
+            .expect("index and all hold the same ids")
+    }
+
     /// Adds a node; returns its slot.
     ///
     /// # Panics
@@ -154,7 +174,19 @@ impl Directory {
             pressure: 0,
         });
         self.index.insert(id.raw(), slot);
-        insert_sorted(&mut self.all, id.raw());
+        let pos = self
+            .all
+            .binary_search(&id.raw())
+            .expect_err("index and all hold the same ids");
+        self.all.insert(pos, id.raw());
+        self.members.insert(
+            pos,
+            Member {
+                slot,
+                addr,
+                level: level.value(),
+            },
+        );
         let l = level.value() as usize;
         if self.levels.len() <= l {
             self.levels.resize_with(l + 1, Vec::new);
@@ -170,7 +202,9 @@ impl Directory {
         let slot = self.index.remove(&id.raw())?;
         let level = self.slots[slot as usize].level.value() as usize;
         self.slots[slot as usize].alive = false;
-        remove_sorted(&mut self.all, id.raw());
+        let pos = self.position(id);
+        self.all.remove(pos);
+        self.members.remove(pos);
         remove_sorted(&mut self.levels[level], id.raw());
         self.level_counts[level] -= 1;
         Some(slot)
@@ -193,6 +227,8 @@ impl Directory {
         insert_sorted(&mut self.levels[l], id.raw());
         self.level_counts[l] += 1;
         self.slots[slot as usize].level = new;
+        let pos = self.position(id);
+        self.members[pos].level = new.value();
         Some((slot, old))
     }
 
@@ -267,35 +303,37 @@ impl Directory {
             .map(|&x| NodeId(x))
     }
 
-    /// The audience set of `subject`, as `(id, level, slot)` triples sorted
-    /// by id: for each level `l`, the live level-`l` nodes whose id shares
-    /// `subject`'s first `l` bits. Writes into `out` (reused buffer).
+    /// The audience set of `subject`, sorted by id: every live node other
+    /// than the subject whose eigenstring covers it, i.e. whose id shares
+    /// at least `level` leading bits with `subject`. One pass over the
+    /// id-sorted membership, so the output needs no sort. Writes into
+    /// `out` (reused buffer).
     pub fn collect_audience(&self, subject: NodeId, out: &mut Vec<AudienceEntry>) {
         out.clear();
-        for l in 0..self.levels.len() {
-            let p = subject.prefix(l as u8);
-            let ids = self.level_prefix_ids(l as u8, p);
-            out.reserve(ids.len());
-            for &raw in ids {
-                if raw == subject.raw() {
-                    continue;
-                }
-                let slot = self.index[&raw];
+        let subject = subject.raw();
+        for (&id, m) in self.all.iter().zip(&self.members) {
+            if (id ^ subject).leading_zeros() >= m.level as u32 && id != subject {
                 out.push(AudienceEntry {
-                    id: raw,
-                    level: l as u8,
-                    slot,
-                    addr: self.slots[slot as usize].addr,
+                    id,
+                    level: m.level,
+                    slot: m.slot,
+                    addr: m.addr,
                 });
             }
         }
-        out.sort_unstable_by_key(|e| e.id);
     }
 
     /// Consistency check for tests: every invariant the sorted vectors and
     /// counters must satisfy.
     pub fn check_invariants(&self) {
         assert!(self.all.windows(2).all(|w| w[0] < w[1]), "all not sorted");
+        assert_eq!(self.members.len(), self.all.len(), "column length");
+        for (&id, m) in self.all.iter().zip(&self.members) {
+            assert_eq!(m.slot, self.index[&id], "column slot of {id:#x}");
+            let s = &self.slots[m.slot as usize];
+            assert_eq!(s.id.raw(), id, "slot {} holds another id", m.slot);
+            assert_eq!((m.level, m.addr), (s.level.value(), s.addr));
+        }
         let mut total = 0;
         for (l, v) in self.levels.iter().enumerate() {
             assert!(v.windows(2).all(|w| w[0] < w[1]), "level {l} not sorted");
@@ -403,6 +441,33 @@ mod tests {
     }
 
     #[test]
+    fn audience_follows_a_level_shift() {
+        let mut d = figure1();
+        let ids_of = |d: &Directory, subject: NodeId| {
+            let mut out = Vec::new();
+            d.collect_audience(subject, &mut out);
+            out
+        };
+        // H (1010, level 2) hears about E (1011); J (1000, level 3) and
+        // C (0100, level 2) do not.
+        let e = nid("1011");
+        assert!(ids_of(&d, e).iter().any(|a| a.id == nid("1010").raw()));
+        assert!(ids_of(&d, e).iter().all(|a| a.id != nid("1000").raw()));
+        // J rises to level 2: "10" covers E, and the entry carries the
+        // new level. H sinks to level 4: "1010" no longer covers E.
+        d.change_level(nid("1000"), Level::new(2));
+        d.change_level(nid("1010"), Level::new(4));
+        d.check_invariants();
+        let after = ids_of(&d, e);
+        let j = after.iter().find(|a| a.id == nid("1000").raw()).unwrap();
+        assert_eq!((j.level, j.slot, j.addr), (2, 9, 9));
+        assert!(after.iter().all(|a| a.id != nid("1010").raw()));
+        // C rises to the top and now hears about everything.
+        d.change_level(nid("0100"), Level::TOP);
+        assert!(ids_of(&d, e).iter().any(|a| a.id == nid("0100").raw()));
+    }
+
+    #[test]
     fn part_of_whole_system_is_top() {
         let d = figure1();
         let (l, p) = d.part_of(nid("1011")).unwrap();
@@ -488,7 +553,7 @@ mod proptests {
                 match op {
                     Op::Join(id, level) => {
                         if dir.get(NodeId(id)).is_none() {
-                            dir.join(NodeId(id), 0, Level::new(level), 500.0, 1e6);
+                            dir.join(NodeId(id), id as u32, Level::new(level), 500.0, 1e6);
                             live.push(id);
                         }
                     }
@@ -530,6 +595,16 @@ mod proptests {
             let got: std::collections::BTreeSet<u128> =
                 audience.iter().map(|e| e.id).collect();
             prop_assert_eq!(got, brute);
+            // … comes out strictly id-ascending (the planner dissects it
+            // by binary search), and every entry describes its slot.
+            prop_assert!(audience.windows(2).all(|w| w[0].id < w[1].id));
+            for e in &audience {
+                let s = &dir.slots()[e.slot as usize];
+                prop_assert_eq!(
+                    (e.id, e.level, e.addr, true),
+                    (s.id.raw(), s.level.value(), s.addr, s.alive)
+                );
+            }
         }
 
         /// part_of always returns the strongest covering eigenstring.

@@ -18,10 +18,10 @@
 //! than simulated hop by hop.
 
 use crate::directory::{AudienceEntry, Directory};
-use crate::plan::{plan_event, Rmq};
+use crate::plan::{plan_event_indexed, Rmq};
 use crate::report::{LevelRow, OracleReport};
 use peerwindow_core::model::ModelParams;
-use peerwindow_core::prelude::{Level, NodeId, ProtocolConfig};
+use peerwindow_core::prelude::{Level, NodeId, Prefix, ProtocolConfig};
 use peerwindow_des::{DetRng, Engine, Scheduler, SimTime, Simulation};
 use peerwindow_metrics::StreamingStat;
 use peerwindow_topology::{
@@ -249,9 +249,8 @@ impl OracleSim {
         let root_idx = audience
             .binary_search_by_key(&root.raw(), |e| e.id)
             .expect("root is an audience member");
+        self.grow_levels(self.dir.max_level());
         // Account the report hop into the root as the first delivery.
-        let max_level_seen = audience.iter().map(|e| e.level).max().unwrap_or(0);
-        self.grow_levels(max_level_seen);
         {
             let r = &audience[root_idx];
             let slot = &mut self.dir.slot_mut(r.slot);
@@ -272,23 +271,16 @@ impl OracleSim {
         {
             let dir = &mut self.dir;
             let net = &*self.net;
-            // plan_event passes slot ids; addresses were copied into the
-            // audience entries, so latency lookups never touch `dir`.
-            // audit: ordered — key lookups only, never iterated
-            let slots_to_addr: std::collections::HashMap<u32, u32> =
-                audience.iter().map(|e| (e.slot, e.addr)).collect();
-            plan_event(
+            plan_event_indexed(
                 &audience,
                 &mut rmq,
                 root_idx,
                 root_step,
                 report_at_us,
                 processing,
-                |a_slot, b_slot| {
-                    let a = slots_to_addr[&a_slot];
-                    let b = slots_to_addr[&b_slot];
-                    net.latency_us(a, b)
-                },
+                // Addresses were copied into the audience entries, so
+                // latency lookups never touch `dir`.
+                |parent, child| net.latency_us(audience[parent].addr, audience[child].addr),
                 |d| {
                     deliveries += 1;
                     max_depth = max_depth.max(d.depth);
@@ -466,10 +458,7 @@ impl OracleSim {
                 continue;
             }
             // Walk the level's groups (distinct eigenstrings).
-            let ids: Vec<u128> = self
-                .dir
-                .level_prefix_ids(l, peerwindow_core::prelude::Prefix::EMPTY)
-                .to_vec();
+            let ids = self.dir.level_prefix_ids(l, Prefix::EMPTY);
             let mut i = 0;
             let mut sum = 0.0;
             while i < ids.len() {
@@ -492,7 +481,15 @@ impl OracleSim {
         let probe_in_bps = (self.cfg.protocol.probe_msg_bits + self.cfg.protocol.ack_msg_bits)
             as f64
             / (self.cfg.protocol.probe_interval_us as f64 / 1e6);
-        for l in 0..self.errsec_per_level.len() {
+        // Per-level (rx, tx, count) over live nodes, slots in storage order.
+        let mut traffic = vec![(0.0, 0.0, 0.0); self.errsec_per_level.len()];
+        for s in self.dir.slots().iter().filter(|s| s.alive) {
+            let (rx, tx, cnt) = &mut traffic[s.level.value() as usize];
+            *rx += s.rx_measure_bits as f64;
+            *tx += s.tx_measure_bits as f64;
+            *cnt += 1.0;
+        }
+        for (l, &(rx, tx, cnt)) in traffic.iter().enumerate() {
             let nodes = self.nodes_per_level[l] / samples;
             if nodes < 0.5 {
                 continue;
@@ -504,14 +501,6 @@ impl OracleSim {
                 0.0
             };
             // Per-node mean traffic over live nodes currently at level l.
-            let (mut rx, mut tx, mut cnt) = (0.0, 0.0, 0.0);
-            for s in self.dir.slots() {
-                if s.alive && s.level.value() as usize == l {
-                    rx += s.rx_measure_bits as f64;
-                    tx += s.tx_measure_bits as f64;
-                    cnt += 1.0;
-                }
-            }
             let (in_bps, out_bps) = if cnt > 0.0 {
                 (
                     rx / cnt / measure_s + probe_in_bps,

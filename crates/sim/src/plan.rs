@@ -14,13 +14,16 @@ use peerwindow_core::prelude::NodeId;
 
 /// Sparse-table range-minimum query over `(level, index)` keys: returns
 /// the index of the strongest (lowest level), smallest-id entry in a
-/// range. Buffers are reused across events.
+/// range. Buffers — the planner's work stack included — are reused across
+/// events.
 #[derive(Default)]
 pub struct Rmq {
     n: usize,
     /// `table[k][i]` = argmin over `[i, i + 2^k)`.
     table: Vec<Vec<u32>>,
     levels: Vec<u8>,
+    /// The planner's pending sub-trees: (holder idx, lo, hi, step, t, depth).
+    stack: Vec<(usize, usize, usize, u8, u64, u32)>,
 }
 
 impl Rmq {
@@ -108,12 +111,12 @@ pub struct Delivery {
 
 /// Plans the full tree for an event whose sorted `audience` excludes the
 /// subject. `root_idx` is the initiating top node's index, `root_step` its
-/// level, and `t_root` the time it holds the event. `latency(a_slot,
-/// b_slot)` supplies pairwise one-way latency; `processing_us` is the
-/// §5.1 per-hop compute delay. Calls `on_deliver` once per receiver in
-/// depth-first send order.
+/// level, and `t_root` the time it holds the event. `latency(parent_idx,
+/// child_idx)` supplies one-way latency between two audience positions;
+/// `processing_us` is the §5.1 per-hop compute delay. Calls `on_deliver`
+/// once per receiver in depth-first send order.
 #[allow(clippy::too_many_arguments)]
-pub fn plan_event<L, F>(
+pub fn plan_event_indexed<L, F>(
     audience: &[AudienceEntry],
     rmq: &mut Rmq,
     root_idx: usize,
@@ -123,15 +126,15 @@ pub fn plan_event<L, F>(
     mut latency: L,
     mut on_deliver: F,
 ) where
-    L: FnMut(u32, u32) -> u64,
+    L: FnMut(usize, usize) -> u64,
     F: FnMut(&Delivery),
 {
     if audience.is_empty() {
         return;
     }
     rmq.build(audience);
-    // Explicit stack: (holder idx, lo, hi, step, t, depth).
-    let mut stack: Vec<(usize, usize, usize, u8, u64, u32)> = Vec::with_capacity(64);
+    // `argmin` borrows the rest of `rmq` while the stack is pushed to.
+    let mut stack = std::mem::take(&mut rmq.stack);
     stack.push((root_idx, 0, audience.len(), root_step, t_root, 0));
     while let Some((y, mut lo, mut hi, mut s, t, depth)) = stack.pop() {
         let y_id = NodeId(audience[y].id);
@@ -146,7 +149,7 @@ pub fn plan_event<L, F>(
                 (mid, hi, lo, mid)
             };
             if let Some(child) = rmq.argmin(flip_lo, flip_hi) {
-                let t_child = t + processing_us + latency(audience[y].slot, audience[child].slot);
+                let t_child = t + processing_us + latency(y, child);
                 let d = Delivery {
                     parent: y,
                     child,
@@ -162,6 +165,35 @@ pub fn plan_event<L, F>(
             s += 1;
         }
     }
+    rmq.stack = stack;
+}
+
+/// [`plan_event_indexed`] with latency asked by slot: `latency(a_slot,
+/// b_slot)`, for callers that keep per-node data in slot order.
+#[allow(clippy::too_many_arguments)]
+pub fn plan_event<L, F>(
+    audience: &[AudienceEntry],
+    rmq: &mut Rmq,
+    root_idx: usize,
+    root_step: u8,
+    t_root: u64,
+    processing_us: u64,
+    mut latency: L,
+    on_deliver: F,
+) where
+    L: FnMut(u32, u32) -> u64,
+    F: FnMut(&Delivery),
+{
+    plan_event_indexed(
+        audience,
+        rmq,
+        root_idx,
+        root_step,
+        t_root,
+        processing_us,
+        |parent, child| latency(audience[parent].slot, audience[child].slot),
+        on_deliver,
+    );
 }
 
 #[cfg(test)]

@@ -123,8 +123,17 @@ impl Topology {
     /// Single-source shortest paths (Dijkstra); returns distances in µs
     /// (`u32::MAX` for unreachable routers).
     pub fn dijkstra(&self, src: u32) -> Vec<u32> {
-        let n = self.adj.len();
-        let mut dist = vec![u32::MAX; n];
+        self.dijkstra_among(src, self.adj.len() as u32)
+    }
+
+    /// [`Self::dijkstra`] in the subgraph of routers `0..limit`; returns
+    /// `limit` distances. Transit nodes come first in the numbering, so
+    /// `limit = transit_count` searches the backbone alone.
+    ///
+    /// # Panics
+    /// Panics if `src` is not below `limit`.
+    pub fn dijkstra_among(&self, src: u32, limit: u32) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; limit as usize];
         let mut heap = BinaryHeap::new();
         dist[src as usize] = 0;
         heap.push(Reverse((0u32, src)));
@@ -133,6 +142,9 @@ impl Topology {
                 continue;
             }
             for &(v, w) in &self.adj[u as usize] {
+                if v >= limit {
+                    continue;
+                }
                 let nd = d + w;
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;

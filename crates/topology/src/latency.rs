@@ -2,11 +2,10 @@
 //!
 //! The simulator asks one question: *how long does a message take from
 //! overlay node `a` to overlay node `b`?* [`NetworkModel`] abstracts that;
-//! [`TransitStubNetwork`] answers it from a precomputed all-pairs
-//! stub-to-stub matrix (one Dijkstra per row, row chunks parallelised
-//! across scoped std threads) plus the paper's 1 ms host–stub legs, and
-//! [`UniformNetwork`] is a constant-latency stand-in for unit tests and
-//! microbenchmarks.
+//! [`TransitStubNetwork`] answers it exactly from a transit-to-transit
+//! distance table (one Dijkstra per transit node) and each stub node's
+//! gateway, plus the paper's 1 ms host–stub legs, and [`UniformNetwork`]
+//! is a constant-latency stand-in for unit tests and microbenchmarks.
 
 use crate::graph::Topology;
 
@@ -35,61 +34,86 @@ impl NetworkModel for UniformNetwork {
     }
 }
 
-/// Stub-to-stub latency matrix over a transit-stub topology, with overlay
-/// nodes mapped onto stub nodes round-robin (`addr % stub_count`, giving
-/// the paper's ≈20 overlay nodes per stub node at the 100,000-node scale).
+/// Where a stub node sits: its stub domain (stored, so a lookup divides
+/// nothing) and the transit node the domain hangs off.
+#[derive(Clone, Copy)]
+struct StubHome {
+    domain: u32,
+    gateway: u32,
+}
+
+/// Shortest-path latency between the stub nodes of a transit-stub
+/// topology, with overlay nodes mapped onto stub nodes round-robin
+/// (`addr % stub_count`, giving the paper's ≈20 overlay nodes per stub
+/// node at the 100,000-node scale).
+///
+/// The generator gives every stub node exactly one transit neighbour (its
+/// gateway, shared by its whole stub domain) and meshes each stub domain
+/// fully, so a shortest path between stub nodes of different domains is
+/// `stub → gateway ⇝ gateway → stub`, and within a domain it is the direct
+/// edge or the detour over the shared gateway, whichever is shorter. Only
+/// the transit-to-transit distances need a search.
 pub struct TransitStubNetwork {
     stub_count: u32,
     stubs_per_domain: u32,
     node_leg_us: u64,
-    /// Row-major `stub_count × stub_count`, milliseconds (fits u16: the
-    /// diameter of the paper topology is well under 65 s).
-    matrix_ms: Vec<u16>,
+    transit_count: usize,
+    /// Row-major `transit_count × transit_count` shortest distances, µs.
+    transit_us: Vec<u32>,
+    /// Indexed by stub node.
+    homes: Vec<StubHome>,
+    /// Both transit–stub edges of a cross-domain path, µs.
+    access_us: u32,
+    /// Distance between two distinct stub nodes of one domain, µs.
+    same_domain_us: u32,
 }
 
 impl TransitStubNetwork {
-    /// Precomputes the all-pairs stub latency matrix: one Dijkstra per stub
-    /// node, with the flat row-major matrix written in place — each worker
-    /// thread fills a contiguous chunk of rows, so no intermediate
-    /// `Vec<Vec<u16>>` is built and copied.
+    /// Precomputes the transit-to-transit table (one Dijkstra per transit
+    /// node) and every stub node's gateway.
     pub fn build(topo: &Topology) -> Self {
-        let stub_count = topo.params().stub_count();
-        let node_leg_us = topo.params().node_node_us as u64;
-        let n = stub_count as usize;
-        let mut matrix_ms = vec![0u16; n * n];
-
-        let fill_rows = |first_row: usize, chunk: &mut [u16]| {
-            for (k, row) in chunk.chunks_mut(n).enumerate() {
-                let i = (first_row + k) as u32;
-                let dist = topo.dijkstra(topo.stub_router(i));
-                for (j, cell) in row.iter_mut().enumerate() {
-                    let us = dist[topo.stub_router(j as u32) as usize];
-                    debug_assert_ne!(us, u32::MAX, "disconnected stub");
-                    *cell = ((us + 500) / 1_000).min(u16::MAX as u32) as u16;
-                }
-            }
-        };
-
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n.max(1));
-        if workers <= 1 {
-            fill_rows(0, &mut matrix_ms);
-        } else {
-            let rows_per_chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (c, chunk) in matrix_ms.chunks_mut(rows_per_chunk * n).enumerate() {
-                    let fill_rows = &fill_rows;
-                    scope.spawn(move || fill_rows(c * rows_per_chunk, chunk));
-                }
-            });
+        let p = *topo.params();
+        let transit_count = p.transit_count();
+        // A stub domain reaches the rest of the graph through one transit
+        // node, so no shortest path between transit nodes enters one: the
+        // backbone alone is searched.
+        let mut transit_us = Vec::with_capacity((transit_count as usize).pow(2));
+        for t in 0..transit_count {
+            let dist = topo.dijkstra_among(t, transit_count);
+            debug_assert!(!dist.contains(&u32::MAX), "disconnected backbone");
+            transit_us.extend_from_slice(&dist);
+        }
+        let mut homes: Vec<StubHome> = Vec::with_capacity(p.stub_count() as usize);
+        for i in 0..p.stub_count() {
+            let domain = i / p.stubs_per_domain;
+            let neighbors = topo.neighbors(topo.stub_router(i));
+            let mut gateways = neighbors.iter().filter(|&&(v, _)| v < transit_count);
+            let &(gateway, _) = gateways.next().expect("stub node without a gateway");
+            // What the distance formula rests on: single-homed stub nodes,
+            // one gateway per (fully meshed) domain, no stub edge leaving
+            // the domain.
+            debug_assert!(gateways.next().is_none(), "multi-homed stub node {i}");
+            debug_assert!(
+                homes
+                    .get((domain * p.stubs_per_domain) as usize)
+                    .is_none_or(|first| first.gateway == gateway),
+                "stub domain {domain} has two gateways"
+            );
+            debug_assert_eq!(neighbors.len() as u32, p.stubs_per_domain);
+            debug_assert!(neighbors
+                .iter()
+                .all(|&(v, _)| v == gateway || (v - transit_count) / p.stubs_per_domain == domain));
+            homes.push(StubHome { domain, gateway });
         }
         TransitStubNetwork {
-            stub_count,
-            stubs_per_domain: topo.params().stubs_per_domain,
-            node_leg_us,
-            matrix_ms,
+            stub_count: p.stub_count(),
+            stubs_per_domain: p.stubs_per_domain,
+            node_leg_us: p.node_node_us as u64,
+            transit_count: transit_count as usize,
+            transit_us,
+            homes,
+            access_us: 2 * p.transit_stub_us,
+            same_domain_us: p.stub_stub_us.min(2 * p.transit_stub_us),
         }
     }
 
@@ -120,10 +144,21 @@ impl TransitStubNetwork {
         self.stub_of(addr) / self.stubs_per_domain
     }
 
-    /// Raw stub-to-stub latency, µs.
+    /// Raw stub-to-stub latency, µs: the routed distance rounded to the
+    /// nearest millisecond.
     #[inline]
     pub fn stub_latency_us(&self, a: u32, b: u32) -> u64 {
-        self.matrix_ms[a as usize * self.stub_count as usize + b as usize] as u64 * 1_000
+        if a == b {
+            return 0;
+        }
+        let (ha, hb) = (self.homes[a as usize], self.homes[b as usize]);
+        let us = if ha.domain == hb.domain {
+            self.same_domain_us
+        } else {
+            let row = ha.gateway as usize * self.transit_count;
+            self.access_us + self.transit_us[row + hb.gateway as usize]
+        };
+        ((us + 500) / 1_000) as u64 * 1_000
     }
 }
 
@@ -158,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_symmetric_with_zero_diagonal() {
+    fn latency_is_symmetric_with_zero_diagonal() {
         let net = small_net();
         let s = net.stub_count();
         for a in 0..s {
@@ -202,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_matrix_builds() {
+    fn paper_scale_network_builds() {
         let topo = Topology::generate(TransitStubParams::default(), 2);
         let net = TransitStubNetwork::build(&topo);
         assert_eq!(net.stub_count(), 4_800);
