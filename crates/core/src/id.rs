@@ -327,9 +327,9 @@ mod tests {
     #[test]
     fn flip_and_with_bit_roundtrip() {
         let x = id("1010");
-        assert_eq!(x.flip_bit(1).bit(1), true);
+        assert!(x.flip_bit(1).bit(1));
         assert_eq!(x.flip_bit(1).flip_bit(1), x);
-        assert_eq!(x.with_bit(0, false).bit(0), false);
+        assert!(!x.with_bit(0, false).bit(0));
         assert_eq!(x.with_bit(0, true), x);
     }
 

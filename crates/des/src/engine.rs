@@ -87,12 +87,6 @@ impl<S: Simulation> Engine<S> {
         }
     }
 
-    /// Re-pins the queue representation, migrating pending events if
-    /// needed. Ordering (and therefore determinism) is unaffected.
-    pub fn set_sched_kind(&mut self, kind: SchedKind) {
-        self.queue.set_kind(kind);
-    }
-
     /// Representation migrations performed by the queue so far.
     pub fn sched_migrations(&self) -> u64 {
         self.queue.migrations()

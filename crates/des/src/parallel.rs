@@ -57,7 +57,7 @@
 //! message that should have pre-empted work it already did.
 
 use crate::emetrics::EngineMetrics;
-use crate::sched::{AdaptiveScheduler, SchedKind};
+use crate::sched::AdaptiveScheduler;
 use crate::time::SimTime;
 use peerwindow_metrics::runtime::{
     Counter, MetricsSink, RunReport, SampleKind, ShardReport, TimeCat,
@@ -434,15 +434,6 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
         self.workers = workers.clamp(1, self.shards.len());
     }
 
-    /// Re-pins every shard queue's representation policy (see
-    /// [`SchedKind`]); pending events migrate immediately. Determinism is
-    /// unaffected — ordering is representation-independent.
-    pub fn set_sched_kind(&mut self, kind: SchedKind) {
-        for shard in &mut self.shards {
-            shard.queue.set_kind(kind);
-        }
-    }
-
     /// The shard owning `actor` under the engine's partition.
     #[inline]
     pub fn shard_of(&self, actor: u32) -> usize {
@@ -465,10 +456,15 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
         &self.shards[shard].logic
     }
 
-    /// Mutable access to a shard's logic (harness configuration between
-    /// windows — e.g. toggling tracing — never during a window).
-    pub fn logic_mut(&mut self, shard: usize) -> &mut L {
-        &mut self.shards[shard].logic
+    /// Every shard's logic, in shard order.
+    pub fn logics(&self) -> impl Iterator<Item = &L> {
+        self.shards.iter().map(|s| &s.logic)
+    }
+
+    /// Mutable access to every shard's logic (harness configuration
+    /// between windows — e.g. toggling tracing — never during a window).
+    pub fn logics_mut(&mut self) -> impl Iterator<Item = &mut L> {
+        self.shards.iter_mut().map(|s| &mut s.logic)
     }
 
     /// Samples engine-level counters into a trace registry.

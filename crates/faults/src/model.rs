@@ -27,6 +27,25 @@ pub enum Verdict {
     },
 }
 
+impl Verdict {
+    /// Extra delay, over the link's base latency, of each copy that
+    /// arrives, as `[duplicate, original]`: `Drop` → neither, `Deliver` →
+    /// the original only, `Duplicate` → both. Every host emits in this
+    /// order, the duplicate first, so two copies that tie on the clock
+    /// (`gap_us = 0`) reach the receiver in the same order everywhere.
+    #[inline]
+    pub fn delays(self) -> [Option<u64>; 2] {
+        match self {
+            Verdict::Drop => [None, None],
+            Verdict::Deliver { extra_delay_us } => [None, Some(extra_delay_us)],
+            Verdict::Duplicate {
+                extra_delay_us,
+                dup_extra_delay_us,
+            } => [Some(dup_extra_delay_us), Some(extra_delay_us)],
+        }
+    }
+}
+
 /// Running totals over every judged datagram.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {
@@ -209,6 +228,20 @@ mod tests {
             links,
             condition,
         }
+    }
+
+    #[test]
+    fn delays_list_the_duplicate_then_the_original() {
+        assert_eq!(Verdict::Drop.delays(), [None, None]);
+        assert_eq!(
+            Verdict::Deliver { extra_delay_us: 3 }.delays(),
+            [None, Some(3)]
+        );
+        let twice = Verdict::Duplicate {
+            extra_delay_us: 3,
+            dup_extra_delay_us: 10,
+        };
+        assert_eq!(twice.delays(), [Some(10), Some(3)]);
     }
 
     #[test]

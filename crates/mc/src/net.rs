@@ -285,24 +285,16 @@ impl McNet {
                         from_addr: addr,
                         msg,
                     };
-                    match verdict {
-                        Verdict::Drop => {}
-                        Verdict::Deliver { extra_delay_us } => {
-                            self.seq += 1;
-                            let at = depart + self.latency_us + extra_delay_us;
-                            self.queue.insert((at, self.seq), (dest, input));
-                        }
-                        Verdict::Duplicate {
-                            extra_delay_us,
-                            dup_extra_delay_us,
-                        } => {
-                            self.seq += 1;
-                            let at = depart + self.latency_us + extra_delay_us;
-                            self.queue.insert((at, self.seq), (dest, input.clone()));
-                            self.seq += 1;
-                            let at2 = depart + self.latency_us + dup_extra_delay_us;
-                            self.queue.insert((at2, self.seq), (dest, input));
-                        }
+                    let at = depart + self.latency_us;
+                    let [dup, original] = verdict.delays();
+                    if let Some(extra) = dup {
+                        self.seq += 1;
+                        self.queue
+                            .insert((at + extra, self.seq), (dest, input.clone()));
+                    }
+                    if let Some(extra) = original {
+                        self.seq += 1;
+                        self.queue.insert((at + extra, self.seq), (dest, input));
                     }
                 }
                 Output::SetTimer { delay_us, timer } => {

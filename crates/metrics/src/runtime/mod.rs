@@ -443,7 +443,7 @@ mod tests {
     #[test]
     fn noop_is_zero_sized_and_inert() {
         assert_eq!(std::mem::size_of::<NoopMetrics>(), 0);
-        assert!(!NoopMetrics::ACTIVE);
+        const { assert!(!NoopMetrics::ACTIVE) };
         let mut n = NoopMetrics;
         n.set_enabled(true);
         assert!(!n.enabled());

@@ -167,7 +167,7 @@ mod tests {
     fn float_formatting() {
         assert_eq!(fmt_f64(0.0), "0");
         assert_eq!(fmt_f64(12345.6), "12346");
-        assert_eq!(fmt_f64(3.14159), "3.14");
+        assert_eq!(fmt_f64(3.21987), "3.22");
         assert_eq!(fmt_f64(0.00123), "0.00123");
         assert!(fmt_f64(0.0000012).contains('e'));
     }

@@ -10,453 +10,117 @@
 //!
 //! Events sit on the sequential engine's hierarchical timing wheel
 //! (`peerwindow_des::EventWheel`), so scheduling cost is O(1) amortised
-//! regardless of how many timers and deliveries are in flight. For
-//! multi-core runs of the same protocol, see [`crate::parallel_full`],
-//! which shards this world across a `ParallelEngine` with a pluggable
-//! `ShardMap`.
+//! regardless of how many timers and deliveries are in flight. The
+//! protocol step itself is [`crate::world`]'s, shared with
+//! [`crate::parallel_full`], which shards the same world across a
+//! `ParallelEngine` for multi-core runs. What is this harness's own: nodes
+//! spawn synchronously off a random live bootstrap, departed machines are
+//! reaped from their slots, and the digest is order-sensitive.
 
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
 use peerwindow_des::{DetRng, Engine, Scheduler, SimTime, Simulation};
-use peerwindow_faults::{FaultCounters, FaultModel, FaultPlan, LinkConditioner, Verdict};
+use peerwindow_faults::{FaultCounters, FaultPlan};
 use peerwindow_topology::NetworkModel;
 use peerwindow_workload::NodeSpec;
 // BTreeMap, not HashMap: `spawn_joiner` picks a bootstrap by *iterating*
 // this map, so its order must be a pure function of the membership or two
 // identically-seeded runs bootstrap off different nodes and diverge.
 use std::collections::BTreeMap;
+use std::iter::once;
 
-/// Events of the full-fidelity world.
-enum FEv {
-    /// Network delivery of a message to the node in `to_slot`.
-    Deliver {
-        to_slot: u32,
-        from: NodeId,
-        from_addr: Addr,
-        msg: Message,
-    },
-    /// A node-machine timer fires.
-    Timer { slot: u32, timer: Timer },
-    /// Silent departure (crash) — the slot just stops responding.
-    Crash { slot: u32 },
-    /// Graceful departure.
-    Graceful { slot: u32 },
-    /// Application info change.
-    SetInfo { slot: u32, info: Bytes },
-    /// Application budget change (autonomy: the user retunes it).
-    SetThreshold { slot: u32, bps: f64 },
-    /// Explicit level pin.
-    SetLevel { slot: u32, level: Level },
-}
+pub use crate::world::FullLog;
+use crate::world::{self, Event, World};
 
-/// Notable things that happened (for tests and reports).
-#[derive(Clone, Debug, Default)]
-pub struct FullLog {
-    /// Slots that completed joining.
-    pub joined: Vec<u32>,
-    /// `(detector slot, dead id)` failure detections.
-    pub failures: Vec<(u32, NodeId)>,
-    /// Fatal errors `(slot, reason)`.
-    pub fatals: Vec<(u32, &'static str)>,
-    /// Level shifts `(slot, from, to)`.
-    pub shifts: Vec<(u32, Level, Level)>,
-    /// Local invariant violations `(slot, description)` — only populated
-    /// when the `invariants` feature is on (every machine is checked
-    /// after every handled event).
-    pub invariant_violations: Vec<(u32, String)>,
-}
-
-struct FullWorld {
-    protocol: ProtocolConfig,
-    net: Box<dyn NetworkModel>,
-    machines: Vec<Option<NodeMachine>>,
+struct FullHost {
+    world: World<Box<dyn NetworkModel>>,
     /// Ground truth: id → slot for *live* nodes (crashed nodes removed at
     /// crash time; gracefully-left at shutdown time).
     live: BTreeMap<NodeId, u32>,
-    log: FullLog,
     rng: DetRng,
     /// Harness seed, kept so the `set_loss` shim can derive a plan seed.
     seed: u64,
-    /// Network fault model ("Internet asynchrony", §4.6, generalised to
-    /// burst loss / jitter / duplication / partitions). `None` means a
-    /// perfectly reliable network with zero per-datagram overhead. Every
-    /// datagram is judged at *send* time — the same point the parallel
-    /// engine judges, which is what keeps the two engines
-    /// fingerprint-compatible under one [`FaultPlan`]. Stored concretely
-    /// (not `Box<dyn FaultModel>`) so the reliable fast path inlines into
-    /// the send loop; the trait remains the documented engine-facing
-    /// contract, exercised through [`FaultModel::judge`] below.
-    faults: Option<LinkConditioner>,
-    /// Lock-free snapshot publication (the serving layer): when enabled,
-    /// every machine's peer list is mirrored into a `Published` cell
-    /// after every handled event. Pure observation — generation-gated,
-    /// never touches the machines, fingerprint-invariant.
-    snapshots: Option<crate::snaphub::SnapshotHub>,
-    /// Per-slot counter for harness-emitted fault records' `seq` field
-    /// (kept in a reserved high-bit space; see `trace_fault`).
-    #[cfg(feature = "trace")]
-    fault_seq: Vec<u64>,
-    /// Whether structured tracing is on (applied to existing machines and
-    /// inherited by later spawns).
-    #[cfg(feature = "trace")]
-    tracing: bool,
-    /// Collected trace records (drained from machines after every event).
-    #[cfg(feature = "trace")]
-    trace_log: Vec<peerwindow_trace::TraceRecord>,
-    /// Message counters by class, updated as records drain; gauges are
-    /// refreshed by [`FullSim::sample_metrics`].
+    /// Message counters by class, folded from the trace records when
+    /// sampled or taken; gauges are refreshed by
+    /// [`FullSim::sample_metrics`].
     #[cfg(feature = "trace")]
     registry: peerwindow_trace::CounterRegistry,
+    /// How many of the world's buffered records `registry` has counted.
+    #[cfg(feature = "trace")]
+    folded: usize,
 }
 
-impl FullWorld {
-    /// Drains one machine's trace buffer into the world log, folding the
-    /// message records into the counter registry as they pass.
-    #[cfg(feature = "trace")]
-    fn drain_trace(&mut self, slot: u32) {
-        if !self.tracing {
-            return;
-        }
-        let Some(m) = self
-            .machines
-            .get_mut(slot as usize)
-            .and_then(Option::as_mut)
-        else {
-            return;
+impl FullHost {
+    /// One world step plus the ground-truth bookkeeping around it.
+    fn step(&mut self, now_us: u64, event: Event, emit: impl FnMut(u64, Event)) {
+        // A graceful leaver stays in its slot to drain its departure
+        // announcement, but it leaves `live` at once: it has announced
+        // departure, so ground truth no longer counts it.
+        let leaver = match event {
+            Event::Cmd {
+                actor,
+                cmd: Command::Shutdown,
+            } => self.world.machine(actor).map(NodeMachine::id),
+            _ => None,
         };
-        let start = self.trace_log.len();
-        m.take_trace(&mut self.trace_log);
-        for r in &self.trace_log[start..] {
+        let gone = self.world.handle(now_us, event, emit);
+        for id in leaver.into_iter().chain(gone) {
+            self.live.remove(&id);
+        }
+    }
+
+    /// Flushes the machines' trace buffers and counts the message records
+    /// not yet counted into the registry.
+    #[cfg(feature = "trace")]
+    fn fold_messages(&mut self) {
+        let log = self.world.flush_trace();
+        for r in &log[self.folded..] {
             if let peerwindow_trace::TraceEventKind::MsgSend { class, bits, .. } = r.kind {
                 self.registry.add(&format!("msgs.{}", class.name()), 1);
                 self.registry.add(&format!("bits.{}", class.name()), bits);
             }
         }
-    }
-
-    /// Records what the fault layer did to one datagram `from → to`.
-    /// Harness records use the sender as `node` and a `seq` with the high
-    /// bit set: machine seqs are emission counters (nowhere near 2^63),
-    /// so the `(at_us, node, seq)` canonical key stays collision-free
-    /// without the machine knowing the harness exists.
-    #[cfg(feature = "trace")]
-    fn trace_fault(
-        &mut self,
-        now_us: u64,
-        slot: u32,
-        from: NodeId,
-        level: u8,
-        to: NodeId,
-        fault: peerwindow_trace::FaultClass,
-    ) {
-        if !self.tracing {
-            return;
-        }
-        if self.fault_seq.len() <= slot as usize {
-            self.fault_seq.resize(slot as usize + 1, 0);
-        }
-        let seq = (1 << 63) | self.fault_seq[slot as usize];
-        self.fault_seq[slot as usize] += 1;
-        self.trace_log.push(peerwindow_trace::TraceRecord {
-            at_us: now_us,
-            node: from.raw(),
-            seq,
-            level,
-            cause: peerwindow_trace::CauseId::NONE,
-            kind: peerwindow_trace::TraceEventKind::NetFault {
-                to: to.raw(),
-                fault,
-            },
-        });
-    }
-
-    /// Applies the fault model to one outgoing datagram: the delivery
-    /// delays to schedule (empty = dropped, two = duplicated), each
-    /// already including base latency and jitter.
-    #[allow(clippy::too_many_arguments)] // sender identity is four scalars (slot/id/level/addr); bundling them would be pure ceremony
-    fn judge_send(
-        &mut self,
-        now_us: u64,
-        #[allow(unused_variables)] slot: u32,
-        #[allow(unused_variables)] from: NodeId,
-        #[allow(unused_variables)] level: u8,
-        from_addr: Addr,
-        to: &Target,
-        delay_us: u64,
-    ) -> [Option<u64>; 2] {
-        let latency = self.net.latency_us(from_addr.0 as u32, to.addr.0 as u32);
-        let base = delay_us + latency;
-        let mut deliveries = [Some(base), None];
-        if let Some(f) = self.faults.as_mut() {
-            match f.judge(now_us, from_addr.0 as u32, to.addr.0 as u32) {
-                Verdict::Deliver { extra_delay_us } => {
-                    deliveries[0] = Some(base + extra_delay_us);
-                }
-                Verdict::Drop => {
-                    deliveries[0] = None;
-                    #[cfg(feature = "trace")]
-                    self.trace_fault(
-                        now_us,
-                        slot,
-                        from,
-                        level,
-                        to.id,
-                        peerwindow_trace::FaultClass::Dropped,
-                    );
-                }
-                Verdict::Duplicate {
-                    extra_delay_us,
-                    dup_extra_delay_us,
-                } => {
-                    deliveries = [Some(base + extra_delay_us), Some(base + dup_extra_delay_us)];
-                    #[cfg(feature = "trace")]
-                    self.trace_fault(
-                        now_us,
-                        slot,
-                        from,
-                        level,
-                        to.id,
-                        peerwindow_trace::FaultClass::Duplicated,
-                    );
-                }
-            }
-        }
-        deliveries
-    }
-
-    fn process_outputs(
-        &mut self,
-        now: SimTime,
-        slot: u32,
-        outs: Vec<Output>,
-        sched: &mut Scheduler<'_, FEv>,
-    ) {
-        // Drain before anything can take the machine out of its slot
-        // (fatal, leave-reap below): the records of its last handled
-        // event must survive it.
-        #[cfg(feature = "trace")]
-        self.drain_trace(slot);
-        let Some(machine) = self.machines[slot as usize].as_ref() else {
-            return;
-        };
-        // `process_outputs` runs directly after every `m.handle(..)`, so
-        // checking here covers each machine after each event it absorbs.
-        #[cfg(feature = "invariants")]
-        if let Err(v) = machine.check_invariants() {
-            self.log.invariant_violations.push((slot, v.to_string()));
-        }
-        let from = machine.id();
-        let from_addr = machine.addr();
-        let from_level = machine.level().value();
-        for o in outs {
-            match o {
-                Output::Send { to, msg, delay_us } => {
-                    let [first, dup] = self.judge_send(
-                        now.as_micros(),
-                        slot,
-                        from,
-                        from_level,
-                        from_addr,
-                        &to,
-                        delay_us,
-                    );
-                    let to_slot = to.addr.0 as u32;
-                    if let Some(d) = dup {
-                        sched.schedule(
-                            d,
-                            FEv::Deliver {
-                                to_slot,
-                                from,
-                                from_addr,
-                                msg: msg.clone(),
-                            },
-                        );
-                    }
-                    if let Some(d) = first {
-                        sched.schedule(
-                            d,
-                            FEv::Deliver {
-                                to_slot,
-                                from,
-                                from_addr,
-                                msg,
-                            },
-                        );
-                    }
-                }
-                Output::SetTimer { delay_us, timer } => {
-                    sched.schedule(delay_us, FEv::Timer { slot, timer });
-                }
-                Output::Joined => self.log.joined.push(slot),
-                Output::FailureDetected { dead } => self.log.failures.push((slot, dead)),
-                Output::LevelShifted { from, to } => self.log.shifts.push((slot, from, to)),
-                Output::Fatal(reason) => {
-                    self.log.fatals.push((slot, reason));
-                    if let Some(m) = self.machines[slot as usize].take() {
-                        self.live.remove(&m.id());
-                    }
-                }
-            }
-        }
-        // A graceful leaver stays in its slot while it drains its
-        // departure announcement (see `FEv::Graceful`); once the machine
-        // reports Left the drain is over and the slot is reaped, so
-        // `machines()` never yields a departed node's stale state.
-        if self.machines[slot as usize]
-            .as_ref()
-            .is_some_and(NodeMachine::has_left)
-        {
-            self.machines[slot as usize] = None;
-        }
-        // Serving layer: mirror the (possibly changed) peer list into the
-        // slot's published cell. Runs after the reap so a departed node
-        // never publishes again — readers keep its last live epoch.
-        if let (Some(hub), Some(m)) = (
-            self.snapshots.as_mut(),
-            self.machines[slot as usize].as_ref(),
-        ) {
-            hub.publish(slot, m, now.as_micros());
-        }
+        self.folded = log.len();
     }
 }
 
-impl Simulation for FullWorld {
-    type Event = FEv;
-    fn handle(&mut self, now: SimTime, event: FEv, sched: &mut Scheduler<'_, FEv>) {
-        match event {
-            FEv::Deliver {
-                to_slot,
-                from,
-                from_addr,
-                msg,
-            } => {
-                // Loss/duplication/jitter were already decided at send
-                // time (see `judge_send`); a delivery event is a datagram
-                // that made it.
-                let Some(m) = self
-                    .machines
-                    .get_mut(to_slot as usize)
-                    .and_then(Option::as_mut)
-                else {
-                    return; // crashed or never existed: silent drop
-                };
-                let outs = m.handle(
-                    now.as_micros(),
-                    Input::Message {
-                        from,
-                        from_addr,
-                        msg,
-                    },
-                );
-                self.process_outputs(now, to_slot, outs, sched);
-            }
-            FEv::Timer { slot, timer } => {
-                let Some(m) = self
-                    .machines
-                    .get_mut(slot as usize)
-                    .and_then(Option::as_mut)
-                else {
-                    return;
-                };
-                let outs = m.handle(now.as_micros(), Input::Timer(timer));
-                self.process_outputs(now, slot, outs, sched);
-            }
-            FEv::Crash { slot } => {
-                if let Some(m) = self.machines[slot as usize].take() {
-                    self.live.remove(&m.id());
-                }
-            }
-            FEv::Graceful { slot } => {
-                // The machine stays in its slot: it drains its departure
-                // announcement (retries, redirects) and silences itself.
-                // Taking it out here would abandon the Leave multicast's
-                // RPC state mid-flight. It leaves `live` at once, though —
-                // it has announced departure, so ground truth no longer
-                // counts it.
-                if let Some(m) = self
-                    .machines
-                    .get_mut(slot as usize)
-                    .and_then(Option::as_mut)
-                {
-                    let id = m.id();
-                    let outs = m.handle(now.as_micros(), Input::Command(Command::Shutdown));
-                    self.live.remove(&id);
-                    self.process_outputs(now, slot, outs, sched);
-                }
-            }
-            FEv::SetInfo { slot, info } => {
-                if let Some(m) = self
-                    .machines
-                    .get_mut(slot as usize)
-                    .and_then(Option::as_mut)
-                {
-                    let outs = m.handle(now.as_micros(), Input::Command(Command::ChangeInfo(info)));
-                    self.process_outputs(now, slot, outs, sched);
-                }
-            }
-            FEv::SetThreshold { slot, bps } => {
-                if let Some(m) = self
-                    .machines
-                    .get_mut(slot as usize)
-                    .and_then(Option::as_mut)
-                {
-                    let outs =
-                        m.handle(now.as_micros(), Input::Command(Command::SetThreshold(bps)));
-                    self.process_outputs(now, slot, outs, sched);
-                }
-            }
-            FEv::SetLevel { slot, level } => {
-                if let Some(m) = self
-                    .machines
-                    .get_mut(slot as usize)
-                    .and_then(Option::as_mut)
-                {
-                    let outs = m.handle(now.as_micros(), Input::Command(Command::SetLevel(level)));
-                    self.process_outputs(now, slot, outs, sched);
-                }
-            }
-        }
+impl Simulation for FullHost {
+    type Event = Event;
+    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<'_, Event>) {
+        self.step(now.as_micros(), event, |delay_us, e| {
+            sched.schedule(delay_us, e)
+        });
     }
 }
 
 /// A full-fidelity simulation harness.
 pub struct FullSim {
-    engine: Engine<FullWorld>,
+    engine: Engine<FullHost>,
 }
 
 impl FullSim {
     /// Creates an empty world.
     pub fn new(protocol: ProtocolConfig, net: Box<dyn NetworkModel>, seed: u64) -> Self {
         FullSim {
-            engine: Engine::new(FullWorld {
-                protocol,
-                net,
-                machines: Vec::new(),
+            engine: Engine::new(FullHost {
+                world: World::new(protocol, net, 0, true),
                 live: BTreeMap::new(),
-                log: FullLog::default(),
                 rng: DetRng::for_stream(seed, 0xF00D),
                 seed,
-                faults: None,
-                snapshots: None,
-                #[cfg(feature = "trace")]
-                fault_seq: Vec::new(),
-                #[cfg(feature = "trace")]
-                tracing: false,
-                #[cfg(feature = "trace")]
-                trace_log: Vec::new(),
                 #[cfg(feature = "trace")]
                 registry: peerwindow_trace::CounterRegistry::new(),
+                #[cfg(feature = "trace")]
+                folded: 0,
             }),
         }
     }
 
-    /// Re-pins the engine queue's representation policy (heap, wheel, or
-    /// adaptive — see [`peerwindow_des::SchedKind`]). Determinism is
-    /// unaffected; this is a performance knob for known workload shapes
-    /// (a protocol run with every node holding resident probe timers is
-    /// the wheel's case; the adaptive default finds it on its own).
-    pub fn set_sched_kind(&mut self, kind: peerwindow_des::SchedKind) {
-        self.engine.set_sched_kind(kind);
+    fn world(&self) -> &World<Box<dyn NetworkModel>> {
+        &self.engine.sim().world
+    }
+
+    fn world_mut(&mut self) -> &mut World<Box<dyn NetworkModel>> {
+        &mut self.engine.sim_mut().world
     }
 
     /// Turns structured tracing on for every current and future machine.
@@ -464,11 +128,7 @@ impl FullSim {
     /// predate the machine entering the world and are not captured.
     #[cfg(feature = "trace")]
     pub fn enable_tracing(&mut self, on: bool) {
-        let world = self.engine.sim_mut();
-        world.tracing = on;
-        for m in world.machines.iter_mut().flatten() {
-            m.set_tracing(on);
-        }
+        world::enable_tracing(once(self.world_mut()), on);
     }
 
     /// Turns lock-free snapshot publication on for every current and
@@ -481,45 +141,29 @@ impl FullSim {
     /// (fingerprints included) is identical with snapshots on or off.
     pub fn enable_snapshots(&mut self) -> std::sync::Arc<SnapshotDirectory> {
         let now_us = self.engine.now().as_micros();
-        let world = self.engine.sim_mut();
-        let hub = world
-            .snapshots
-            .get_or_insert_with(crate::snaphub::SnapshotHub::new);
-        for (slot, m) in world.machines.iter().enumerate() {
-            if let Some(m) = m.as_ref() {
-                hub.publish(slot as u32, m, now_us);
-            }
-        }
-        hub.directory()
+        world::enable_snapshots(once(self.world_mut()), now_us)
     }
 
     /// A lock-free reader over `slot`'s published peer-list snapshots.
     /// `None` until [`FullSim::enable_snapshots`] has run and the slot
     /// has published at least once.
     pub fn snapshot_reader(&self, slot: u32) -> Option<SnapshotReader> {
-        self.engine.sim().snapshots.as_ref()?.reader(slot)
+        world::snapshot_reader(once(self.world()), slot)
     }
 
     /// Total snapshots published so far (0 when publication is off).
     pub fn snapshots_published(&self) -> u64 {
-        self.engine
-            .sim()
-            .snapshots
-            .as_ref()
-            .map_or(0, crate::snaphub::SnapshotHub::published)
+        world::snapshots_published(once(self.world()))
     }
 
     /// Flushes every machine's buffer and returns the collected records
     /// in canonical `(at_us, node, seq)` order, clearing the world log.
     #[cfg(feature = "trace")]
     pub fn take_trace(&mut self) -> Vec<peerwindow_trace::TraceRecord> {
-        let world = self.engine.sim_mut();
-        for slot in 0..world.machines.len() as u32 {
-            world.drain_trace(slot);
-        }
-        let mut log = std::mem::take(&mut world.trace_log);
-        peerwindow_trace::canonical_sort(&mut log);
-        log
+        let host = self.engine.sim_mut();
+        host.fold_messages();
+        host.folded = 0;
+        world::take_trace(once(&mut host.world))
     }
 
     /// Refreshes the gauge side of the registry (live nodes, mean
@@ -529,40 +173,15 @@ impl FullSim {
     pub fn sample_metrics(&mut self) -> &peerwindow_trace::CounterRegistry {
         let processed = self.engine.stats().processed;
         let pending = self.engine.pending() as f64;
-        let world = self.engine.sim_mut();
-        for slot in 0..world.machines.len() as u32 {
-            world.drain_trace(slot);
-        }
-        let (count, peer_sum, retries) = world
-            .machines
-            .iter()
-            .flatten()
-            .filter(|m| m.is_active())
-            .fold((0u64, 0u64, 0u64), |(c, p, r), m| {
-                (c + 1, p + m.peers().len() as u64, r + m.stats().rpc_retries)
-            });
-        world
-            .registry
-            .set_gauge("nodes.live", world.live.len() as f64);
-        world.registry.set_gauge(
-            "peers.mean",
-            if count > 0 {
-                peer_sum as f64 / count as f64
-            } else {
-                0.0
-            },
-        );
-        world.registry.set("rpc.retries", retries);
-        world.registry.set("engine.processed", processed);
-        world.registry.set_gauge("engine.pending", pending);
-        if let Some(f) = world.faults.as_ref() {
-            let c = f.counters();
-            world.registry.set("faults.judged", c.judged);
-            world.registry.set("faults.dropped", c.dropped);
-            world.registry.set("faults.duplicated", c.duplicated);
-            world.registry.set("faults.jittered", c.jittered);
-        }
-        &self.engine.sim().registry
+        let host = self.engine.sim_mut();
+        host.fold_messages();
+        let reg = &mut host.registry;
+        let faults = host.world.installed_fault_counters();
+        world::sample_gauges(host.world.machines(), faults, reg);
+        reg.set_gauge("nodes.live", host.live.len() as f64);
+        reg.set("engine.processed", processed);
+        reg.set_gauge("engine.pending", pending);
+        reg
     }
 
     /// Sets a uniform per-datagram loss probability (0.0 = reliable
@@ -570,36 +189,26 @@ impl FullSim {
     /// [`FaultPlan`], replacing any installed fault model (and resetting
     /// its counters).
     pub fn set_loss(&mut self, loss: f64) {
-        let loss = loss.clamp(0.0, 1.0);
-        if loss <= 0.0 {
-            self.engine.sim_mut().faults = None;
-        } else {
-            let seed = self.engine.sim().seed ^ 0xFA_0175;
-            self.set_fault_plan(FaultPlan::uniform_loss(seed, loss));
-        }
+        let seed = self.engine.sim().seed;
+        world::set_loss(once(self.world_mut()), seed, loss);
     }
 
     /// Installs a network fault plan (replacing any previous model,
     /// counters included). Install before running the scenario: the
     /// per-link random streams start fresh.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.engine.sim_mut().faults = Some(LinkConditioner::new(plan));
+        world::set_fault_plan(once(self.world_mut()), Some(&plan));
     }
 
     /// Removes the fault model entirely (reliable network, zero
     /// per-datagram overhead).
     pub fn clear_faults(&mut self) {
-        self.engine.sim_mut().faults = None;
+        world::set_fault_plan(once(self.world_mut()), None);
     }
 
     /// Fault-layer totals (zeros when no model is installed).
     pub fn fault_counters(&self) -> FaultCounters {
-        self.engine
-            .sim()
-            .faults
-            .as_ref()
-            .map(|f| f.counters())
-            .unwrap_or_default()
+        world::fault_counters(once(self.world()))
     }
 
     /// Datagrams dropped by the fault layer so far.
@@ -619,145 +228,88 @@ impl FullSim {
 
     /// The event log.
     pub fn log(&self) -> &FullLog {
-        &self.engine.sim().log
+        self.world().log()
     }
 
     /// Spawns the genesis node (already active at level 0). Returns its
     /// slot.
     pub fn spawn_seed(&mut self, id: NodeId, threshold_bps: f64, info: Bytes) -> u32 {
-        let world = self.engine.sim_mut();
-        let slot = world.machines.len() as u32;
-        let seed = world.rng.next_u64();
-        let (m, outs) = NodeMachine::new_seed(
-            world.protocol.clone(),
-            id,
-            Addr(slot as u64),
-            info,
-            threshold_bps,
-            seed,
-        );
-        world.live.insert(id, slot);
-        world.machines.push(Some(m));
-        #[cfg(feature = "trace")]
-        if world.tracing {
-            if let Some(m) = world.machines[slot as usize].as_mut() {
-                m.set_tracing(true);
-            }
-        }
-        self.drain_initial(slot, outs);
-        slot
+        self.spawn(id, threshold_bps, info, None)
     }
 
     /// Spawns a joining node bootstrapping off a random live node.
     /// Returns its slot, or `None` if nobody is alive to bootstrap from.
     pub fn spawn_joiner(&mut self, id: NodeId, threshold_bps: f64, info: Bytes) -> Option<u32> {
-        let world = self.engine.sim_mut();
-        let n = world.live.len();
+        let host = self.engine.sim_mut();
+        let n = host.live.len();
         if n == 0 {
             return None;
         }
-        let pick = world.rng.below(n as u64) as usize;
-        let boot_slot = *world.live.values().nth(pick)?;
-        let boot = world.machines[boot_slot as usize].as_ref()?.as_target();
-        let slot = world.machines.len() as u32;
-        let seed = world.rng.next_u64();
-        let (m, outs) = NodeMachine::new_joining(
-            world.protocol.clone(),
-            id,
-            Addr(slot as u64),
-            info,
-            threshold_bps,
-            boot,
-            seed,
-        );
-        world.live.insert(id, slot);
-        world.machines.push(Some(m));
-        #[cfg(feature = "trace")]
-        if world.tracing {
-            if let Some(m) = world.machines[slot as usize].as_mut() {
-                m.set_tracing(true);
-            }
-        }
-        self.drain_initial(slot, outs);
-        Some(slot)
+        let pick = host.rng.below(n as u64) as usize;
+        let boot_slot = *host.live.values().nth(pick)?;
+        let boot = host.world.machine(boot_slot)?.as_target();
+        Some(self.spawn(id, threshold_bps, info, Some(boot)))
     }
 
-    fn drain_initial(&mut self, slot: u32, outs: Vec<Output>) {
-        // Two phases: read the world to translate outputs, then schedule.
+    /// Starts a machine in the next free slot, now, outside the event
+    /// queue: the world handles its `Start` at once and the follow-ups
+    /// are scheduled from the engine's current time.
+    fn spawn(
+        &mut self,
+        id: NodeId,
+        threshold_bps: f64,
+        info: Bytes,
+        bootstrap: Option<Target>,
+    ) -> u32 {
         let now_us = self.engine.now().as_micros();
-        let mut items: Vec<(u64, FEv)> = Vec::new();
-        {
-            let world = self.engine.sim_mut();
-            let (from, from_addr, from_level) = match world.machines[slot as usize].as_ref() {
-                Some(m) => (m.id(), m.addr(), m.level().value()),
-                None => return,
-            };
-            for o in outs {
-                match o {
-                    Output::Send { to, msg, delay_us } => {
-                        let deliveries = world
-                            .judge_send(now_us, slot, from, from_level, from_addr, &to, delay_us);
-                        for d in deliveries.into_iter().flatten() {
-                            items.push((
-                                d,
-                                FEv::Deliver {
-                                    to_slot: to.addr.0 as u32,
-                                    from,
-                                    from_addr,
-                                    msg: msg.clone(),
-                                },
-                            ));
-                        }
-                    }
-                    Output::SetTimer { delay_us, timer } => {
-                        items.push((delay_us, FEv::Timer { slot, timer }));
-                    }
-                    Output::Joined => world.log.joined.push(slot),
-                    Output::FailureDetected { dead } => world.log.failures.push((slot, dead)),
-                    Output::LevelShifted { from, to } => world.log.shifts.push((slot, from, to)),
-                    Output::Fatal(reason) => world.log.fatals.push((slot, reason)),
-                }
-            }
-            // A freshly spawned machine gets an epoch-0 snapshot at once
-            // so readers resolved right after the spawn see its state.
-            if let (Some(hub), Some(m)) = (
-                world.snapshots.as_mut(),
-                world.machines[slot as usize].as_ref(),
-            ) {
-                hub.publish(slot, m, now_us);
-            }
+        let host = self.engine.sim_mut();
+        let slot = host.world.slots().len() as u32;
+        let start = Event::Start {
+            actor: slot,
+            id,
+            threshold_bps,
+            info,
+            bootstrap,
+            seed: host.rng.next_u64(),
+        };
+        host.live.insert(id, slot);
+        let mut follow_ups = Vec::new();
+        host.step(now_us, start, |delay_us, e| follow_ups.push((delay_us, e)));
+        for (delay_us, e) in follow_ups {
+            self.engine.schedule(delay_us, e);
         }
-        for (delay, ev) in items {
-            self.engine.schedule(delay, ev);
-        }
+        slot
     }
 
     /// Schedules a silent crash of `slot` after `delay_us`.
     pub fn crash_after(&mut self, slot: u32, delay_us: u64) {
-        self.engine.schedule(delay_us, FEv::Crash { slot });
+        self.engine.schedule(delay_us, Event::Crash { actor: slot });
     }
 
     /// Schedules a graceful departure of `slot` after `delay_us`.
     pub fn leave_after(&mut self, slot: u32, delay_us: u64) {
-        self.engine.schedule(delay_us, FEv::Graceful { slot });
+        self.command_after(slot, delay_us, Command::Shutdown);
     }
 
     /// Schedules an info change on `slot` after `delay_us`.
     pub fn set_info_after(&mut self, slot: u32, delay_us: u64, info: Bytes) {
-        self.engine.schedule(delay_us, FEv::SetInfo { slot, info });
+        self.command_after(slot, delay_us, Command::ChangeInfo(info));
     }
 
     /// Schedules a bandwidth-threshold change on `slot` after `delay_us`
     /// (the §2 autonomy knob).
     pub fn set_threshold_after(&mut self, slot: u32, delay_us: u64, bps: f64) {
-        self.engine
-            .schedule(delay_us, FEv::SetThreshold { slot, bps });
+        self.command_after(slot, delay_us, Command::SetThreshold(bps));
     }
 
     /// Schedules an explicit level pin on `slot` after `delay_us`.
     pub fn set_level_after(&mut self, slot: u32, delay_us: u64, level: Level) {
+        self.command_after(slot, delay_us, Command::SetLevel(level));
+    }
+
+    fn command_after(&mut self, slot: u32, delay_us: u64, cmd: Command) {
         self.engine
-            .schedule(delay_us, FEv::SetLevel { slot, level });
+            .schedule(delay_us, Event::Cmd { actor: slot, cmd });
     }
 
     /// Spawns one node per [`NodeSpec`], seeds first, then runs churn:
@@ -784,8 +336,7 @@ impl FullSim {
         self.engine.run_until(t);
     }
 
-    /// Runs until the event queue drains (careful: periodic timers never
-    /// drain; prefer [`FullSim::run_until`]).
+    /// Advances simulated time by `delta_us`.
     pub fn run_for(&mut self, delta_us: u64) {
         let t = self.engine.now() + delta_us;
         self.engine.run_until(t);
@@ -798,7 +349,7 @@ impl FullSim {
 
     /// Read access to a machine.
     pub fn machine(&self, slot: u32) -> Option<&NodeMachine> {
-        self.engine.sim().machines.get(slot as usize)?.as_ref()
+        self.world().machine(slot)
     }
 
     /// Runs the full invariant suite right now: local checks on every
@@ -814,21 +365,13 @@ impl FullSim {
 
     /// Iterates `(slot, machine)` over live machines.
     pub fn machines(&self) -> impl Iterator<Item = (u32, &NodeMachine)> + '_ {
-        self.engine
-            .sim()
-            .machines
-            .iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.as_ref().map(|m| (i as u32, m)))
+        self.world().machines()
     }
 
     /// Ground-truth live identities (id, level) from the machines
     /// themselves.
     pub fn ground_truth(&self) -> Vec<NodeIdentity> {
-        self.machines()
-            .filter(|(_, m)| m.is_active())
-            .map(|(_, m)| NodeIdentity::new(m.id(), m.level()))
-            .collect()
+        world::ground_truth(self.machines())
     }
 
     /// A per-level summary in the same shape as the oracle's report rows
@@ -879,17 +422,7 @@ impl FullSim {
     /// ground truth. After a network partition heals, a recovered system
     /// returns to `parts == 1` with [`PartAudit::is_settled`].
     pub fn part_audit(&self) -> PartAudit {
-        let views: Vec<(NodeIdentity, Vec<NodeId>)> = self
-            .machines()
-            .filter(|(_, m)| m.is_active())
-            .map(|(_, m)| {
-                (
-                    NodeIdentity::new(m.id(), m.level()),
-                    m.peers().iter().map(|p| p.id).collect(),
-                )
-            })
-            .collect();
-        audit_parts(&views)
+        world::part_audit(self.machines())
     }
 
     /// Order-sensitive digest of the complete simulation state: every
@@ -908,8 +441,7 @@ impl FullSim {
             }
         };
         mix(self.engine.now().as_micros());
-        let world = self.engine.sim();
-        for (slot, m) in world.machines.iter().enumerate() {
+        for (slot, m) in self.world().slots().iter().enumerate() {
             mix(slot as u64);
             let Some(m) = m else {
                 mix(u64::MAX);
@@ -935,14 +467,11 @@ impl FullSim {
                 mix(t.level.value() as u64);
             }
         }
-        mix(world.log.joined.len() as u64);
-        mix(world.log.failures.len() as u64);
-        mix(world.log.shifts.len() as u64);
-        let c = world
-            .faults
-            .as_ref()
-            .map(|f| f.counters())
-            .unwrap_or_default();
+        let log = self.log();
+        mix(log.joined.len() as u64);
+        mix(log.failures.len() as u64);
+        mix(log.shifts.len() as u64);
+        let c = self.fault_counters();
         mix(c.judged);
         mix(c.dropped);
         mix(c.duplicated);
@@ -955,28 +484,7 @@ impl FullSim {
     /// machines. `missing` = live in-scope nodes absent from the list;
     /// `stale` = listed nodes that are no longer live.
     pub fn accuracy(&self) -> (usize, usize, usize) {
-        let truth = self.ground_truth();
-        let live: std::collections::BTreeSet<NodeId> = truth.iter().map(|n| n.id).collect();
-        let mut correct = 0;
-        let mut missing = 0;
-        let mut stale = 0;
-        for (_, m) in self.machines().filter(|(_, m)| m.is_active()) {
-            let scope = m.eigenstring();
-            for t in &truth {
-                if t.id != m.id() && scope.contains(t.id) {
-                    correct += 1;
-                    if !m.peers().contains(t.id) {
-                        missing += 1;
-                    }
-                }
-            }
-            for p in m.peers().iter() {
-                if !live.contains(&p.id) {
-                    stale += 1;
-                }
-            }
-        }
-        (correct, missing, stale)
+        world::accuracy(self.machines())
     }
 }
 

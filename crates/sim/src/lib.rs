@@ -13,6 +13,10 @@
 //! * [`parallel_full`] — full fidelity on the *parallel* engine: shards
 //!   of real machines under barrier-synchronised windows, with pluggable
 //!   actor placement (modulo or topology-affine shard maps).
+//! * `world` (private) — the one protocol step both full-fidelity
+//!   harnesses drive: the machines, the crate's only interpreter of
+//!   `Output`, the latency → fault-verdict send path, trace draining and
+//!   snapshot publication. The engines only order events.
 //! * [`directory`], [`plan`] — the oracle's membership structure and tree
 //!   planner.
 //! * [`report`] — per-level result rows (the columns of figures 5–8).
@@ -28,6 +32,7 @@ pub mod parallel_full;
 pub mod plan;
 pub mod report;
 mod snaphub;
+mod world;
 
 pub use directory::Directory;
 pub use full::{FullLog, FullSim};

@@ -9,15 +9,21 @@
 //! outcome is identical for any shard count** (asserted by tests), so
 //! parallelism is a pure speedup, exactly ONSP's pitch.
 //!
-//! Latencies are deterministically jittered per (source, destination)
-//! pair so no two deliveries tie on the clock; with unique timestamps the
-//! global delivery order is shard-count-invariant.
+//! Each shard is one [`crate::world`] — the protocol step is the one
+//! [`crate::FullSim`] runs. What is this harness's own: nodes start by
+//! scheduled event, latencies are deterministically jittered per (source,
+//! destination) pair so no two deliveries tie on the clock (with unique
+//! timestamps the global delivery order is shard-count-invariant),
+//! departed machines stay in their slots, and the digest is
+//! order-insensitive.
 
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
 use peerwindow_des::{ModuloShardMap, Outbox, ParallelEngine, ShardLogic, ShardMap, SimTime};
-use peerwindow_faults::{FaultCounters, FaultModel, FaultPlan, LinkConditioner, Verdict};
-use peerwindow_topology::TransitStubNetwork;
+use peerwindow_faults::{FaultCounters, FaultPlan};
+use peerwindow_topology::{NetworkModel, TransitStubNetwork};
+
+use crate::world::{self, Event, World};
 
 /// Topology-affine actor placement: overlay addresses whose stub nodes
 /// share a transit-stub *domain* land in the same shard, so the bulk of
@@ -53,356 +59,66 @@ impl ShardMap for StubAffineShardMap {
     }
 }
 
-/// Messages between actors (nodes) in the parallel world.
-pub enum PMsg {
-    /// Bring the node up: `None` = seed, `Some(target)` = join via it.
-    Start {
-        /// Node id for the machine.
-        id: NodeId,
-        /// Collection budget.
-        threshold_bps: f64,
-        /// Attached info.
-        info: Bytes,
-        /// Bootstrap target (None for the genesis node).
-        bootstrap: Option<Target>,
-    },
-    /// A protocol message from another node.
-    Net {
-        /// Sender id.
-        from: NodeId,
-        /// Sender address.
-        from_addr: Addr,
-        /// Payload.
-        msg: Message,
-    },
-    /// A machine timer.
-    Timer(Timer),
-    /// Silent crash.
-    Crash,
-    /// Application command.
-    Cmd(Command),
-}
-
-/// One shard: the machines of every actor with `actor % shards == index`.
-pub struct ProtocolShard {
-    /// Actor id → machine (only this shard's actors are `Some`).
-    machines: Vec<Option<NodeMachine>>,
-    protocol: ProtocolConfig,
+/// Deterministic per-(src, dst) latency jitter, identical in every shard
+/// layout: base + hash(src, dst) mod 1000 µs, floored at the lookahead —
+/// so every delivery, faulted or not (jitter only adds), clears the
+/// engine's cross-shard lookahead assertion.
+struct PairJitter {
     base_latency_us: u64,
     lookahead_us: u64,
     seed: u64,
-    /// Shard-local view of the network fault plan. Each directed link is
-    /// judged exactly once, in the *sender's* shard, so per-shard
-    /// conditioners touch disjoint link states and their counters sum.
-    /// A sender's outgoing packet sequence is shard-count-invariant
-    /// (conservative windows + deterministic merge order), hence so is
-    /// every verdict — the fingerprint identity the chaos tests pin.
-    faults: Option<LinkConditioner>,
-    /// Lock-free snapshot publication for this shard's actors. Every
-    /// shard owns its publishers (only its worker thread touches them)
-    /// but all shards share one directory, so observers resolve readers
-    /// by actor id without knowing the shard layout. Pure observation —
-    /// fingerprints are identical with snapshots on or off.
-    snapshots: Option<crate::snaphub::SnapshotHub>,
-    /// Per-actor counter for harness fault records (high-bit seq space).
-    #[cfg(feature = "trace")]
-    fault_seq: Vec<u64>,
-    /// Whether machines of this shard record trace events.
-    #[cfg(feature = "trace")]
-    tracing: bool,
-    /// This shard's record buffer. Only the shard's own worker thread
-    /// touches it (lock-free by construction); the harness concatenates
-    /// and canonically sorts the per-shard buffers at collection time.
-    #[cfg(feature = "trace")]
-    trace_buf: Vec<peerwindow_trace::TraceRecord>,
 }
 
-impl ProtocolShard {
-    /// Creates a shard able to host `capacity` actors.
-    pub fn new(
-        capacity: usize,
-        protocol: ProtocolConfig,
-        base_latency_us: u64,
-        lookahead_us: u64,
-        seed: u64,
-    ) -> Self {
-        ProtocolShard {
-            machines: (0..capacity).map(|_| None).collect(),
-            protocol,
-            base_latency_us,
-            lookahead_us,
-            seed,
-            faults: None,
-            snapshots: None,
-            #[cfg(feature = "trace")]
-            fault_seq: vec![0; capacity],
-            #[cfg(feature = "trace")]
-            tracing: false,
-            #[cfg(feature = "trace")]
-            trace_buf: Vec::new(),
-        }
-    }
-
-    /// Moves `actor`'s buffered records into the shard buffer.
-    #[cfg(feature = "trace")]
-    fn drain_trace(&mut self, actor: u32) {
-        if !self.tracing {
-            return;
-        }
-        if let Some(m) = self.machines[actor as usize].as_mut() {
-            m.take_trace(&mut self.trace_buf);
-        }
-    }
-
-    /// Deterministic per-(src, dst) latency jitter, identical in every
-    /// shard layout: base + hash(src, dst) mod 1000 µs, floored at the
-    /// lookahead.
-    fn latency_us(&self, src: u64, dst: u64) -> u64 {
-        let mut h = src
+impl NetworkModel for PairJitter {
+    #[inline]
+    fn latency_us(&self, src: u32, dst: u32) -> u64 {
+        let mut h = (src as u64)
             .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(dst.wrapping_mul(0xBF58476D1CE4E5B9))
+            .wrapping_add((dst as u64).wrapping_mul(0xBF58476D1CE4E5B9))
             ^ self.seed;
         h ^= h >> 29;
         h = h.wrapping_mul(0x94D049BB133111EB);
         (self.base_latency_us + (h % 1_000)).max(self.lookahead_us)
     }
+}
 
-    /// Records a fault verdict against the sending actor. Same key
-    /// discipline as the full simulator: `node` is the sender and `seq`
-    /// has the high bit set, keeping `(at_us, node, seq)` unique against
-    /// machine-emitted records — and, because each sender's verdicts
-    /// happen in its own shard in event order, byte-identical across
-    /// shard counts after the canonical sort.
-    #[cfg(feature = "trace")]
-    fn trace_fault(
-        &mut self,
-        now_us: u64,
-        actor: u32,
-        from: NodeId,
-        level: u8,
-        to: NodeId,
-        fault: peerwindow_trace::FaultClass,
-    ) {
-        if !self.tracing {
-            return;
-        }
-        let seq = (1 << 63) | self.fault_seq[actor as usize];
-        self.fault_seq[actor as usize] += 1;
-        self.trace_buf.push(peerwindow_trace::TraceRecord {
-            at_us: now_us,
-            node: from.raw(),
-            seq,
-            level,
-            cause: peerwindow_trace::CauseId::NONE,
-            kind: peerwindow_trace::TraceEventKind::NetFault {
-                to: to.raw(),
-                fault,
-            },
+/// One shard: the world of every actor the shard map places here. Every
+/// shard has a slot for every actor; only its own are ever occupied.
+type Shard = World<PairJitter>;
+
+/// Order-insensitive digest of one machine.
+fn machine_digest(m: &NodeMachine) -> u64 {
+    let mut h = m.id().raw() as u64 ^ (m.id().raw() >> 64) as u64;
+    h = h
+        .wrapping_mul(31)
+        .wrapping_add(m.level().value() as u64 + 1);
+    h = h.wrapping_mul(31).wrapping_add(m.peers().len() as u64);
+    let peers_sum: u64 = m
+        .peers()
+        .iter()
+        .map(|p| {
+            (p.id.raw() as u64 ^ (p.id.raw() >> 64) as u64)
+                .wrapping_mul(0x9E3779B97F4A7C15)
+                .wrapping_add(p.level.value() as u64)
+        })
+        .fold(0u64, u64::wrapping_add);
+    h ^ peers_sum
+}
+
+impl ShardLogic for Shard {
+    type Msg = Event;
+
+    fn handle(&mut self, now: SimTime, actor: u32, event: Event, out: &mut Outbox<Event>) {
+        debug_assert_eq!(actor, event.actor());
+        // A timer is a self-send: same shard, exempt from lookahead.
+        World::handle(self, now.as_micros(), event, |delay_us, e| {
+            out.send(delay_us, e.actor(), e)
         });
     }
 
-    fn process(&mut self, now_us: u64, actor: u32, outs: Vec<Output>, out: &mut Outbox<PMsg>) {
-        let (from, from_level) = match self.machines[actor as usize].as_ref() {
-            Some(m) => (m.id(), m.level().value()),
-            None => (NodeId(0), 0),
-        };
-        #[cfg(not(feature = "trace"))]
-        let _ = from_level;
-        let from_addr = Addr(actor as u64);
-        for o in outs {
-            match o {
-                Output::Send { to, msg, delay_us } => {
-                    // Latency ≥ lookahead always; jitter only adds, so
-                    // every faulted delivery still clears the engine's
-                    // cross-shard lookahead assertion.
-                    let base = delay_us + self.latency_us(actor as u64, to.addr.0);
-                    let verdict = match self.faults.as_mut() {
-                        Some(f) => f.judge(now_us, actor, to.addr.0 as u32),
-                        None => Verdict::Deliver { extra_delay_us: 0 },
-                    };
-                    let (first, dup) = match verdict {
-                        Verdict::Deliver { extra_delay_us } => (Some(base + extra_delay_us), None),
-                        Verdict::Drop => {
-                            #[cfg(feature = "trace")]
-                            self.trace_fault(
-                                now_us,
-                                actor,
-                                from,
-                                from_level,
-                                to.id,
-                                peerwindow_trace::FaultClass::Dropped,
-                            );
-                            (None, None)
-                        }
-                        Verdict::Duplicate {
-                            extra_delay_us,
-                            dup_extra_delay_us,
-                        } => {
-                            #[cfg(feature = "trace")]
-                            self.trace_fault(
-                                now_us,
-                                actor,
-                                from,
-                                from_level,
-                                to.id,
-                                peerwindow_trace::FaultClass::Duplicated,
-                            );
-                            (Some(base + extra_delay_us), Some(base + dup_extra_delay_us))
-                        }
-                    };
-                    if let Some(d) = dup {
-                        out.send(
-                            d,
-                            to.addr.0 as u32,
-                            PMsg::Net {
-                                from,
-                                from_addr,
-                                msg: msg.clone(),
-                            },
-                        );
-                    }
-                    if let Some(d) = first {
-                        out.send(
-                            d,
-                            to.addr.0 as u32,
-                            PMsg::Net {
-                                from,
-                                from_addr,
-                                msg,
-                            },
-                        );
-                    }
-                }
-                Output::SetTimer { delay_us, timer } => {
-                    // Self-send: same shard, exempt from lookahead.
-                    out.send(delay_us, actor, PMsg::Timer(timer));
-                }
-                _ => {}
-            }
-        }
-        // Serving layer: `process` runs directly after every machine
-        // event, so publishing here mirrors each peer-list change into
-        // the actor's lock-free cell (generation-gated — unchanged lists
-        // cost one integer compare).
-        if let (Some(hub), Some(m)) = (
-            self.snapshots.as_mut(),
-            self.machines[actor as usize].as_ref(),
-        ) {
-            hub.publish(actor, m, now_us);
-        }
-    }
-
-    /// Order-insensitive digest of one machine.
-    fn machine_digest(m: &NodeMachine) -> u64 {
-        let mut h = m.id().raw() as u64 ^ (m.id().raw() >> 64) as u64;
-        h = h
-            .wrapping_mul(31)
-            .wrapping_add(m.level().value() as u64 + 1);
-        h = h.wrapping_mul(31).wrapping_add(m.peers().len() as u64);
-        let peers_sum: u64 = m
-            .peers()
-            .iter()
-            .map(|p| {
-                (p.id.raw() as u64 ^ (p.id.raw() >> 64) as u64)
-                    .wrapping_mul(0x9E3779B97F4A7C15)
-                    .wrapping_add(p.level.value() as u64)
-            })
-            .fold(0u64, u64::wrapping_add);
-        h ^ peers_sum
-    }
-}
-
-impl ShardLogic for ProtocolShard {
-    type Msg = PMsg;
-
-    fn handle(&mut self, now: SimTime, actor: u32, msg: PMsg, out: &mut Outbox<PMsg>) {
-        let t = now.as_micros();
-        match msg {
-            PMsg::Start {
-                id,
-                threshold_bps,
-                info,
-                bootstrap,
-            } => {
-                let (m, outs) = match bootstrap {
-                    None => NodeMachine::new_seed(
-                        self.protocol.clone(),
-                        id,
-                        Addr(actor as u64),
-                        info,
-                        threshold_bps,
-                        id.raw() as u64 | 1,
-                    ),
-                    Some(b) => NodeMachine::new_joining(
-                        self.protocol.clone(),
-                        id,
-                        Addr(actor as u64),
-                        info,
-                        threshold_bps,
-                        b,
-                        id.raw() as u64 | 1,
-                    ),
-                };
-                self.machines[actor as usize] = Some(m);
-                #[cfg(feature = "trace")]
-                if self.tracing {
-                    if let Some(m) = self.machines[actor as usize].as_mut() {
-                        m.set_tracing(true);
-                    }
-                }
-                self.process(t, actor, outs, out);
-            }
-            PMsg::Net {
-                from,
-                from_addr,
-                msg,
-            } => {
-                let Some(m) = self.machines[actor as usize].as_mut() else {
-                    return;
-                };
-                let outs = m.handle(
-                    t,
-                    Input::Message {
-                        from,
-                        from_addr,
-                        msg,
-                    },
-                );
-                #[cfg(feature = "trace")]
-                self.drain_trace(actor);
-                self.process(t, actor, outs, out);
-            }
-            PMsg::Timer(timer) => {
-                let Some(m) = self.machines[actor as usize].as_mut() else {
-                    return;
-                };
-                let outs = m.handle(t, Input::Timer(timer));
-                #[cfg(feature = "trace")]
-                self.drain_trace(actor);
-                self.process(t, actor, outs, out);
-            }
-            PMsg::Crash => {
-                #[cfg(feature = "trace")]
-                self.drain_trace(actor);
-                self.machines[actor as usize] = None;
-            }
-            PMsg::Cmd(c) => {
-                let Some(m) = self.machines[actor as usize].as_mut() else {
-                    return;
-                };
-                let outs = m.handle(t, Input::Command(c));
-                #[cfg(feature = "trace")]
-                self.drain_trace(actor);
-                self.process(t, actor, outs, out);
-            }
-        }
-    }
-
     fn fingerprint(&self) -> u64 {
-        self.machines
-            .iter()
-            .flatten()
-            .map(Self::machine_digest)
+        self.machines()
+            .map(|(_, m)| machine_digest(m))
             .fold(0u64, u64::wrapping_add)
     }
 }
@@ -413,8 +129,10 @@ impl ShardLogic for ProtocolShard {
 /// [`StubAffineShardMap`] (or any [`ShardMap`]) via [`Self::with_map`] to
 /// co-locate topologically close actors.
 pub struct ParallelFullSim<M: ShardMap = ModuloShardMap> {
-    engine: ParallelEngine<ProtocolShard, M>,
+    engine: ParallelEngine<Shard, M>,
     capacity: usize,
+    /// Harness seed, kept so the `set_loss` shim can derive a plan seed.
+    seed: u64,
 }
 
 impl ParallelFullSim<ModuloShardMap> {
@@ -453,20 +171,20 @@ impl<M: ShardMap> ParallelFullSim<M> {
         seed: u64,
         map: M,
     ) -> Self {
-        let logics: Vec<ProtocolShard> = (0..shards)
+        let logics: Vec<Shard> = (0..shards)
             .map(|_| {
-                ProtocolShard::new(
-                    capacity,
-                    protocol.clone(),
+                let net = PairJitter {
                     base_latency_us,
                     lookahead_us,
                     seed,
-                )
+                };
+                World::new(protocol.clone(), net, capacity, false)
             })
             .collect();
         ParallelFullSim {
             engine: ParallelEngine::with_map(logics, lookahead_us, map),
             capacity,
+            seed,
         }
     }
 
@@ -481,26 +199,25 @@ impl<M: ShardMap> ParallelFullSim<M> {
         bootstrap: Option<Target>,
     ) {
         assert!((actor as usize) < self.capacity);
-        self.engine.schedule(
-            at,
+        let start = Event::Start {
             actor,
-            PMsg::Start {
-                id,
-                threshold_bps,
-                info,
-                bootstrap,
-            },
-        );
+            id,
+            threshold_bps,
+            info,
+            bootstrap,
+            seed: id.raw() as u64 | 1,
+        };
+        self.engine.schedule(at, actor, start);
     }
 
     /// Schedules a silent crash.
     pub fn crash(&mut self, at: SimTime, actor: u32) {
-        self.engine.schedule(at, actor, PMsg::Crash);
+        self.engine.schedule(at, actor, Event::Crash { actor });
     }
 
     /// Schedules an application command.
     pub fn command(&mut self, at: SimTime, actor: u32, cmd: Command) {
-        self.engine.schedule(at, actor, PMsg::Cmd(cmd));
+        self.engine.schedule(at, actor, Event::Cmd { actor, cmd });
     }
 
     /// Runs to `t`.
@@ -514,13 +231,6 @@ impl<M: ShardMap> ParallelFullSim<M> {
     /// protocol on small hosts.
     pub fn set_workers(&mut self, workers: usize) {
         self.engine.set_workers(workers);
-    }
-
-    /// Re-pins every shard queue's representation policy (heap, wheel,
-    /// or adaptive — see [`peerwindow_des::SchedKind`]). Determinism is
-    /// unaffected; this is a performance knob for known workload shapes.
-    pub fn set_sched_kind(&mut self, kind: peerwindow_des::SchedKind) {
-        self.engine.set_sched_kind(kind);
     }
 
     /// Turns wall-clock runtime metrics on or off for subsequent runs.
@@ -566,40 +276,24 @@ impl<M: ShardMap> ParallelFullSim<M> {
     /// judged only in its sender's shard, so one plan drives all shards
     /// without coordination — and without breaking shard invariance.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        for shard in 0..self.engine.shard_count() {
-            self.engine.logic_mut(shard).faults = Some(LinkConditioner::new(plan.clone()));
-        }
+        world::set_fault_plan(self.engine.logics_mut(), Some(plan));
     }
 
     /// Back-compat shim: uniform per-datagram loss as a degenerate
     /// [`FaultPlan`] (0.0 = reliable network, no model installed).
     pub fn set_loss(&mut self, loss: f64) {
-        let loss = loss.clamp(0.0, 1.0);
-        if loss <= 0.0 {
-            self.clear_faults();
-        } else {
-            let seed = self.engine.logic(0).seed ^ 0xFA_0175;
-            self.set_fault_plan(&FaultPlan::uniform_loss(seed, loss));
-        }
+        world::set_loss(self.engine.logics_mut(), self.seed, loss);
     }
 
     /// Removes the fault model from every shard.
     pub fn clear_faults(&mut self) {
-        for shard in 0..self.engine.shard_count() {
-            self.engine.logic_mut(shard).faults = None;
-        }
+        world::set_fault_plan(self.engine.logics_mut(), None);
     }
 
     /// Fault-layer totals, summed over shards (zeros when no model is
     /// installed).
     pub fn fault_counters(&self) -> FaultCounters {
-        let mut total = FaultCounters::default();
-        for shard in 0..self.engine.shard_count() {
-            if let Some(f) = self.engine.logic(shard).faults.as_ref() {
-                total.merge(&f.counters());
-            }
-        }
-        total
+        world::fault_counters(self.engine.logics())
     }
 
     /// Datagrams dropped by the fault layer so far.
@@ -607,77 +301,40 @@ impl<M: ShardMap> ParallelFullSim<M> {
         self.fault_counters().dropped
     }
 
-    /// Read access to `actor`'s machine, wherever its shard lives.
+    /// Read access to `actor`'s machine, in the shard that owns it.
     pub fn machine(&self, actor: u32) -> Option<&NodeMachine> {
-        (0..self.engine.shard_count()).find_map(|s| {
-            self.engine
-                .logic(s)
-                .machines
-                .get(actor as usize)
-                .and_then(Option::as_ref)
-        })
+        self.engine
+            .logic(self.engine.shard_of(actor))
+            .machine(actor)
     }
 
-    /// Iterates `(actor, machine)` over live machines in actor order
-    /// (deterministic regardless of shard layout).
+    /// Iterates `(actor, machine)` over machines in actor order
+    /// (deterministic regardless of shard layout). A crashed machine is
+    /// gone; one that left gracefully or gave up stays in its slot.
     pub fn machines(&self) -> impl Iterator<Item = (u32, &NodeMachine)> + '_ {
         (0..self.capacity as u32).filter_map(move |a| self.machine(a).map(|m| (a, m)))
     }
 
-    /// Live machine count across all shards.
+    /// Machine count across all shards.
     pub fn live_count(&self) -> usize {
         self.machines().count()
     }
 
     /// Ground-truth live identities (id, level) from the machines.
     pub fn ground_truth(&self) -> Vec<NodeIdentity> {
-        self.machines()
-            .filter(|(_, m)| m.is_active())
-            .map(|(_, m)| NodeIdentity::new(m.id(), m.level()))
-            .collect()
+        world::ground_truth(self.machines())
     }
 
     /// Peer-list accuracy against ground truth, `(correct, missing,
     /// stale)` — same definition as [`crate::FullSim::accuracy`].
     pub fn accuracy(&self) -> (usize, usize, usize) {
-        let truth = self.ground_truth();
-        let live: std::collections::BTreeSet<NodeId> = truth.iter().map(|n| n.id).collect();
-        let mut correct = 0;
-        let mut missing = 0;
-        let mut stale = 0;
-        for (_, m) in self.machines().filter(|(_, m)| m.is_active()) {
-            let scope = m.eigenstring();
-            for t in &truth {
-                if t.id != m.id() && scope.contains(t.id) {
-                    correct += 1;
-                    if !m.peers().contains(t.id) {
-                        missing += 1;
-                    }
-                }
-            }
-            for p in m.peers().iter() {
-                if !live.contains(&p.id) {
-                    stale += 1;
-                }
-            }
-        }
-        (correct, missing, stale)
+        world::accuracy(self.machines())
     }
 
     /// Partition-aware settle check (§4.4) over the live machines — see
     /// [`peerwindow_core::parts::audit_parts`].
     pub fn part_audit(&self) -> PartAudit {
-        let views: Vec<(NodeIdentity, Vec<NodeId>)> = self
-            .machines()
-            .filter(|(_, m)| m.is_active())
-            .map(|(_, m)| {
-                (
-                    NodeIdentity::new(m.id(), m.level()),
-                    m.peers().iter().map(|p| p.id).collect(),
-                )
-            })
-            .collect();
-        audit_parts(&views)
+        world::part_audit(self.machines())
     }
 
     /// Turns lock-free snapshot publication on in every shard: each
@@ -693,50 +350,26 @@ impl<M: ShardMap> ParallelFullSim<M> {
     /// for every shard count — asserted by the workspace
     /// `query_consistency` tests.
     pub fn enable_snapshots(&mut self) -> std::sync::Arc<SnapshotDirectory> {
-        if let Some(hub) = self.engine.logic(0).snapshots.as_ref() {
-            return hub.directory();
-        }
         let now_us = self.engine.now().as_micros();
-        let dir = std::sync::Arc::new(SnapshotDirectory::new());
-        for shard in 0..self.engine.shard_count() {
-            let logic = self.engine.logic_mut(shard);
-            let mut hub = crate::snaphub::SnapshotHub::with_directory(std::sync::Arc::clone(&dir));
-            for (actor, m) in logic.machines.iter().enumerate() {
-                if let Some(m) = m.as_ref() {
-                    hub.publish(actor as u32, m, now_us);
-                }
-            }
-            logic.snapshots = Some(hub);
-        }
-        dir
+        world::enable_snapshots(self.engine.logics_mut(), now_us)
     }
 
     /// A lock-free reader over `actor`'s published snapshots. `None`
     /// until [`Self::enable_snapshots`] has run and the actor published.
     pub fn snapshot_reader(&self, actor: u32) -> Option<SnapshotReader> {
-        (0..self.engine.shard_count())
-            .find_map(|s| self.engine.logic(s).snapshots.as_ref()?.reader(actor))
+        world::snapshot_reader(self.engine.logics(), actor)
     }
 
     /// Total snapshots published across all shards (0 when off).
     pub fn snapshots_published(&self) -> u64 {
-        (0..self.engine.shard_count())
-            .filter_map(|s| self.engine.logic(s).snapshots.as_ref())
-            .map(crate::snaphub::SnapshotHub::published)
-            .sum()
+        world::snapshots_published(self.engine.logics())
     }
 
     /// Turns structured tracing on for every current and future machine,
     /// in every shard. Call between windows (before `run_until`).
     #[cfg(feature = "trace")]
     pub fn enable_tracing(&mut self, on: bool) {
-        for shard in 0..self.engine.shard_count() {
-            let logic = self.engine.logic_mut(shard);
-            logic.tracing = on;
-            for m in logic.machines.iter_mut().flatten() {
-                m.set_tracing(on);
-            }
-        }
+        world::enable_tracing(self.engine.logics_mut(), on);
     }
 
     /// Collects every shard's records into one canonically ordered log,
@@ -745,43 +378,15 @@ impl<M: ShardMap> ParallelFullSim<M> {
     /// identical for any shard count (asserted by the workspace tests).
     #[cfg(feature = "trace")]
     pub fn take_trace(&mut self) -> Vec<peerwindow_trace::TraceRecord> {
-        let mut log = Vec::new();
-        for shard in 0..self.engine.shard_count() {
-            let logic = self.engine.logic_mut(shard);
-            for actor in 0..logic.machines.len() as u32 {
-                logic.drain_trace(actor);
-            }
-            log.append(&mut logic.trace_buf);
-        }
-        peerwindow_trace::canonical_sort(&mut log);
-        log
+        world::take_trace(self.engine.logics_mut())
     }
 
     /// Samples engine counters plus machine aggregates into a registry.
     #[cfg(feature = "trace")]
     pub fn sample_metrics(&self, reg: &mut peerwindow_trace::CounterRegistry) {
         self.engine.sample_into(reg);
-        let (count, peer_sum, retries) = (0..self.engine.shard_count())
-            .flat_map(|s| self.engine.logic(s).machines.iter().flatten())
-            .filter(|m| m.is_active())
-            .fold((0u64, 0u64, 0u64), |(c, p, r), m| {
-                (c + 1, p + m.peers().len() as u64, r + m.stats().rpc_retries)
-            });
-        reg.set_gauge("nodes.live", count as f64);
-        reg.set_gauge(
-            "peers.mean",
-            if count > 0 {
-                peer_sum as f64 / count as f64
-            } else {
-                0.0
-            },
-        );
-        reg.set("rpc.retries", retries);
-        let c = self.fault_counters();
-        reg.set("faults.judged", c.judged);
-        reg.set("faults.dropped", c.dropped);
-        reg.set("faults.duplicated", c.duplicated);
-        reg.set("faults.jittered", c.jittered);
+        let active = world::sample_gauges(self.machines(), Some(self.fault_counters()), reg);
+        reg.set_gauge("nodes.live", active as f64);
     }
 }
 
@@ -910,8 +515,7 @@ mod tests {
         // machine should know the other 23.
         let mut sizes = Vec::new();
         for shard in 0..3 {
-            let logic = sim.engine.logic(shard);
-            for m in logic.machines.iter().flatten() {
+            for (_, m) in sim.engine.logic(shard).machines() {
                 sizes.push(m.peers().len());
             }
         }

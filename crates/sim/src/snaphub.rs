@@ -32,14 +32,9 @@ pub(crate) struct SnapshotHub {
 }
 
 impl SnapshotHub {
-    /// A hub with a fresh directory.
-    pub fn new() -> Self {
-        Self::with_directory(Arc::new(SnapshotDirectory::new()))
-    }
-
-    /// A hub publishing into an existing directory — the parallel sim
-    /// gives every shard its own hub but one shared directory.
-    pub fn with_directory(dir: Arc<SnapshotDirectory>) -> Self {
+    /// A hub publishing into `dir` — the worlds of a sharded run each
+    /// own a hub but share one directory.
+    pub fn new(dir: Arc<SnapshotDirectory>) -> Self {
         SnapshotHub {
             dir,
             publishers: Vec::new(),

@@ -16,6 +16,16 @@ pub trait NetworkModel: Sync + Send {
     fn latency_us(&self, a: u32, b: u32) -> u64;
 }
 
+/// A boxed model is a model: code generic over `N: NetworkModel` takes a
+/// `Box<dyn NetworkModel>` at the cost of the one dynamic call the box
+/// already implies.
+impl NetworkModel for Box<dyn NetworkModel> {
+    #[inline]
+    fn latency_us(&self, a: u32, b: u32) -> u64 {
+        (**self).latency_us(a, b)
+    }
+}
+
 /// Constant-latency network (tests, baselines, microbenches).
 #[derive(Clone, Copy, Debug)]
 pub struct UniformNetwork {

@@ -257,7 +257,7 @@ mod tests {
         assert!(!t.is_empty());
 
         // NoopTrace: statically inert.
-        assert!(!NoopTrace::ACTIVE);
+        const { assert!(!NoopTrace::ACTIVE) };
         let mut n = NoopTrace::new(3);
         TraceSink::emit_with(&mut n, 0, CauseId::NONE, || {
             built += 10;

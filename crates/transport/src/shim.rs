@@ -212,29 +212,20 @@ impl FaultingSocket {
             },
             None => Verdict::Deliver { extra_delay_us: 0 },
         };
-        match verdict {
-            Verdict::Drop => {
+        let [dup, original] = verdict.delays();
+        if let Some(extra) = dup {
+            self.stats.note_shim_duplicated();
+            self.park(now_us + extra, dst, frame.to_vec());
+        }
+        match original {
+            None => {
                 self.stats.note_shim_dropped();
                 Ok(())
             }
-            Verdict::Deliver { extra_delay_us: 0 } => self.send_raw(frame, dst),
-            Verdict::Deliver { extra_delay_us } => {
-                self.park(now_us + extra_delay_us, dst, frame.to_vec());
+            Some(0) => self.send_raw(frame, dst),
+            Some(extra) => {
+                self.park(now_us + extra, dst, frame.to_vec());
                 Ok(())
-            }
-            Verdict::Duplicate {
-                extra_delay_us,
-                dup_extra_delay_us,
-            } => {
-                self.stats.note_shim_duplicated();
-                let res = if extra_delay_us == 0 {
-                    self.send_raw(frame, dst)
-                } else {
-                    self.park(now_us + extra_delay_us, dst, frame.to_vec());
-                    Ok(())
-                };
-                self.park(now_us + dup_extra_delay_us, dst, frame.to_vec());
-                res
             }
         }
     }
