@@ -1280,26 +1280,7 @@ impl NodeMachine {
         // nearest. A false positive is safe — the obituary's courtesy
         // copy lets a live target refute (DESIGN.md gap 13).
         let lonely: Vec<Target> = match self.cfg.probe_scope {
-            ProbeScope::Group => self
-                .peers
-                .iter()
-                .filter(|p| {
-                    let group = p.level.eigenstring(p.id);
-                    self.peers.count_group(group, p.level) == 1
-                        && !(p.level == self.level && group == self.eigenstring())
-                        && {
-                            let mine = self.me.0 ^ p.id.0;
-                            self.peers
-                                .iter()
-                                .all(|q| q.id == p.id || (q.id.0 ^ p.id.0) >= mine)
-                        }
-                })
-                .map(|p| Target {
-                    id: p.id,
-                    addr: p.addr,
-                    level: p.level,
-                })
-                .collect(),
+            ProbeScope::Group => self.lonely_reference(),
             ProbeScope::PeerList => Vec::new(),
         };
         let round = self.stats.probes_sent;
@@ -1322,6 +1303,32 @@ impl NodeMachine {
             },
         );
         self.send_rpc(outs, target, Message::Probe, RpcKind::Probe, 0);
+    }
+
+    /// The lonely peers this node answers for, by definition: alone in
+    /// their eigenstring group as this list sees it, not in our own
+    /// group, and no held peer XOR-nearer to them than we are. Ascending
+    /// id order. Quadratic in the list.
+    fn lonely_reference(&self) -> Vec<Target> {
+        self.peers
+            .iter()
+            .filter(|p| {
+                let group = p.level.eigenstring(p.id);
+                self.peers.count_group(group, p.level) == 1
+                    && !(p.level == self.level && group == self.eigenstring())
+                    && {
+                        let mine = self.me.0 ^ p.id.0;
+                        self.peers
+                            .iter()
+                            .all(|q| q.id == p.id || (q.id.0 ^ p.id.0) >= mine)
+                    }
+            })
+            .map(|p| Target {
+                id: p.id,
+                addr: p.addr,
+                level: p.level,
+            })
+            .collect()
     }
 
     fn on_probe_failure(&mut self, now_us: u64, dead: Target, outs: &mut Vec<Output>) {
