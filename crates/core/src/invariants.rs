@@ -7,7 +7,7 @@
 //!   of a single machine that must hold after *every* handled event, in
 //!   every phase (scope ≡ eigenstring, every held pointer inside the
 //!   audience the identifier algebra assigns us, no self-pointer, no
-//!   duplicate entries, top-list within capacity).
+//!   duplicate entries, level index ≡ entries, top-list within capacity).
 //! * **System invariants** — [`check_system`]: cross-node properties that
 //!   only hold at *quiescence*, once all in-flight multicasts have been
 //!   applied (membership symmetry `A.covers(B) ⇔ B ∈ A.peers`, level
@@ -65,6 +65,14 @@ pub enum InvariantViolation {
     /// A node's peer list contains the node itself.
     SelfPointer {
         /// The offending node.
+        node: NodeId,
+    },
+    /// The peer list's per-level index disagrees with its entries: some
+    /// entry's id is missing from the set of its recorded level, or a set
+    /// holds an id no entry records at that level. Group membership
+    /// (ring successor, lonely-peer selection) is read off the index.
+    PeerIndexInconsistent {
+        /// The holder.
         node: NodeId,
     },
     /// The top-node list contains the node itself. A self-entry is never
@@ -149,6 +157,9 @@ impl fmt::Display for InvariantViolation {
             }
             InvariantViolation::SelfPointer { node } => {
                 write!(f, "{node:?}: peer list contains the node itself")
+            }
+            InvariantViolation::PeerIndexInconsistent { node } => {
+                write!(f, "{node:?}: peer-list level index disagrees with entries")
             }
             InvariantViolation::SelfTopEntry { node } => {
                 write!(f, "{node:?}: top list contains the node itself")
@@ -244,6 +255,10 @@ impl NodeMachine {
                 }
             }
             prev = Some(p.id);
+        }
+
+        if !self.peers().index_is_consistent() {
+            return Err(InvariantViolation::PeerIndexInconsistent { node: me });
         }
 
         // Top-node list: bounded by t, no duplicate ids.

@@ -1280,9 +1280,20 @@ impl NodeMachine {
         // nearest. A false positive is safe — the obituary's courtesy
         // copy lets a live target refute (DESIGN.md gap 13).
         let lonely: Vec<Target> = match self.cfg.probe_scope {
-            ProbeScope::Group => self.lonely_reference(),
+            ProbeScope::Group => self.lonely_peers(),
             ProbeScope::PeerList => Vec::new(),
         };
+        // Every invariants-enabled run is a differential test of the
+        // fast selection against its definition, tick by tick.
+        #[cfg(feature = "invariants")]
+        if self.cfg.probe_scope == ProbeScope::Group {
+            assert_eq!(
+                lonely,
+                self.lonely_reference(),
+                "{:?}: lonely-peer selection diverged from its reference",
+                self.me
+            );
+        }
         let round = self.stats.probes_sent;
         let target = if !lonely.is_empty() && (succ.is_none() || round % 2 == 1) {
             lonely[(round / 2) as usize % lonely.len()]
@@ -1305,10 +1316,41 @@ impl NodeMachine {
         self.send_rpc(outs, target, Message::Probe, RpcKind::Probe, 0);
     }
 
-    /// The lonely peers this node answers for, by definition: alone in
-    /// their eigenstring group as this list sees it, not in our own
-    /// group, and no held peer XOR-nearer to them than we are. Ascending
-    /// id order. Quadratic in the list.
+    /// The lonely peers this node answers for, in ascending id order:
+    /// alone in their eigenstring group as this list sees it, not in our
+    /// own group, and no held peer XOR-nearer to them than we are.
+    ///
+    /// Exactly `lonely_reference`, in one pass: the group test is
+    /// read off the level index, and the nearness scan is cut to the ids
+    /// sharing `lcp(me, p)` bits with `p` — any `q` outside that prefix
+    /// differs from `p` in a bit where `me` agrees with it, so
+    /// `q ^ p > me ^ p` and `q` can never fail the test.
+    fn lonely_peers(&self) -> Vec<Target> {
+        self.peers
+            .group_singletons()
+            .into_iter()
+            .filter(|&(id, level)| {
+                let group = level.eigenstring(id);
+                !(level == self.level && group == self.eigenstring()) && {
+                    let mine = self.me.0 ^ id.0;
+                    self.peers
+                        .iter_prefix(id.prefix(self.me.common_prefix_len(id)))
+                        .all(|q| q.id == id || (q.id.0 ^ id.0) >= mine)
+                }
+            })
+            .filter_map(|(id, _)| self.peers.get(id))
+            .map(|p| Target {
+                id: p.id,
+                addr: p.addr,
+                level: p.level,
+            })
+            .collect()
+    }
+
+    /// `lonely_peers` by definition, quadratic in the list: what
+    /// the proptest and every invariants-enabled probe tick compare the
+    /// fast selection against.
+    #[cfg(any(test, feature = "invariants"))]
     fn lonely_reference(&self) -> Vec<Target> {
         self.peers
             .iter()
@@ -2554,5 +2596,139 @@ mod tests {
         fixed.cfg.rpc_backoff_jitter = 0.0;
         assert_eq!(fixed.backoff_wait_us(1), base);
         assert_eq!(fixed.backoff_wait_us(5), base);
+    }
+
+    /// An active machine at `level` holding exactly `list`: all the
+    /// lonely-peer selection reads.
+    fn machine_holding(me: NodeId, level: Level, list: &[(NodeId, Level)]) -> NodeMachine {
+        let (mut m, _) = NodeMachine::new_seed(MiniNet::cfg(), me, Addr(0), Bytes::new(), 1e9, 1);
+        m.level = level;
+        for &(id, level) in list {
+            m.peers.insert(Pointer::new(id, Addr(7), level));
+        }
+        m
+    }
+
+    /// Fast selection ≡ reference (same targets, same order), and the
+    /// index-read singletons ≡ the `count_group == 1` definition.
+    fn assert_lonely_matches_reference(m: &NodeMachine) {
+        assert_eq!(m.lonely_peers(), m.lonely_reference(), "me {:?}", m.me);
+        let by_count: Vec<(NodeId, Level)> = m
+            .peers
+            .iter()
+            .filter(|p| m.peers.count_group(p.level.eigenstring(p.id), p.level) == 1)
+            .map(|p| (p.id, p.level))
+            .collect();
+        assert_eq!(m.peers.group_singletons(), by_count);
+        assert!(m.peers.index_is_consistent());
+    }
+
+    #[test]
+    fn lonely_selection_edge_cases() {
+        let id = |bits: &str| Prefix::from_bits_str(bits).unwrap().range_start();
+        let me = id("1011");
+        // Empty list.
+        let m = machine_holding(me, Level::TOP, &[]);
+        assert_lonely_matches_reference(&m);
+        assert!(m.lonely_peers().is_empty());
+        // A lone level-0 entry is a singleton group; seen from level 1
+        // it is ours to probe, seen from level 0 it is our own group.
+        let lone = [(id("0010"), Level::TOP)];
+        let m = machine_holding(me, Level::new(1), &lone);
+        assert_lonely_matches_reference(&m);
+        assert_eq!(m.lonely_peers().len(), 1);
+        let m = machine_holding(me, Level::TOP, &lone);
+        assert_lonely_matches_reference(&m);
+        assert!(m.lonely_peers().is_empty());
+        // Two level-0 entries are each other's ring: nobody is lonely.
+        // The level-2 singleton 0100 is XOR-nearer to 0110 than to us.
+        let m = machine_holding(
+            me,
+            Level::new(1),
+            &[
+                (id("0010"), Level::TOP),
+                (id("0111"), Level::TOP),
+                (id("0100"), Level::new(2)),
+                (id("0110"), Level::new(3)),
+            ],
+        );
+        assert_lonely_matches_reference(&m);
+        assert!(m.lonely_peers().is_empty());
+        // From the bottom half 0100 is ours and 1110 is nearer to 0100
+        // than to us; from the top half we are the nearest holder of both.
+        for (me, ours) in [(id("0101"), 1), (id("1101"), 2)] {
+            let m = machine_holding(
+                me,
+                Level::TOP,
+                &[(id("0100"), Level::new(2)), (id("1110"), Level::new(2))],
+            );
+            assert_lonely_matches_reference(&m);
+            assert_eq!(m.lonely_peers().len(), ours, "me {me:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random lists with clustered prefixes — eigenstring groups of
+        /// size 1, 2 and many at levels 0–7 — seen from a `me` in either
+        /// half of the id space, inside or beside the clusters.
+        #[test]
+        fn lonely_selection_matches_reference(
+            pool in proptest::collection::vec(proptest::prelude::any::<u128>(), 6),
+            entries in proptest::collection::vec(
+                (0usize..8, proptest::prelude::any::<u128>(), 0u8..=7),
+                0..48,
+            ),
+            me_spec in (0usize..8, proptest::prelude::any::<u128>(), 0u8..=7),
+            me_top_half in proptest::prelude::any::<bool>(),
+        ) {
+            // Clusters 0–5 share the first 3–12 bits of a pool id; 6 and
+            // 7 are uniform ids.
+            let clustered = |(cluster, tail, _): (usize, u128, u8)| match pool.get(cluster) {
+                Some(&base) => {
+                    let shared = 3 + (tail % 10) as u32;
+                    let high = u128::MAX << (128 - shared);
+                    NodeId((base & high) | (tail & !high))
+                }
+                None => NodeId(tail),
+            };
+            let me = clustered(me_spec).with_bit(0, me_top_half);
+            let list: Vec<(NodeId, Level)> = entries
+                .iter()
+                .map(|&e| (clustered(e), Level::new(e.2)))
+                .filter(|&(id, _)| id != me)
+                .collect();
+            let m = machine_holding(me, Level::new(me_spec.2), &list);
+            assert_lonely_matches_reference(&m);
+
+            // The same list with level 0 thinned to a lone entry.
+            let mut lone = m.clone();
+            let tops: Vec<NodeId> = lone
+                .peers
+                .iter()
+                .filter(|p| p.level.is_top())
+                .map(|p| p.id)
+                .collect();
+            for &id in tops.iter().skip(1) {
+                lone.peers.remove(id);
+            }
+            assert_lonely_matches_reference(&lone);
+
+            // Our own group a singleton: a peer beside us at our level,
+            // every other member of that group gone.
+            let mut own = m.clone();
+            let mates: Vec<NodeId> = own
+                .peers
+                .iter()
+                .filter(|p| p.level == own.level && own.eigenstring().contains(p.id))
+                .map(|p| p.id)
+                .collect();
+            for id in mates {
+                own.peers.remove(id);
+            }
+            own.peers.insert(Pointer::new(me.flip_bit(127), Addr(7), own.level));
+            assert_lonely_matches_reference(&own);
+        }
     }
 }

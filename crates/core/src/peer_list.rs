@@ -277,13 +277,46 @@ impl PeerList {
 
     /// Number of held entries at `level` whose id falls inside `group` —
     /// the membership count of one eigenstring group as this list sees
-    /// it. A peer whose group count is 1 (itself) has no same-group
-    /// predecessor anywhere in our view: nobody's §4.1 ring reaches it.
+    /// it. Linear in the group: kept as the definition
+    /// [`PeerList::group_singletons`] is tested against.
+    #[cfg(any(test, feature = "invariants"))]
     pub fn count_group(&self, group: Prefix, level: Level) -> usize {
         match self.by_level.get(level.value() as usize) {
             Some(set) => set.range(group.id_range()).count(),
             None => 0,
         }
+    }
+
+    /// Every held entry that is alone in its eigenstring group (same
+    /// level, same first `level` bits) as this list sees it, in ascending
+    /// id order. Such a peer has no same-group predecessor anywhere in
+    /// our view: nobody's §4.1 ring reaches it.
+    ///
+    /// One pass per level over the id-sorted level index: members of one
+    /// group are contiguous there, so an entry is alone iff neither sorted
+    /// neighbour shares its first `level` bits.
+    pub fn group_singletons(&self) -> Vec<(NodeId, Level)> {
+        let mut out = Vec::new();
+        for (l, set) in (0..=u8::MAX).zip(&self.by_level) {
+            if l == 0 {
+                // The empty eigenstring: all of level 0 is one group.
+                if set.len() == 1 {
+                    out.extend(set.iter().map(|&id| (id, Level::TOP)));
+                }
+                continue;
+            }
+            let mut prev: Option<NodeId> = None;
+            let mut ids = set.iter().copied().peekable();
+            while let Some(id) = ids.next() {
+                let in_group = |other: NodeId| id.common_prefix_len(other) >= l;
+                if !prev.is_some_and(in_group) && !ids.peek().copied().is_some_and(in_group) {
+                    out.push((id, Level(l)));
+                }
+                prev = Some(id);
+            }
+        }
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
     }
 
     /// The right neighbor on the circle formed by the *whole* peer list
@@ -395,6 +428,19 @@ impl PeerList {
             self.remove(id);
         }
         stale
+    }
+
+    /// Whether the level index mirrors the entries exactly: walking the
+    /// entries in id order, each one is the next id of its own level's
+    /// set, and no set holds anything more. [`PeerList::group_singletons`]
+    /// reads groups off the index alone, so it leans on this.
+    #[cfg(any(test, feature = "invariants"))]
+    pub fn index_is_consistent(&self) -> bool {
+        let mut cursors: Vec<_> = self.by_level.iter().map(BTreeSet::iter).collect();
+        self.entries.values().all(|p| {
+            let cursor = cursors.get_mut(usize::from(p.level.value()));
+            cursor.and_then(Iterator::next) == Some(&p.id)
+        }) && cursors.iter_mut().all(|c| c.next().is_none())
     }
 
     fn index(&mut self, id: NodeId, level: Level) {
