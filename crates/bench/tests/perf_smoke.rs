@@ -2,7 +2,7 @@
 //! thresholds (the timing assertions are release-only; the workload
 //! still runs under debug so the code paths stay covered).
 //!
-//! Three gates:
+//! Four gates:
 //!
 //! * **Shallow-queue guard** — the wheel's `seq_ping` pathology (a full
 //!   cascade per pop at queue depth 1) is fixed by the singleton-slot
@@ -18,15 +18,21 @@
 //!   must not fall below 1-shard (with a 0.9 fudge for noise). Skipped
 //!   on smaller hosts, where extra shards measure oversubscription, not
 //!   the engine.
+//! * **Probe-tick scaling** — one `Timer::Probe` on a machine holding
+//!   4 096 pointers must cost < 24× the same tick at 512 pointers
+//!   (linear is 8; the per-peer group count it replaced was ≈ 64). A
+//!   ratio of two timings from one process, so it holds on any runner.
 //!
 //! Each ratio gate is additionally wrapped in [`retry_gate`]: the full
 //! comparison is re-measured up to three times and only fails if every
 //! round misses the bar, so noisy neighbours on shared CI runners don't
 //! fail unrelated PRs.
 
+use bytes::Bytes;
+use peerwindow_core::prelude::*;
 use peerwindow_des::{
-    Engine, ModuloShardMap, Outbox, ParallelEngine, SchedKind, Scheduler, ShardLogic, SimTime,
-    Simulation,
+    DetRng, Engine, ModuloShardMap, Outbox, ParallelEngine, SchedKind, Scheduler, ShardLogic,
+    SimTime, Simulation,
 };
 use std::time::Instant;
 
@@ -224,6 +230,89 @@ fn four_shards_keep_up_with_one_on_multicore_hosts() {
             return Err(format!(
                 "4-shard throughput fell below 1-shard on a {cores}-core host \
                  (1 shard {one:.0} ev/s, 4 shards {four:.0} ev/s)"
+            ));
+        }
+        Ok(())
+    });
+}
+
+/// A level-0 seed holding `n` pointers at the benchmark's level mix
+/// (≈ 85 % level 0, the rest spread over levels 1–7), filled through the
+/// machine's public input: one leaf join multicast per peer.
+fn machine_holding(n: u64) -> NodeMachine {
+    let mut rng = DetRng::new(0x10e1);
+    let me = NodeId(rng.next_u128());
+    let (mut m, _) =
+        NodeMachine::new_seed(ProtocolConfig::default(), me, Addr(0), Bytes::new(), 1e9, 1);
+    for k in 1..=n {
+        let level = match rng.below(100) {
+            0..85 => Level::TOP,
+            _ => Level::new(1 + rng.below(7) as u8),
+        };
+        let event = StateEvent {
+            subject: NodeId(rng.next_u128()),
+            addr: Addr(k),
+            level,
+            kind: EventKind::Join,
+            seq: 0,
+            origin_us: 1,
+            info: Bytes::new(),
+        };
+        m.handle(
+            1,
+            Input::Message {
+                from: event.subject,
+                from_addr: event.addr,
+                // Step `ID_BITS` makes the copy a leaf: applied, not forwarded.
+                msg: Message::Multicast {
+                    event,
+                    step: ID_BITS,
+                },
+            },
+        );
+    }
+    assert_eq!(m.peers().len() as u64, n);
+    m
+}
+
+/// Seconds per probe tick. Each tick runs on a fresh clone (a machine
+/// with a probe outstanding skips the next tick); cloning is not timed.
+fn probe_tick_secs(m: &NodeMachine) -> f64 {
+    const TICKS: usize = 32;
+    let mut clones: Vec<NodeMachine> = (0..TICKS).map(|_| m.clone()).collect();
+    let t = Instant::now();
+    for c in &mut clones {
+        let outs = c.handle(2, Input::Timer(Timer::Probe));
+        assert!(!std::hint::black_box(outs).is_empty());
+    }
+    t.elapsed().as_secs_f64() / TICKS as f64
+}
+
+#[test]
+#[ignore = "timing ratio needs core built without `invariants`, which the root \
+            `cargo test` unifies in (every probe tick then also runs the quadratic \
+            reference); CI's Perf smoke builds -p peerwindow-bench alone"]
+fn probe_tick_scales_linearly_in_the_peer_list() {
+    let small = machine_holding(512);
+    let large = machine_holding(4096);
+    probe_tick_secs(&small); // warm-up
+    retry_gate(3, || {
+        let t_small = (0..TRIES)
+            .map(|_| probe_tick_secs(&small))
+            .fold(f64::MAX, f64::min);
+        let t_large = (0..TRIES)
+            .map(|_| probe_tick_secs(&large))
+            .fold(f64::MAX, f64::min);
+        let ratio = t_large / t_small;
+        eprintln!(
+            "probe tick: {:.1} us at 512 pointers, {:.1} us at 4096 ({ratio:.1}x)",
+            t_small * 1e6,
+            t_large * 1e6
+        );
+        if ratio >= 24.0 {
+            return Err(format!(
+                "probe tick grew {ratio:.1}x from 512 to 4096 pointers (linear is 8x, \
+                 want < 24x) — a per-peer pass over the list is back in probe_successor"
             ));
         }
         Ok(())
