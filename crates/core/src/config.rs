@@ -75,19 +75,6 @@ pub struct ProtocolConfig {
     /// Whether a joining node uses the §4.3 warm-up (start low, rise after
     /// background download).
     pub warm_up: bool,
-    /// Scope of failure-detection probing; the paper probes within the
-    /// eigenstring group.
-    pub probe_scope: ProbeScope,
-}
-
-/// Which ring a node probes for failure detection (§4.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProbeScope {
-    /// Probe the successor within the node's eigenstring group (paper).
-    Group,
-    /// Probe the successor in the whole peer list (extension/ablation:
-    /// covers singleton groups at the same per-node cost).
-    PeerList,
 }
 
 impl Default for ProtocolConfig {
@@ -112,7 +99,6 @@ impl Default for ProtocolConfig {
             default_refresh_us: 600_000_000, // 10 min
             reconcile_interval_us: 0,
             warm_up: false,
-            probe_scope: ProbeScope::Group,
         }
     }
 }

@@ -73,7 +73,7 @@ pub mod top_list;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
-    pub use crate::config::{ProbeScope, ProtocolConfig};
+    pub use crate::config::ProtocolConfig;
     pub use crate::error::ProtocolError;
     pub use crate::event::{EventKind, StateEvent};
     pub use crate::id::{NodeId, Prefix, ID_BITS};

@@ -9,7 +9,7 @@
 //! feeds it `(now, Input)` pairs and executes the returned [`Output`]s.
 //! This makes every protocol decision deterministic and unit-testable.
 
-use crate::config::{ProbeScope, ProtocolConfig};
+use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
 use crate::event::{EventKind, StateEvent};
 use crate::id::{NodeId, Prefix, ID_BITS};
@@ -1245,20 +1245,17 @@ impl NodeMachine {
         {
             return;
         }
-        let succ = match self.cfg.probe_scope {
-            ProbeScope::Group => self
-                .peers
-                .ring_successor_in_group(self.me, self.eigenstring(), self.level)
-                // §4.1 probes within the same-level eigenstring group, but
-                // heterogeneous levels can leave that group a singleton: after
-                // a neighbor shifts level it is no longer anyone's group
-                // successor, and its crash would go undetected forever. Found
-                // by the invariants sweep (trace [Join, Shift, Crash] ends
-                // with a permanently stale peer entry). Fall back to the
-                // whole-peer-list ring — same one-probe-per-interval cost.
-                .or_else(|| self.peers.ring_successor(self.me)),
-            ProbeScope::PeerList => self.peers.ring_successor(self.me),
-        };
+        let succ = self
+            .peers
+            .ring_successor_in_group(self.me, self.eigenstring(), self.level)
+            // §4.1 probes within the same-level eigenstring group, but
+            // heterogeneous levels can leave that group a singleton: after
+            // a neighbor shifts level it is no longer anyone's group
+            // successor, and its crash would go undetected forever. Found
+            // by the invariants sweep (trace [Join, Shift, Crash] ends
+            // with a permanently stale peer entry). Fall back to the
+            // whole-peer-list ring — same one-probe-per-interval cost.
+            .or_else(|| self.peers.ring_successor(self.me));
         // Cross-level fallback (ROADMAP "lazy detection of off-level
         // crashes", found by the model checker at depth 4): a peer alone
         // in its eigenstring group — e.g. the seed after shifting to a
@@ -1279,21 +1276,16 @@ impl NodeMachine {
         // observer dies its own obituary hands the role to the next
         // nearest. A false positive is safe — the obituary's courtesy
         // copy lets a live target refute (DESIGN.md gap 13).
-        let lonely: Vec<Target> = match self.cfg.probe_scope {
-            ProbeScope::Group => self.lonely_peers(),
-            ProbeScope::PeerList => Vec::new(),
-        };
+        let lonely = self.lonely_peers();
         // Every invariants-enabled run is a differential test of the
         // fast selection against its definition, tick by tick.
         #[cfg(feature = "invariants")]
-        if self.cfg.probe_scope == ProbeScope::Group {
-            assert_eq!(
-                lonely,
-                self.lonely_reference(),
-                "{:?}: lonely-peer selection diverged from its reference",
-                self.me
-            );
-        }
+        assert_eq!(
+            lonely,
+            self.lonely_reference(),
+            "{:?}: lonely-peer selection diverged from its reference",
+            self.me
+        );
         let round = self.stats.probes_sent;
         let target = if !lonely.is_empty() && (succ.is_none() || round % 2 == 1) {
             lonely[(round / 2) as usize % lonely.len()]

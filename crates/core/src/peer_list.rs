@@ -320,8 +320,8 @@ impl PeerList {
     }
 
     /// The right neighbor on the circle formed by the *whole* peer list
-    /// (the `ProbeScope::PeerList` extension): the entry with the smallest
-    /// id strictly greater than `me`, wrapping around.
+    /// (the probe fallback for a node alone in its group): the entry with
+    /// the smallest id strictly greater than `me`, wrapping around.
     pub fn ring_successor(&self, me: NodeId) -> Option<&Pointer> {
         self.entries
             .range((std::ops::Bound::Excluded(me), std::ops::Bound::Unbounded))

@@ -12,7 +12,7 @@
 use crate::canon::canonical_state;
 use crate::net::{McNet, NetErr, SweepOp};
 use crate::props::Property;
-use peerwindow_core::config::{ProbeScope, ProtocolConfig};
+use peerwindow_core::config::ProtocolConfig;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -80,7 +80,6 @@ pub fn mc_protocol_config() -> ProtocolConfig {
         rpc_timeout_us: 300_000,
         processing_delay_us: 1_000,
         bandwidth_window_us: 5_000_000,
-        probe_scope: ProbeScope::Group,
         ..ProtocolConfig::default()
     }
 }
