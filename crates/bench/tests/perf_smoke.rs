@@ -297,12 +297,12 @@ fn probe_tick_scales_linearly_in_the_peer_list() {
     let large = machine_holding(4096);
     probe_tick_secs(&small); // warm-up
     retry_gate(3, || {
-        let t_small = (0..TRIES)
-            .map(|_| probe_tick_secs(&small))
-            .fold(f64::MAX, f64::min);
-        let t_large = (0..TRIES)
-            .map(|_| probe_tick_secs(&large))
-            .fold(f64::MAX, f64::min);
+        let fastest = |m| {
+            (0..TRIES)
+                .map(|_| probe_tick_secs(m))
+                .fold(f64::MAX, f64::min)
+        };
+        let (t_small, t_large) = (fastest(&small), fastest(&large));
         let ratio = t_large / t_small;
         eprintln!(
             "probe tick: {:.1} us at 512 pointers, {:.1} us at 4096 ({ratio:.1}x)",

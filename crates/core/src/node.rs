@@ -2168,6 +2168,7 @@ fn placeholder() -> StateEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BinaryHeap;
 
     /// A deliberately tiny event loop: enough to drive a handful of
@@ -2659,21 +2660,18 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random lists with clustered prefixes — eigenstring groups of
         /// size 1, 2 and many at levels 0–7 — seen from a `me` in either
         /// half of the id space, inside or beside the clusters.
         #[test]
         fn lonely_selection_matches_reference(
-            pool in proptest::collection::vec(proptest::prelude::any::<u128>(), 6),
-            entries in proptest::collection::vec(
-                (0usize..8, proptest::prelude::any::<u128>(), 0u8..=7),
-                0..48,
-            ),
-            me_spec in (0usize..8, proptest::prelude::any::<u128>(), 0u8..=7),
-            me_top_half in proptest::prelude::any::<bool>(),
+            pool in proptest::collection::vec(any::<u128>(), 6),
+            entries in proptest::collection::vec((0usize..8, any::<u128>(), 0u8..=7), 0..48),
+            me_spec in (0usize..8, any::<u128>(), 0u8..=7),
+            me_top_half in any::<bool>(),
         ) {
             // Clusters 0–5 share the first 3–12 bits of a pool id; 6 and
             // 7 are uniform ids.

@@ -280,7 +280,7 @@ impl PeerList {
     /// it. Linear in the group: kept as the definition
     /// [`PeerList::group_singletons`] is tested against.
     #[cfg(any(test, feature = "invariants"))]
-    pub fn count_group(&self, group: Prefix, level: Level) -> usize {
+    pub(crate) fn count_group(&self, group: Prefix, level: Level) -> usize {
         match self.by_level.get(level.value() as usize) {
             Some(set) => set.range(group.id_range()).count(),
             None => 0,
@@ -295,7 +295,7 @@ impl PeerList {
     /// One pass per level over the id-sorted level index: members of one
     /// group are contiguous there, so an entry is alone iff neither sorted
     /// neighbour shares its first `level` bits.
-    pub fn group_singletons(&self) -> Vec<(NodeId, Level)> {
+    pub(crate) fn group_singletons(&self) -> Vec<(NodeId, Level)> {
         let mut out = Vec::new();
         for (l, set) in (0..=u8::MAX).zip(&self.by_level) {
             if l == 0 {
@@ -435,7 +435,7 @@ impl PeerList {
     /// set, and no set holds anything more. [`PeerList::group_singletons`]
     /// reads groups off the index alone, so it leans on this.
     #[cfg(any(test, feature = "invariants"))]
-    pub fn index_is_consistent(&self) -> bool {
+    pub(crate) fn index_is_consistent(&self) -> bool {
         let mut cursors: Vec<_> = self.by_level.iter().map(BTreeSet::iter).collect();
         self.entries.values().all(|p| {
             let cursor = cursors.get_mut(usize::from(p.level.value()));
