@@ -2,7 +2,7 @@
 //! thresholds (the timing assertions are release-only; the workload
 //! still runs under debug so the code paths stay covered).
 //!
-//! Four gates:
+//! Five gates:
 //!
 //! * **Shallow-queue guard** — the wheel's `seq_ping` pathology (a full
 //!   cascade per pop at queue depth 1) is fixed by the singleton-slot
@@ -22,6 +22,11 @@
 //!   4 096 pointers must cost < 24× the same tick at 512 pointers
 //!   (linear is 8; the per-peer group count it replaced was ≈ 64). A
 //!   ratio of two timings from one process, so it holds on any runner.
+//! * **Oracle scaling** — the same kind of ratio for the two linear
+//!   pieces of `run_oracle`: `Directory::join_all` of 80 000 nodes < 16×
+//!   that of 10 000 (n log n reads ≈ 10; one sorted insert per node read
+//!   ≈ 64), and planning a 64 000-entry audience < 12× an 8 000-entry one
+//!   (linear is 8).
 //!
 //! Each ratio gate is additionally wrapped in [`retry_gate`]: the full
 //! comparison is re-measured up to three times and only fails if every
@@ -34,6 +39,8 @@ use peerwindow_des::{
     DetRng, Engine, ModuloShardMap, Outbox, ParallelEngine, SchedKind, Scheduler, ShardLogic,
     SimTime, Simulation,
 };
+use peerwindow_sim::directory::{AudienceEntry, Directory};
+use peerwindow_sim::plan::{plan_event_indexed, Rmq};
 use std::time::Instant;
 
 const EVENTS: u64 = 200_000;
@@ -236,19 +243,24 @@ fn four_shards_keep_up_with_one_on_multicore_hosts() {
     });
 }
 
-/// A level-0 seed holding `n` pointers at the benchmark's level mix
-/// (≈ 85 % level 0, the rest spread over levels 1–7), filled through the
-/// machine's public input: one leaf join multicast per peer.
+/// The benchmark's level mix: ≈ 85 % level 0, the rest over levels 1–7.
+fn mixed_level(rng: &mut DetRng) -> u8 {
+    match rng.below(100) {
+        0..85 => 0,
+        _ => 1 + rng.below(7) as u8,
+    }
+}
+
+/// A level-0 seed holding `n` pointers at the benchmark's level mix,
+/// filled through the machine's public input: one leaf join multicast per
+/// peer.
 fn machine_holding(n: u64) -> NodeMachine {
     let mut rng = DetRng::new(0x10e1);
     let me = NodeId(rng.next_u128());
     let (mut m, _) =
         NodeMachine::new_seed(ProtocolConfig::default(), me, Addr(0), Bytes::new(), 1e9, 1);
     for k in 1..=n {
-        let level = match rng.below(100) {
-            0..85 => Level::TOP,
-            _ => Level::new(1 + rng.below(7) as u8),
-        };
+        let level = Level::new(mixed_level(&mut rng));
         let event = StateEvent {
             subject: NodeId(rng.next_u128()),
             addr: Addr(k),
@@ -317,4 +329,118 @@ fn probe_tick_scales_linearly_in_the_peer_list() {
         }
         Ok(())
     });
+}
+
+/// `n` nodes as `Directory::join_all` takes them.
+fn joiners(n: u32) -> Vec<(NodeId, u32, Level, f64, f64)> {
+    let mut rng = DetRng::new(0x901a);
+    (0..n)
+        .map(|addr| {
+            let level = Level::new(mixed_level(&mut rng));
+            (NodeId(rng.next_u128()), addr, level, 500.0, 1e6)
+        })
+        .collect()
+}
+
+/// Seconds to `join_all` `nodes` into an empty directory.
+fn join_all_secs(nodes: &[(NodeId, u32, Level, f64, f64)]) -> f64 {
+    let mut dir = Directory::new();
+    let t = Instant::now();
+    dir.join_all(nodes.iter().copied());
+    let secs = t.elapsed().as_secs_f64();
+    assert_eq!(std::hint::black_box(dir).len(), nodes.len());
+    secs
+}
+
+/// An audience of `n` members of some subject: a level-`l` member shares
+/// the subject's first `l` bits, and entry 0 is a top node.
+fn audience_of(n: u32) -> Vec<AudienceEntry> {
+    let mut rng = DetRng::new(0xa0d1);
+    let subject = rng.next_u128();
+    let mut audience: Vec<AudienceEntry> = (0..n)
+        .map(|slot| {
+            let level = mixed_level(&mut rng);
+            let tail = u128::MAX >> level;
+            AudienceEntry {
+                id: subject & !tail | rng.next_u128() & tail,
+                level,
+                slot,
+                addr: slot,
+            }
+        })
+        .collect();
+    audience.sort_unstable_by_key(|e| e.id);
+    assert!(audience.windows(2).all(|w| w[0].id < w[1].id));
+    audience[0].level = 0;
+    audience
+}
+
+/// Seconds to plan one event (trie build included) over `audience`.
+fn plan_secs(audience: &[AudienceEntry], rmq: &mut Rmq) -> f64 {
+    let mut deliveries = 0;
+    let t = Instant::now();
+    plan_event_indexed(
+        std::hint::black_box(audience),
+        rmq,
+        0,
+        0,
+        0,
+        0,
+        |_, _| 1,
+        |d| deliveries += std::hint::black_box(d.at_us).min(1) as usize,
+    );
+    let secs = t.elapsed().as_secs_f64();
+    assert_eq!(deliveries, audience.len() - 1);
+    secs
+}
+
+/// Fails unless `large()` costs less than `bound` × `small()`. One call is
+/// milliseconds, so each side is the fastest of many, which leaves the
+/// host's noise out of both.
+fn scaling_gate(
+    what: &str,
+    bound: f64,
+    mut small: impl FnMut() -> f64,
+    mut large: impl FnMut() -> f64,
+    blame: &str,
+) {
+    small(); // warm-up
+    retry_gate(3, || {
+        let fastest = |f: &mut dyn FnMut() -> f64| (0..16).map(|_| f()).fold(f64::MAX, f64::min);
+        let (t_small, t_large) = (fastest(&mut small), fastest(&mut large));
+        let ratio = t_large / t_small;
+        eprintln!(
+            "{what}: {:.0} us small, {:.0} us large ({ratio:.1}x)",
+            t_small * 1e6,
+            t_large * 1e6
+        );
+        if ratio >= bound {
+            return Err(format!(
+                "{what} grew {ratio:.1}x over an 8x larger input (want < {bound}x) — {blame}"
+            ));
+        }
+        Ok(())
+    });
+}
+
+#[test]
+#[ignore = "timing ratio needs the release profile; CI's Perf smoke passes --include-ignored"]
+fn oracle_warm_start_and_planner_scale_linearly() {
+    let (small, large) = (joiners(10_000), joiners(80_000));
+    scaling_gate(
+        "join_all of 10 000 / 80 000 nodes",
+        16.0, // n log n is ~10x
+        || join_all_secs(&small),
+        || join_all_secs(&large),
+        "a sorted insert per node is back in the warm start",
+    );
+    let (small, large) = (audience_of(8_000), audience_of(64_000));
+    let (mut rmq_small, mut rmq_large) = (Rmq::new(), Rmq::new());
+    scaling_gate(
+        "plan_event_indexed over 8 000 / 64 000 entries",
+        12.0, // linear is 8x
+        || plan_secs(&small, &mut rmq_small),
+        || plan_secs(&large, &mut rmq_large),
+        "per-split searches or a per-event table are back in the planner",
+    );
 }

@@ -12,7 +12,6 @@
 //! kept beside it.
 
 use peerwindow_core::prelude::{Level, NodeId, Prefix};
-use std::collections::HashMap; // audit: ordered — key lookups only, never iterated
 
 /// Per-node simulation state (traffic accounting and workload schedule).
 #[derive(Clone, Debug)]
@@ -45,7 +44,7 @@ pub struct SlotData {
 }
 
 /// What audience extraction needs to know about one live node, so that
-/// it reads neither `index` nor `slots`.
+/// it never reads `slots`; `slot` is also how an id finds its slot.
 #[derive(Clone, Copy, Debug)]
 struct Member {
     slot: u32,
@@ -62,8 +61,6 @@ pub struct Directory {
     members: Vec<Member>,
     /// Live ids per level, each sorted.
     levels: Vec<Vec<u128>>,
-    /// id → slot index.
-    index: HashMap<u128, u32>, // audit: ordered — key lookups only, never iterated
     /// Slot storage (never shrinks; `alive` distinguishes).
     slots: Vec<SlotData>,
     /// Live count per level (kept in sync with `levels`).
@@ -128,7 +125,7 @@ impl Directory {
 
     /// Slot of a live id.
     pub fn slot_of(&self, id: NodeId) -> Option<u32> {
-        self.index.get(&id.raw()).copied()
+        self.position(id).map(|pos| self.members[pos].slot)
     }
 
     /// Slot data of a live id.
@@ -137,28 +134,29 @@ impl Directory {
     }
 
     /// Position of a live id in `all` (and `members`).
-    fn position(&self, id: NodeId) -> usize {
-        self.all
-            .binary_search(&id.raw())
-            .expect("index and all hold the same ids")
+    fn position(&self, id: NodeId) -> Option<usize> {
+        self.all.binary_search(&id.raw()).ok()
     }
 
-    /// Adds a node; returns its slot.
-    ///
-    /// # Panics
-    /// Panics if the id is already live.
-    pub fn join(
+    /// Makes `levels[l]` and `level_counts[l]` exist.
+    fn grow_levels(&mut self, l: usize) {
+        if self.levels.len() <= l {
+            self.levels.resize_with(l + 1, Vec::new);
+            self.level_counts.resize(l + 1, 0);
+        }
+    }
+
+    /// What [`Self::join`] and [`Self::join_all`] share: gives the node
+    /// the next slot and counts it at its level. The caller places the id
+    /// and the returned entry in the sorted columns.
+    fn admit(
         &mut self,
         id: NodeId,
         addr: u32,
         level: Level,
         threshold_bps: f64,
         bandwidth_bps: f64,
-    ) -> u32 {
-        assert!(
-            !self.index.contains_key(&id.raw()),
-            "duplicate join of {id}"
-        );
+    ) -> Member {
         let slot = self.slots.len() as u32;
         self.slots.push(SlotData {
             id,
@@ -173,36 +171,69 @@ impl Directory {
             seq: 1,
             pressure: 0,
         });
-        self.index.insert(id.raw(), slot);
-        let pos = self
-            .all
-            .binary_search(&id.raw())
-            .expect_err("index and all hold the same ids");
+        let level = level.value();
+        self.grow_levels(level as usize);
+        self.level_counts[level as usize] += 1;
+        Member { slot, addr, level }
+    }
+
+    /// Adds a node; returns its slot.
+    ///
+    /// # Panics
+    /// Panics if the id is already live.
+    pub fn join(
+        &mut self,
+        id: NodeId,
+        addr: u32,
+        level: Level,
+        threshold_bps: f64,
+        bandwidth_bps: f64,
+    ) -> u32 {
+        let Err(pos) = self.all.binary_search(&id.raw()) else {
+            panic!("duplicate join of {id}");
+        };
+        let member = self.admit(id, addr, level, threshold_bps, bandwidth_bps);
         self.all.insert(pos, id.raw());
-        self.members.insert(
-            pos,
-            Member {
-                slot,
-                addr,
-                level: level.value(),
-            },
-        );
-        let l = level.value() as usize;
-        if self.levels.len() <= l {
-            self.levels.resize_with(l + 1, Vec::new);
-            self.level_counts.resize(l + 1, 0);
+        self.members.insert(pos, member);
+        insert_sorted(&mut self.levels[member.level as usize], id.raw());
+        member.slot
+    }
+
+    /// Adds every node of `nodes`, each a tuple of [`Self::join`]'s
+    /// arguments, with the slots and the end state of joining them one by
+    /// one in iteration order. The sorted columns are appended to and
+    /// sorted once, not shifted per node: O(n log n) for a whole
+    /// population where repeated `join` is O(n²).
+    ///
+    /// # Panics
+    /// Panics if an id is already live or comes twice.
+    pub fn join_all(&mut self, nodes: impl IntoIterator<Item = (NodeId, u32, Level, f64, f64)>) {
+        let nodes = nodes.into_iter();
+        let expected = nodes.size_hint().0;
+        self.slots.reserve(expected);
+        let mut column: Vec<(u128, Member)> = Vec::with_capacity(self.len() + expected);
+        column.extend(self.all.drain(..).zip(self.members.drain(..)));
+        for (id, addr, level, threshold_bps, bandwidth_bps) in nodes {
+            let member = self.admit(id, addr, level, threshold_bps, bandwidth_bps);
+            column.push((id.raw(), member));
+            self.levels[member.level as usize].push(id.raw());
         }
-        insert_sorted(&mut self.levels[l], id.raw());
-        self.level_counts[l] += 1;
-        slot
+        column.sort_unstable_by_key(|&(id, _)| id);
+        if let Some(w) = column.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("duplicate join of {}", NodeId(w[0].0));
+        }
+        (self.all, self.members) = column.into_iter().unzip();
+        for ids in &mut self.levels {
+            ids.sort_unstable();
+        }
     }
 
     /// Removes a node; returns its slot if it was live.
     pub fn leave(&mut self, id: NodeId) -> Option<u32> {
-        let slot = self.index.remove(&id.raw())?;
+        let pos = self.position(id)?;
+        let slot = self.members[pos].slot;
         let level = self.slots[slot as usize].level.value() as usize;
         self.slots[slot as usize].alive = false;
-        let pos = self.position(id);
         self.all.remove(pos);
         self.members.remove(pos);
         remove_sorted(&mut self.levels[level], id.raw());
@@ -212,7 +243,8 @@ impl Directory {
 
     /// Changes a live node's level; returns `(slot, old_level)`.
     pub fn change_level(&mut self, id: NodeId, new: Level) -> Option<(u32, Level)> {
-        let slot = self.slot_of(id)?;
+        let pos = self.position(id)?;
+        let slot = self.members[pos].slot;
         let old = self.slots[slot as usize].level;
         if old == new {
             return None;
@@ -220,14 +252,10 @@ impl Directory {
         remove_sorted(&mut self.levels[old.value() as usize], id.raw());
         self.level_counts[old.value() as usize] -= 1;
         let l = new.value() as usize;
-        if self.levels.len() <= l {
-            self.levels.resize_with(l + 1, Vec::new);
-            self.level_counts.resize(l + 1, 0);
-        }
+        self.grow_levels(l);
         insert_sorted(&mut self.levels[l], id.raw());
         self.level_counts[l] += 1;
         self.slots[slot as usize].level = new;
-        let pos = self.position(id);
         self.members[pos].level = new.value();
         Some((slot, old))
     }
@@ -329,9 +357,9 @@ impl Directory {
         assert!(self.all.windows(2).all(|w| w[0] < w[1]), "all not sorted");
         assert_eq!(self.members.len(), self.all.len(), "column length");
         for (&id, m) in self.all.iter().zip(&self.members) {
-            assert_eq!(m.slot, self.index[&id], "column slot of {id:#x}");
             let s = &self.slots[m.slot as usize];
             assert_eq!(s.id.raw(), id, "slot {} holds another id", m.slot);
+            assert!(s.alive, "column names the dead slot {}", m.slot);
             assert_eq!((m.level, m.addr), (s.level.value(), s.addr));
         }
         let mut total = 0;
@@ -340,13 +368,13 @@ impl Directory {
             assert_eq!(v.len(), self.level_counts[l], "level {l} count");
             total += v.len();
             for &id in v {
-                let slot = self.index[&id];
-                assert_eq!(self.slots[slot as usize].level.value() as usize, l);
-                assert!(self.slots[slot as usize].alive);
+                let s = self.get(NodeId(id)).expect("a level lists a live id");
+                assert_eq!(s.level.value() as usize, l);
             }
         }
         assert_eq!(total, self.all.len(), "levels partition all");
-        assert_eq!(self.index.len(), self.all.len());
+        let alive = self.slots.iter().filter(|s| s.alive).count();
+        assert_eq!(alive, self.all.len(), "a live slot is missing from all");
     }
 }
 
@@ -413,6 +441,23 @@ mod tests {
         d.join(nid("0111"), 99, Level::TOP, 500.0, 1e6);
         d.check_invariants();
         assert_eq!(d.level_count(0), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate join of")]
+    fn join_all_rejects_an_id_that_is_live() {
+        let mut d = figure1();
+        let fresh = (nid("1111"), 10, Level::TOP, 500.0, 1e6);
+        let live = (nid("0110"), 11, Level::new(2), 500.0, 1e6);
+        d.join_all([fresh, live]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate join of")]
+    fn join_all_rejects_an_id_that_comes_twice() {
+        let mut d = figure1();
+        let node = |addr| (nid("1111"), addr, Level::TOP, 500.0, 1e6);
+        d.join_all([node(10), node(11)]);
     }
 
     #[test]
@@ -595,8 +640,8 @@ mod proptests {
             let got: std::collections::BTreeSet<u128> =
                 audience.iter().map(|e| e.id).collect();
             prop_assert_eq!(got, brute);
-            // … comes out strictly id-ascending (the planner dissects it
-            // by binary search), and every entry describes its slot.
+            // … comes out strictly id-ascending (the planner reads its
+            // trie off adjacent pairs), and every entry describes its slot.
             prop_assert!(audience.windows(2).all(|w| w[0].id < w[1].id));
             for e in &audience {
                 let s = &dir.slots()[e.slot as usize];
@@ -605,6 +650,47 @@ mod proptests {
                     (s.id.raw(), s.level.value(), s.addr, s.alive)
                 );
             }
+        }
+
+        /// `join_all` leaves what joining its nodes one by one leaves —
+        /// every column, counter and slot — on an empty directory and on
+        /// one that has seen joins and leaves.
+        #[test]
+        fn join_all_equals_repeated_join(
+            earlier in proptest::collection::vec((any::<u128>(), 0u8..6), 0..40),
+            batch in proptest::collection::vec((any::<u128>(), 0u8..6), 0..160),
+        ) {
+            let mut seen = std::collections::BTreeSet::new();
+            let mut distinct = |nodes: Vec<(u128, u8)>| -> Vec<(u128, u8)> {
+                nodes.into_iter().filter(|&(id, _)| seen.insert(id)).collect()
+            };
+            let (earlier, batch) = (distinct(earlier), distinct(batch));
+            let args = |&(id, level): &(u128, u8)| {
+                (NodeId(id), !id as u32, Level::new(level), 500.0 + level as f64, 1e6)
+            };
+            let mut one_by_one = Directory::new();
+            for node in &earlier {
+                let (id, addr, level, threshold_bps, bandwidth_bps) = args(node);
+                one_by_one.join(id, addr, level, threshold_bps, bandwidth_bps);
+            }
+            // Dead slots, so that slot numbers and column positions differ.
+            for &(id, _) in earlier.iter().step_by(3) {
+                one_by_one.leave(NodeId(id));
+            }
+            let mut batched = one_by_one.clone();
+            for node in &batch {
+                let (id, addr, level, threshold_bps, bandwidth_bps) = args(node);
+                one_by_one.join(id, addr, level, threshold_bps, bandwidth_bps);
+            }
+            batched.join_all(batch.iter().map(args));
+            batched.check_invariants();
+            prop_assert_eq!(&batched.all, &one_by_one.all);
+            prop_assert_eq!(&batched.levels, &one_by_one.levels);
+            prop_assert_eq!(&batched.level_counts, &one_by_one.level_counts);
+            // `Member` and `SlotData` have no `PartialEq`; `Debug` prints
+            // every field, floats exactly.
+            prop_assert_eq!(format!("{:?}", batched.members), format!("{:?}", one_by_one.members));
+            prop_assert_eq!(format!("{:?}", batched.slots), format!("{:?}", one_by_one.slots));
         }
 
         /// part_of always returns the strongest covering eigenstring.

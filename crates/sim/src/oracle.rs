@@ -1,9 +1,11 @@
 //! Oracle-mode simulation: the paper's §5 experiments at full scale.
 //!
 //! A single ground-truth [`Directory`] stands in for every node's correct
-//! peer list (the paper's own memory trick); multicast trees are planned
-//! per event by [`crate::plan::plan_event`] with per-hop latency from a
-//! [`NetworkModel`]; peer-list errors are accounted *time-weighted*: each
+//! peer list (the paper's own memory trick); each event's multicast tree is
+//! planned by [`crate::plan::plan_event_indexed`] on the binary trie of the
+//! event's audience, with per-hop latency from a [`NetworkModel`], and its
+//! traffic is charged in one pass over the audience afterwards; peer-list
+//! errors are accounted *time-weighted*: each
 //! audience member's list is wrong about the subject from the event's
 //! origin until its own delivery instant, so
 //! `error_rate = Σ staleness / (window · Σ list sizes)` — exactly the
@@ -157,6 +159,8 @@ struct OracleSim {
     // Reused buffers.
     audience: Vec<AudienceEntry>,
     rmq: Rmq,
+    /// Copies each audience member forwarded in the current multicast.
+    kids: Vec<u32>,
     // Measurement state.
     measure_start_us: u64,
     measure_end_us: u64,
@@ -250,15 +254,7 @@ impl OracleSim {
             .binary_search_by_key(&root.raw(), |e| e.id)
             .expect("root is an audience member");
         self.grow_levels(self.dir.max_level());
-        // Account the report hop into the root as the first delivery.
-        {
-            let r = &audience[root_idx];
-            let slot = &mut self.dir.slot_mut(r.slot);
-            slot.rx_window_bits += event_bits;
-            if measuring {
-                slot.rx_measure_bits += event_bits;
-            }
-        }
+        // The report hop into the root is the first delivery.
         if measuring {
             self.errsec_per_level[audience[root_idx].level as usize] +=
                 (report_at_us - origin_us) as f64 / 1e6;
@@ -266,45 +262,48 @@ impl OracleSim {
         let root_step = audience[root_idx].level;
         let mut max_depth = 0u32;
         let mut last_at = report_at_us;
-        let mut errsec = std::mem::take(&mut self.errsec_per_level);
         let mut deliveries = 0u64;
-        {
-            let dir = &mut self.dir;
-            let net = &*self.net;
-            plan_event_indexed(
-                &audience,
-                &mut rmq,
-                root_idx,
-                root_step,
-                report_at_us,
-                processing,
-                // Addresses were copied into the audience entries, so
-                // latency lookups never touch `dir`.
-                |parent, child| net.latency_us(audience[parent].addr, audience[child].addr),
-                |d| {
-                    deliveries += 1;
-                    max_depth = max_depth.max(d.depth);
-                    last_at = last_at.max(d.at_us);
-                    let child = &audience[d.child];
-                    let parent = &audience[d.parent];
-                    {
-                        let s = dir.slot_mut(child.slot);
-                        s.rx_window_bits += event_bits;
-                        if measuring {
-                            s.rx_measure_bits += event_bits;
-                            s.tx_measure_bits += ack_bits;
-                        }
-                    }
-                    if measuring {
-                        let s = dir.slot_mut(parent.slot);
-                        s.tx_measure_bits += event_bits;
-                        s.rx_measure_bits += ack_bits;
-                        errsec[child.level as usize] += (d.at_us - origin_us) as f64 / 1e6;
-                    }
-                },
-            );
+        self.kids.clear();
+        self.kids.resize(audience.len(), 0);
+        plan_event_indexed(
+            &audience,
+            &mut rmq,
+            root_idx,
+            root_step,
+            report_at_us,
+            processing,
+            // Addresses were copied into the audience entries, so latency
+            // lookups never touch `dir`.
+            |a, b| self.net.latency_us(audience[a].addr, audience[b].addr),
+            |d| {
+                deliveries += 1;
+                max_depth = max_depth.max(d.depth);
+                last_at = last_at.max(d.at_us);
+                self.kids[d.parent] += 1;
+                if measuring {
+                    // A float sum: it stays in delivery order.
+                    self.errsec_per_level[audience[d.child].level as usize] +=
+                        (d.at_us - origin_us) as f64 / 1e6;
+                }
+            },
+        );
+        debug_assert_eq!(
+            deliveries as usize,
+            audience.len() - 1,
+            "the tree must reach every member but the root once"
+        );
+        // Traffic, one visit per member (integer sums, so the order is
+        // free): everyone receives the event once, the root by the report
+        // hop, which is not acked; every copy sent on is acked back.
+        for (i, (member, &kids)) in audience.iter().zip(&self.kids).enumerate() {
+            let slot = self.dir.slot_mut(member.slot);
+            slot.rx_window_bits += event_bits;
+            if measuring {
+                let (kids, acks_sent) = (kids as u64, (i != root_idx) as u64);
+                slot.rx_measure_bits += event_bits + kids * ack_bits;
+                slot.tx_measure_bits += kids * event_bits + acks_sent * ack_bits;
+            }
         }
-        self.errsec_per_level = errsec;
         if measuring {
             self.deliveries += deliveries;
             self.depth_stat.push(max_depth as f64);
@@ -585,6 +584,7 @@ pub fn run_oracle(cfg: OracleConfig) -> OracleReport {
         arrivals: cfg.churn.arrivals(duration_s),
         audience: Vec::new(),
         rmq: Rmq::new(),
+        kids: Vec::new(),
         measure_start_us: (cfg.warmup_s * 1e6) as u64,
         measure_end_us: (duration_s * 1e6) as u64,
         errsec_per_level: Vec::new(),
@@ -608,16 +608,15 @@ pub fn run_oracle(cfg: OracleConfig) -> OracleReport {
     let population = sim.cfg.churn.initial_population();
     let mut engine = Engine::new(sim);
     {
-        let n = population.len();
+        let n = population.len().max(2) as f64;
         let sim = engine.sim_mut();
-        for (spec, _) in &population {
-            let id = NodeId(spec.id_raw);
-            let level = sim.model.stable_level(n.max(2) as f64, spec.threshold_bps);
+        sim.dir.join_all(population.iter().map(|(spec, _)| {
+            let level = sim.model.stable_level(n, spec.threshold_bps);
             let addr = sim.rng.below(u32::MAX as u64) as u32;
-            sim.grow_levels(level.value());
-            sim.dir
-                .join(id, addr, level, spec.threshold_bps, spec.bandwidth_bps);
-        }
+            let id = NodeId(spec.id_raw);
+            (id, addr, level, spec.threshold_bps, spec.bandwidth_bps)
+        }));
+        sim.grow_levels(sim.dir.max_level());
     }
     // Schedule departures and residual info changes for the warm-start
     // population (a node whose mid-lifetime change already happened before
