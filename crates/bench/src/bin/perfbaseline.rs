@@ -10,15 +10,11 @@
 //!
 //! Workloads (all in this one binary, so comparisons share a build):
 //!
-//! * `seq_ping_1m` — the `des/sequential_1M_events` chain (queue depth 1):
-//!   the engine pinned to `SchedKind::Heap`, pinned to `SchedKind::Wheel`,
-//!   and left on the default `Adaptive` policy. Adaptive must hold heap
-//!   speed here (the wheel used to be 5× slower at depth 1; PR 6's
-//!   singleton-slot fast path and the adaptive policy both attack that).
+//! * `seq_ping_1m` — the `des/sequential_1M_events` chain (queue depth 1)
+//!   on the sequential engine.
 //! * `seq_resident_1m` — 1M events with 100,000 resident periodic timers
 //!   (the queue shape of a 100k-node protocol run, where every node holds
-//!   probe/refresh timers): heap vs. wheel vs. adaptive. Adaptive must
-//!   hold the wheel's ≥4× advantage over the heap.
+//!   probe/refresh timers).
 //! * `trace_resident_1m` — the same resident-timer workload, three ways:
 //!   the trace layer *compiled out* ([`NoopTrace`] monomorphised away —
 //!   the configuration an untraced build actually runs), runtime-disabled
@@ -53,8 +49,8 @@
 //! fanout runs' full [`RunReport`]s as JSONL for `pwstat` to render.
 
 use peerwindow_des::{
-    Engine, ModuloShardMap, Outbox, ParallelEngine, SchedKind, Scheduler, ShardLogic, ShardMap,
-    SimTime, Simulation,
+    Engine, ModuloShardMap, Outbox, ParallelEngine, Scheduler, ShardLogic, ShardMap, SimTime,
+    Simulation,
 };
 use peerwindow_metrics::runtime::{Profiler, RunReport};
 use peerwindow_sim::StubAffineShardMap;
@@ -88,8 +84,8 @@ fn period_us(actor: u32) -> u64 {
 }
 
 /// Best of `n` runs: single-shot numbers on a shared host swing ±20%
-/// when a neighbour steals the core, and the BENCH ratios (adaptive vs
-/// heap, off vs plain) must compare unloaded speeds, not scheduler luck.
+/// when a neighbour steals the core, and the BENCH ratios (off vs plain,
+/// metered vs unmetered) must compare unloaded speeds, not scheduler luck.
 fn best_of(n: usize, mut f: impl FnMut() -> f64) -> f64 {
     (0..n).map(|_| f()).fold(0.0, f64::max)
 }
@@ -110,9 +106,9 @@ impl Simulation for ResidentTimers {
     }
 }
 
-/// Runs the ping chain under an explicit queue policy.
-fn seq_ping(events: u64, kind: SchedKind) -> f64 {
-    let mut e = Engine::with_sched(Ping { left: events }, kind);
+/// Runs the ping chain.
+fn seq_ping(events: u64) -> f64 {
+    let mut e = Engine::new(Ping { left: events });
     e.schedule(0, 1);
     let t = Instant::now();
     e.run_to_completion();
@@ -121,9 +117,9 @@ fn seq_ping(events: u64, kind: SchedKind) -> f64 {
     e.stats().processed as f64 / secs
 }
 
-/// Runs the resident-timer workload under an explicit queue policy.
-fn seq_resident(resident: u32, events: u64, kind: SchedKind) -> f64 {
-    let mut e = Engine::with_sched(ResidentTimers { left: events }, kind);
+/// Runs the resident-timer workload.
+fn seq_resident(resident: u32, events: u64) -> f64 {
+    let mut e = Engine::new(ResidentTimers { left: events });
     for a in 0..resident {
         e.schedule(period_us(a), a);
     }
@@ -480,59 +476,37 @@ fn main() {
     let prof = Profiler::new();
 
     let sp = prof.span("sequential");
-    // Sequential: chain (queue depth 1) and resident-timer (deep queue),
-    // each under all three queue policies.
-    seq_ping(events, SchedKind::Heap); // warm up caches and the allocator
-    let h = best_of(tries, || seq_ping(events, SchedKind::Heap));
-    let w = best_of(tries, || seq_ping(events, SchedKind::Wheel));
-    let a = best_of(tries, || seq_ping(events, SchedKind::Adaptive));
-    eprintln!(
-        "seq_ping_1m        heap {h:>12.0}  wheel {w:>12.0}  adaptive {a:>12.0} ev/s   adaptive/heap x{:.2}",
-        a / h
-    );
+    // Sequential: chain (queue depth 1) and resident-timer (deep queue).
+    seq_ping(events); // warm up caches and the allocator
+    let eps = best_of(tries, || seq_ping(events));
+    eprintln!("seq_ping_1m        {eps:>12.0} ev/s");
     j.open(Some("seq_ping_1m"));
     j.int("events", events);
-    j.num("heap_events_per_sec", h);
-    j.num("wheel_events_per_sec", w);
-    j.num("adaptive_events_per_sec", a);
-    j.num3("wheel_vs_heap", w / h);
-    j.num3("adaptive_vs_heap", a / h);
+    j.num("events_per_sec", eps);
     j.close();
 
-    let h = best_of(tries, || seq_resident(resident, events, SchedKind::Heap));
-    let w = best_of(tries, || seq_resident(resident, events, SchedKind::Wheel));
-    let a = best_of(tries, || {
-        seq_resident(resident, events, SchedKind::Adaptive)
-    });
-    eprintln!(
-        "seq_resident_1m    heap {h:>12.0}  wheel {w:>12.0}  adaptive {a:>12.0} ev/s   adaptive/heap x{:.2}",
-        a / h
-    );
+    let eps = best_of(tries, || seq_resident(resident, events));
+    eprintln!("seq_resident_1m    {eps:>12.0} ev/s");
     j.open(Some("seq_resident_1m"));
     j.int("events", events);
     j.int("resident_timers", resident as u64);
-    j.num("heap_events_per_sec", h);
-    j.num("wheel_events_per_sec", w);
-    j.num("adaptive_events_per_sec", a);
-    j.num3("wheel_vs_heap", w / h);
-    j.num3("adaptive_vs_heap", a / h);
+    j.num("events_per_sec", eps);
     j.close();
     drop(sp);
 
     let sp = prof.span("trace_overhead");
     // Tracing overhead on the same resident-timer shape. `off` is the
-    // compiled-out NoopTrace instantiation — overhead vs. an untraced
-    // adaptive run is what an untraced build pays for the trace layer
-    // existing: it should be indistinguishable from noise. The baseline
-    // is re-measured here, interleaved with the traced configurations,
-    // so host-load drift between sections cannot masquerade as
-    // overhead.
+    // compiled-out NoopTrace instantiation — overhead vs. an untraced run
+    // is what an untraced build pays for the trace layer existing: it
+    // should be indistinguishable from noise. The baseline is re-measured
+    // here, interleaved with the traced configurations, so host-load
+    // drift between sections cannot masquerade as overhead.
     let mut base = 0f64;
     let mut off = 0f64;
     let mut disabled = 0f64;
     let mut on = 0f64;
     for _ in 0..tries {
-        base = base.max(seq_resident(resident, events, SchedKind::Adaptive));
+        base = base.max(seq_resident(resident, events));
         off = off.max(traced_resident(resident, events, NoopTrace::new(1)));
         disabled = disabled.max(traced_resident(resident, events, NodeTrace::new(1)));
         on = on.max({

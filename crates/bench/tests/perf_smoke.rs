@@ -1,19 +1,7 @@
-//! Perf smoke gates for the PR 6 fast path, with debug-tolerant
-//! thresholds (the timing assertions are release-only; the workload
-//! still runs under debug so the code paths stay covered).
+//! Perf smoke gates (the timing assertions are release-only).
 //!
-//! Five gates:
+//! Three gates:
 //!
-//! * **Shallow-queue guard** — the wheel's `seq_ping` pathology (a full
-//!   cascade per pop at queue depth 1) is fixed by the singleton-slot
-//!   fast path; an explicitly-pinned wheel must stay within 4× of the
-//!   heap on the chain workload (it used to be >5× slower), and the
-//!   adaptive policy must hold ≥0.8× heap speed there.
-//! * **Deep-queue guard** — the adaptive policy must keep the wheel's
-//!   advantage on the resident-timer workload (≥1.5× heap here; the
-//!   full 1M-event run in perfbaseline shows ≥4×, but this scaled-down
-//!   20k-resident suite sees a smaller gap and must stay robust to a
-//!   noisy-neighbour heap run).
 //! * **Fanout scaling** — on hosts with ≥4 cores, 4-shard throughput
 //!   must not fall below 1-shard (with a 0.9 fudge for noise). Skipped
 //!   on smaller hosts, where extra shards measure oversubscription, not
@@ -35,71 +23,12 @@
 
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
-use peerwindow_des::{
-    DetRng, Engine, ModuloShardMap, Outbox, ParallelEngine, SchedKind, Scheduler, ShardLogic,
-    SimTime, Simulation,
-};
+use peerwindow_des::{DetRng, ModuloShardMap, Outbox, ParallelEngine, ShardLogic, SimTime};
 use peerwindow_sim::directory::{AudienceEntry, Directory};
 use peerwindow_sim::plan::{plan_event_indexed, Rmq};
 use std::time::Instant;
 
-const EVENTS: u64 = 200_000;
-const RESIDENT: u32 = 20_000;
 const TRIES: usize = 3;
-
-struct Ping {
-    left: u64,
-}
-
-impl Simulation for Ping {
-    type Event = u32;
-    fn handle(&mut self, _now: SimTime, ev: u32, sched: &mut Scheduler<'_, u32>) {
-        if self.left > 0 {
-            self.left -= 1;
-            sched.schedule(100, ev.wrapping_add(1));
-        }
-    }
-}
-
-fn period_us(actor: u32) -> u64 {
-    500 + (actor as u64).wrapping_mul(7919) % 10_000
-}
-
-struct Resident {
-    left: u64,
-}
-
-impl Simulation for Resident {
-    type Event = u32;
-    fn handle(&mut self, _now: SimTime, actor: u32, sched: &mut Scheduler<'_, u32>) {
-        if self.left > 0 {
-            self.left -= 1;
-            sched.schedule(period_us(actor), actor);
-        }
-    }
-}
-
-fn ping(kind: SchedKind) -> f64 {
-    let mut e = Engine::with_sched(Ping { left: EVENTS }, kind);
-    e.schedule(0, 1);
-    let t = Instant::now();
-    e.run_to_completion();
-    let secs = t.elapsed().as_secs_f64();
-    assert_eq!(e.stats().processed, EVENTS + 1);
-    e.stats().processed as f64 / secs
-}
-
-fn resident(kind: SchedKind) -> f64 {
-    let mut e = Engine::with_sched(Resident { left: EVENTS }, kind);
-    for a in 0..RESIDENT {
-        e.schedule(period_us(a), a);
-    }
-    let t = Instant::now();
-    e.run_to_completion();
-    let secs = t.elapsed().as_secs_f64();
-    assert_eq!(e.stats().processed, EVENTS + RESIDENT as u64);
-    e.stats().processed as f64 / secs
-}
 
 fn best_of(n: usize, mut f: impl FnMut() -> f64) -> f64 {
     (0..n).map(|_| f()).fold(0.0, f64::max)
@@ -121,63 +50,6 @@ fn retry_gate(rounds: usize, mut attempt: impl FnMut() -> Result<(), String>) {
         }
     }
     panic!("{last} — failed {rounds} consecutive measurement rounds");
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "timing assertion needs the release profile; \
-              run with cargo test --release"
-)]
-fn shallow_queue_wheel_pathology_stays_fixed() {
-    ping(SchedKind::Heap); // warm-up
-    retry_gate(3, || {
-        let heap = best_of(TRIES, || ping(SchedKind::Heap));
-        let wheel = best_of(TRIES, || ping(SchedKind::Wheel));
-        let adaptive = best_of(TRIES, || ping(SchedKind::Adaptive));
-        // Pre-fix the wheel was >5× slower than the heap at queue depth 1;
-        // the singleton-slot fast path must keep an explicitly-pinned wheel
-        // within 4× even though nobody should pin it for this shape. (The
-        // bar is relative, and boxing the wheel backend made the *heap*
-        // faster on this tiny workload, so 3× became marginal.)
-        if wheel * 4.0 < heap {
-            return Err(format!(
-                "pinned wheel fell past 4x slower than heap on the chain workload \
-                 (wheel {wheel:.0} ev/s, heap {heap:.0} ev/s) — the shallow-queue \
-                 cascade pathology is back"
-            ));
-        }
-        // The adaptive policy must simply *be* the heap here (it never
-        // crosses WHEEL_UP), modulo noise.
-        if adaptive < 0.8 * heap {
-            return Err(format!(
-                "adaptive queue lost heap speed on the shallow workload \
-                 (adaptive {adaptive:.0} ev/s, heap {heap:.0} ev/s)"
-            ));
-        }
-        Ok(())
-    });
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "timing assertion needs the release profile; \
-              run with cargo test --release"
-)]
-fn deep_queue_adaptive_keeps_wheel_advantage() {
-    resident(SchedKind::Heap); // warm-up
-    retry_gate(3, || {
-        let heap = best_of(TRIES, || resident(SchedKind::Heap));
-        let adaptive = best_of(TRIES, || resident(SchedKind::Adaptive));
-        if adaptive < 1.5 * heap {
-            return Err(format!(
-                "adaptive queue lost the wheel's deep-queue advantage \
-                 (adaptive {adaptive:.0} ev/s, heap {heap:.0} ev/s; want >=1.5x)"
-            ));
-        }
-        Ok(())
-    });
 }
 
 struct Fanout {

@@ -6,14 +6,10 @@
 //! simulation's event type; the simulation schedules follow-up events
 //! through the [`Scheduler`] handed to its handler.
 //!
-//! The pending-event queue is an [`AdaptiveScheduler`]: a binary heap
-//! while the queue is shallow, a hierarchical timing wheel once resident
-//! timers pile up, switching by pending-event count with hysteresis and
-//! with `(timestamp, FIFO)` ordering semantics identical in every
-//! representation (see [`crate::sched`]). [`Engine::with_sched`] pins the
-//! representation explicitly when a workload's shape is known up front.
+//! The pending-event queue is the [`EventQueue`] binary heap of
+//! [`crate::sched`].
 
-use crate::sched::{AdaptiveScheduler, SchedKind};
+use crate::sched::EventQueue;
 use crate::time::SimTime;
 
 /// A simulation driven by the engine.
@@ -28,7 +24,7 @@ pub trait Simulation {
 /// Scheduling interface passed to [`Simulation::handle`].
 pub struct Scheduler<'a, E> {
     now: SimTime,
-    queue: &'a mut AdaptiveScheduler<E>,
+    queue: &'a mut EventQueue<E>,
 }
 
 impl<E> Scheduler<'_, E> {
@@ -63,39 +59,19 @@ pub struct EngineStats {
 pub struct Engine<S: Simulation> {
     sim: S,
     now: SimTime,
-    queue: AdaptiveScheduler<S::Event>,
+    queue: EventQueue<S::Event>,
     stats: EngineStats,
 }
 
 impl<S: Simulation> Engine<S> {
-    /// Wraps a simulation with an empty event queue at time zero, under
-    /// the default adaptive queue policy.
+    /// Wraps a simulation with an empty event queue at time zero.
     pub fn new(sim: S) -> Self {
-        Self::with_sched(sim, SchedKind::Adaptive)
-    }
-
-    /// Wraps a simulation with an explicit queue-representation policy
-    /// (pin [`SchedKind::Heap`] for known-shallow workloads,
-    /// [`SchedKind::Wheel`] for known-deep ones; benchmarking the two
-    /// against each other is what `perfbaseline` does).
-    pub fn with_sched(sim: S, kind: SchedKind) -> Self {
         Engine {
             sim,
             now: SimTime::ZERO,
-            queue: AdaptiveScheduler::with_kind(kind),
+            queue: EventQueue::new(),
             stats: EngineStats::default(),
         }
-    }
-
-    /// Representation migrations performed by the queue so far.
-    pub fn sched_migrations(&self) -> u64 {
-        self.queue.migrations()
-    }
-
-    /// Snapshot of the adaptive queue's state: pending count, active
-    /// backend, migrations, and singleton-slot fast-path hits.
-    pub fn sched_stats(&self) -> crate::sched::SchedStats {
-        self.queue.stats()
     }
 
     /// Current simulated time.
@@ -131,15 +107,6 @@ impl<S: Simulation> Engine<S> {
     #[inline]
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Samples engine-level counters into a trace registry.
-    #[cfg(feature = "trace")]
-    pub fn sample_into(&self, reg: &mut peerwindow_trace::CounterRegistry) {
-        reg.set("engine.processed", self.stats.processed);
-        reg.set("engine.max_queue", self.stats.max_queue as u64);
-        reg.set_gauge("engine.pending", self.queue.len() as f64);
-        reg.set("engine.sched_migrations", self.queue.migrations());
     }
 
     /// Schedules an event `delay_us` after the current time (setup or
@@ -285,27 +252,6 @@ mod tests {
             e.into_sim().log
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn all_sched_kinds_produce_identical_logs() {
-        let run = |kind: SchedKind| {
-            let mut e = Engine::with_sched(
-                Recorder {
-                    log: vec![],
-                    respawn: true,
-                },
-                kind,
-            );
-            for i in 0..8 {
-                e.schedule_at(SimTime(i * 37), i as u32);
-            }
-            e.run_to_completion();
-            e.into_sim().log
-        };
-        let adaptive = run(SchedKind::Adaptive);
-        assert_eq!(adaptive, run(SchedKind::Heap));
-        assert_eq!(adaptive, run(SchedKind::Wheel));
     }
 
     #[test]

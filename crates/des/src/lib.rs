@@ -6,13 +6,8 @@
 //!
 //! * [`engine`] — the sequential engine: a single totally-ordered event
 //!   queue; bit-deterministic.
-//! * [`sched`] — the adaptive event queue both engines run on: a binary
-//!   heap while shallow, the timing wheel once resident timers pile up,
-//!   switching by pending count with hysteresis and `(time, FIFO)`
-//!   ordering identical in every representation.
-//! * [`wheel`] — the hierarchical timing wheel backing the deep end of
-//!   the adaptive queue: O(1) amortised schedule/pop with `(time, FIFO)`
-//!   ordering identical to the binary heap.
+//! * [`sched`] — the event queue both engines run on: a binary heap
+//!   ordered by `(time, FIFO insertion sequence)`.
 //! * [`parallel`] — the conservative sharded engine: actors partitioned
 //!   across shards via a pluggable [`ShardMap`], lookahead windows
 //!   sequenced by a spin barrier over a persistent worker pool, batched
@@ -34,12 +29,10 @@ pub mod parallel;
 pub mod rng;
 pub mod sched;
 pub mod time;
-pub mod wheel;
 
 pub use emetrics::{runtime_metrics_active, EngineMetrics};
 pub use engine::{Engine, EngineStats, Scheduler, Simulation};
 pub use parallel::{ModuloShardMap, Outbox, ParallelEngine, ShardLogic, ShardMap};
 pub use rng::DetRng;
-pub use sched::{ActiveBackend, AdaptiveScheduler, SchedKind, SchedStats, HEAP_DOWN, WHEEL_UP};
+pub use sched::EventQueue;
 pub use time::SimTime;
-pub use wheel::EventWheel;

@@ -3,15 +3,15 @@
 //! The paper ran its experiments on ONSP, a parallel discrete-event
 //! platform using MPI across a 16-server cluster. This module provides the
 //! shared-memory analogue: actors are partitioned into shards, each shard
-//! owns a private event queue (an adaptive heap/wheel scheduler, see
-//! [`crate::sched`]), and execution proceeds in synchronised *windows* of
-//! length equal to the *lookahead* — the minimum cross-shard message
-//! latency, i.e. the minimum of the latency matrix for PeerWindow
-//! topologies. Within a window every shard processes its local events
-//! independently; messages to other shards are buffered, handed off in
-//! per-destination batches, and merged in a canonical order, so a run is
-//! **bit-deterministic for any shard and worker count**, and the *set* of
-//! deliveries is identical across shard counts (asserted by tests).
+//! owns a private event queue (the [`crate::sched`] binary heap), and
+//! execution proceeds in synchronised *windows* of length equal to the
+//! *lookahead* — the minimum cross-shard message latency, i.e. the
+//! minimum of the latency matrix for PeerWindow topologies. Within a
+//! window every shard processes its local events independently; messages
+//! to other shards are buffered, handed off in per-destination batches,
+//! and merged in a canonical order, so a run is **bit-deterministic for
+//! any shard and worker count**, and the *set* of deliveries is identical
+//! across shard counts (asserted by tests).
 //!
 //! ## Window protocol
 //!
@@ -57,7 +57,7 @@
 //! message that should have pre-empted work it already did.
 
 use crate::emetrics::EngineMetrics;
-use crate::sched::AdaptiveScheduler;
+use crate::sched::EventQueue;
 use crate::time::SimTime;
 use peerwindow_metrics::runtime::{
     Counter, MetricsSink, RunReport, SampleKind, ShardReport, TimeCat,
@@ -224,7 +224,7 @@ impl Drop for PoisonGuard<'_> {
 
 struct Shard<L: ShardLogic> {
     logic: L,
-    queue: AdaptiveScheduler<(u32, L::Msg)>,
+    queue: EventQueue<(u32, L::Msg)>,
     /// Orders this shard's cross-shard sends within a window.
     send_seq: u64,
     processed: u64,
@@ -384,7 +384,7 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
                 .into_iter()
                 .map(|logic| Shard {
                     logic,
-                    queue: AdaptiveScheduler::new(),
+                    queue: EventQueue::new(),
                     send_seq: 0,
                     processed: 0,
                     outbox: Outbox {
@@ -504,7 +504,7 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
     }
 
     /// Builds the merged wall-clock run report: per-phase time, counters,
-    /// distributions, and per-shard scheduler shape. Empty (all zeros, no
+    /// distributions, and per-shard event counts. Empty (all zeros, no
     /// shard rows) when the `runtime-metrics` feature is compiled out.
     pub fn metrics_report(&self, name: &str) -> RunReport {
         let mut r = RunReport::new(name, self.shards.len() as u64, self.workers as u64);
@@ -512,15 +512,11 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
         for (i, shard) in self.shards.iter().enumerate() {
             shard.stats.fold_into(&mut r);
             if EngineMetrics::ACTIVE && shard.stats.enabled() {
-                let st = shard.queue.stats();
                 r.per_shard.push(ShardReport {
                     shard: i as u64,
                     events: shard.processed,
                     handoff_msgs: shard.stats.get(Counter::HandoffMsgs),
-                    pending: st.pending,
-                    backend: st.backend.name().to_string(),
-                    migrations: st.migrations,
-                    fast_hits: st.fast_hits,
+                    pending: shard.queue.len() as u64,
                 });
             }
         }

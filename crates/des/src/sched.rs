@@ -1,222 +1,63 @@
-//! Adaptive event-queue: binary heap for shallow queues, timing wheel for
-//! deep ones.
+//! The pending-event queue both engines run on: a std [`BinaryHeap`]
+//! ordered by `(timestamp, FIFO insertion sequence)`.
 //!
-//! BENCH_PR4 exposed the cost of committing to a single queue
-//! representation: the hierarchical timing wheel ([`crate::wheel`]) wins
-//! 4.8× on 100k resident timers but loses 5× to a plain binary heap when
-//! the queue is shallow (`seq_ping_1m`, depth 1) — every pop pays the
-//! wheel's cascade bookkeeping to move one event. [`AdaptiveScheduler`]
-//! holds both representations behind one enum and switches by resident
-//! event count with hysteresis:
-//!
-//! * start on the **heap** (O(log n) but with a tiny constant at small n);
-//! * at [`WHEEL_UP`] pending events, migrate everything into a **wheel**
-//!   (O(1) amortised, wins big once n is in the tens of thousands);
-//! * when the queue drains back to [`HEAP_DOWN`], migrate back.
-//!
-//! The thresholds are a 4× apart, so oscillating across the boundary
-//! costs at least `WHEEL_UP - HEAP_DOWN` queue operations between two
-//! O(n log n) migrations — migration cost is amortised to O(log n) per
-//! operation even for adversarial workloads.
-//!
-//! **Ordering is representation-independent.** Events are totally ordered
-//! by `(timestamp, FIFO insertion sequence)` exactly as in both
-//! underlying queues, and migrations preserve that order: heap→wheel
-//! drains the heap in `(at, seq)` order so the wheel's own FIFO counter
-//! reproduces the tie order; wheel→heap pops the wheel in order and
-//! re-stamps ascending sequence numbers. A proptest below drives random
-//! workloads (including forced crossovers in both directions) through the
-//! adaptive queue, a pinned heap, and a pinned wheel, and requires
-//! byte-identical pop sequences — which is what lets the engines swap
-//! representations mid-run without perturbing a single fingerprint.
+//! `seq` is unique per entry, so `(at, seq)` is a total order that never
+//! looks at the payload: two runs that schedule the same events in the
+//! same order pop them in the same order, which is what every
+//! fingerprint in the repo rests on. Schedules are clamped to the time
+//! of the most recent pop, so the clock is monotone.
 
 use crate::time::SimTime;
-use crate::wheel::EventWheel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Pending-event count at which an adaptive queue migrates heap → wheel.
-pub const WHEEL_UP: usize = 4096;
-
-/// Pending-event count at which an adaptive queue migrates wheel → heap.
-/// Kept 4× below [`WHEEL_UP`] so the crossover has hysteresis.
-pub const HEAP_DOWN: usize = 1024;
-
-/// Queue-representation policy for an engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedKind {
-    /// Switch between heap and wheel by resident-event count (default).
-    #[default]
-    Adaptive,
-    /// Always use the binary heap (best for shallow queues).
-    Heap,
-    /// Always use the timing wheel (best for 10⁴+ resident timers).
-    Wheel,
-}
-
-/// Which representation currently holds the pending events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ActiveBackend {
-    /// Events live in the binary heap.
-    Heap,
-    /// Events live in the timing wheel.
-    Wheel,
-}
-
-impl ActiveBackend {
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ActiveBackend::Heap => "heap",
-            ActiveBackend::Wheel => "wheel",
-        }
-    }
-}
-
-/// Point-in-time scheduler shape, surfaced by runtime-metrics reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Pending events.
-    pub pending: u64,
-    /// Representation currently holding them.
-    pub backend: ActiveBackend,
-    /// Heap↔wheel crossover migrations so far.
-    pub migrations: u64,
-    /// Wheel singleton-slot fast-path hits so far.
-    pub fast_hits: u64,
-}
-
-/// A heap entry; the ordering ignores the payload entirely (`seq` is
-/// unique, so `(at, seq)` is a total order).
-struct HeapEntry<E> {
+/// A heap entry; the ordering ignores the payload entirely.
+struct Entry<E> {
     at: u64,
     seq: u64,
     event: E,
 }
 
-impl<E> PartialEq for HeapEntry<E> {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for HeapEntry<E> {
+impl<E> Ord for Entry<E> {
     /// Reversed `(at, seq)` so `BinaryHeap`'s max-heap pops the minimum.
     fn cmp(&self, other: &Self) -> Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-enum Backend<E> {
-    Heap(BinaryHeap<HeapEntry<E>>),
-    // Boxed: the wheel's slot array is ~9 KB, and heap-mode schedulers
-    // (the common shallow-queue case) shouldn't carry it inline.
-    Wheel(Box<EventWheel<E>>),
-}
-
-/// A deterministic `(SimTime, FIFO seq)` priority queue that adapts its
-/// representation to the queue depth. Drop-in replacement for
-/// [`EventWheel`] in both engines; see the module docs for the policy.
-pub struct AdaptiveScheduler<E> {
-    kind: SchedKind,
-    backend: Backend<E>,
-    /// Time of the most recent pop; schedules are clamped to it so the
-    /// clock is monotone across migrations.
+/// A deterministic `(SimTime, FIFO seq)` priority queue.
+pub struct EventQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    /// Time of the most recent pop; schedules are clamped to it.
     now: u64,
-    /// FIFO counter for heap entries (the wheel keeps its own; migrations
-    /// re-stamp, preserving relative order).
+    /// FIFO counter: ties on `at` pop in insertion order.
     seq: u64,
-    migrations: u64,
-    /// Wheel singleton-slot fast-path hits from wheels already retired by
-    /// wheel→heap migrations; the live wheel's count is added on read.
-    fast_hits_base: u64,
 }
 
-impl<E> Default for AdaptiveScheduler<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> AdaptiveScheduler<E> {
-    /// An empty adaptive queue at time zero (heap representation).
+impl<E> EventQueue<E> {
+    /// An empty queue at time zero.
     pub fn new() -> Self {
-        Self::with_kind(SchedKind::Adaptive)
-    }
-
-    /// An empty queue pinned to (or starting under) the given policy.
-    pub fn with_kind(kind: SchedKind) -> Self {
-        let backend = match kind {
-            SchedKind::Adaptive | SchedKind::Heap => Backend::Heap(BinaryHeap::new()),
-            SchedKind::Wheel => Backend::Wheel(Box::default()),
-        };
-        AdaptiveScheduler {
-            kind,
-            backend,
+        EventQueue {
+            heap: BinaryHeap::new(),
             now: 0,
             seq: 0,
-            migrations: 0,
-            fast_hits_base: 0,
-        }
-    }
-
-    /// The queue's representation policy.
-    #[inline]
-    pub fn kind(&self) -> SchedKind {
-        self.kind
-    }
-
-    /// The representation currently holding the events.
-    #[inline]
-    pub fn backend(&self) -> ActiveBackend {
-        match self.backend {
-            Backend::Heap(_) => ActiveBackend::Heap,
-            Backend::Wheel(_) => ActiveBackend::Wheel,
-        }
-    }
-
-    /// Number of representation migrations so far.
-    #[inline]
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Wheel singleton-slot fast-path hits across the queue's lifetime
-    /// (accumulated over migrations; always 0 while pinned to the heap).
-    #[inline]
-    pub fn fast_hits(&self) -> u64 {
-        self.fast_hits_base
-            + match &self.backend {
-                Backend::Heap(_) => 0,
-                Backend::Wheel(w) => w.fast_hits(),
-            }
-    }
-
-    /// A point-in-time snapshot of the queue's shape for runtime-metrics
-    /// reports.
-    pub fn stats(&self) -> SchedStats {
-        SchedStats {
-            pending: self.len() as u64,
-            backend: self.backend(),
-            migrations: self.migrations(),
-            fast_hits: self.fast_hits(),
-        }
-    }
-
-    /// Re-pins the queue to a new policy, migrating the pending events
-    /// immediately if the current representation disagrees. Safe at any
-    /// point: ordering is preserved across the migration.
-    pub fn set_kind(&mut self, kind: SchedKind) {
-        self.kind = kind;
-        match kind {
-            SchedKind::Heap => self.migrate_to_heap(),
-            SchedKind::Wheel => self.migrate_to_wheel(),
-            SchedKind::Adaptive => {}
         }
     }
 
@@ -229,108 +70,42 @@ impl<E> AdaptiveScheduler<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Wheel(w) => w.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn migrate_to_wheel(&mut self) {
-        let Backend::Heap(heap) = &mut self.backend else {
-            return;
-        };
-        // Drain in (at, seq) order: the wheel's own FIFO counter then
-        // reproduces the heap's tie order exactly.
-        let mut entries: Vec<HeapEntry<E>> = std::mem::take(heap).into_vec();
-        entries.sort_unstable_by_key(|e| (e.at, e.seq));
-        let mut wheel = EventWheel::with_now(self.now);
-        for e in entries {
-            wheel.schedule(SimTime(e.at), e.event);
-        }
-        self.backend = Backend::Wheel(Box::new(wheel));
-        self.migrations += 1;
-    }
-
-    fn migrate_to_heap(&mut self) {
-        let Backend::Wheel(wheel) = &mut self.backend else {
-            return;
-        };
-        self.fast_hits_base += wheel.fast_hits();
-        let mut heap = BinaryHeap::with_capacity(wheel.len());
-        // Popping the wheel yields ascending (at, FIFO) order; re-stamping
-        // with ascending fresh seqs preserves it.
-        while let Some((at, event)) = wheel.pop() {
-            self.seq += 1;
-            heap.push(HeapEntry {
-                at: at.as_micros(),
-                seq: self.seq,
-                event,
-            });
-        }
-        self.backend = Backend::Heap(heap);
-        self.migrations += 1;
+        self.heap.is_empty()
     }
 
     /// Schedules `event` at `at` (clamped to `now`), assigning it the next
     /// FIFO position.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let at = at.as_micros().max(self.now);
-        match &mut self.backend {
-            Backend::Heap(h) => {
-                self.seq += 1;
-                h.push(HeapEntry {
-                    at,
-                    seq: self.seq,
-                    event,
-                });
-                if self.kind == SchedKind::Adaptive && h.len() >= WHEEL_UP {
-                    self.migrate_to_wheel();
-                }
-            }
-            Backend::Wheel(w) => w.schedule(SimTime(at), event),
-        }
+        self.seq += 1;
+        self.heap.push(Entry {
+            at: at.as_micros().max(self.now),
+            seq: self.seq,
+            event,
+        });
     }
 
     /// Time of the next pending event without mutating the queue.
     #[inline]
     pub fn peek_min_at(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| SimTime(e.at)),
-            Backend::Wheel(w) => w.peek_min_at(),
-        }
+        self.heap.peek().map(|e| SimTime(e.at))
     }
 
     /// Pops the earliest event if its time is `<= limit`.
     #[inline]
     pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(h) => {
-                let top = h.peek()?;
-                if top.at > limit.as_micros() {
-                    return None;
-                }
-                let e = h.pop().expect("peeked entry must pop");
-                Some((SimTime(e.at), e.event))
-            }
-            Backend::Wheel(w) => w.pop_until(limit),
-        };
-        if let Some((at, _)) = &popped {
-            self.now = at.as_micros();
-            if self.kind == SchedKind::Adaptive
-                && matches!(self.backend, Backend::Wheel(_))
-                && self.len() <= HEAP_DOWN
-            {
-                self.migrate_to_heap();
-            }
+        if self.heap.peek()?.at > limit.as_micros() {
+            return None;
         }
-        popped
+        let e = self.heap.pop().expect("peeked entry must pop");
+        self.now = e.at;
+        Some((SimTime(e.at), e.event))
     }
 
     /// Pops the earliest pending event.
@@ -344,182 +119,98 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn drain(q: &mut AdaptiveScheduler<u32>) -> Vec<(u64, u32)> {
-        let mut got = Vec::new();
-        while let Some((at, ev)) = q.pop() {
-            got.push((at.as_micros(), ev));
-        }
-        got
+    /// Reference queue: a `Vec` kept stable-sorted by time, so ties sit
+    /// in insertion order by construction.
+    struct SortedRef {
+        now: u64,
+        items: Vec<(u64, u32)>,
     }
 
-    #[test]
-    fn ties_pop_in_fifo_order_on_every_backend() {
-        for kind in [SchedKind::Adaptive, SchedKind::Heap, SchedKind::Wheel] {
-            let mut q = AdaptiveScheduler::with_kind(kind);
-            q.schedule(SimTime(50), 1u32);
-            q.schedule(SimTime(10), 2);
-            q.schedule(SimTime(50), 3);
-            q.schedule(SimTime(10), 4);
-            assert_eq!(
-                drain(&mut q),
-                vec![(10, 2), (10, 4), (50, 1), (50, 3)],
-                "{kind:?}"
-            );
+    impl SortedRef {
+        fn schedule(&mut self, at: u64, event: u32) {
+            self.items.push((at.max(self.now), event));
+            self.items.sort_by_key(|&(at, _)| at);
         }
-    }
-
-    #[test]
-    fn adaptive_migrates_up_and_down_with_hysteresis() {
-        let mut q = AdaptiveScheduler::new();
-        assert_eq!(q.backend(), ActiveBackend::Heap);
-        for i in 0..WHEEL_UP as u64 {
-            q.schedule(SimTime(i * 3 + 1), i as u32);
-        }
-        assert_eq!(
-            q.backend(),
-            ActiveBackend::Wheel,
-            "must migrate at {WHEEL_UP}"
-        );
-        assert_eq!(q.migrations(), 1);
-        // Draining down to HEAP_DOWN migrates back exactly once.
-        let mut popped = 0usize;
-        while q.len() > HEAP_DOWN {
-            q.pop().expect("events pending");
-            popped += 1;
-        }
-        assert_eq!(q.backend(), ActiveBackend::Heap);
-        assert_eq!(q.migrations(), 2);
-        assert_eq!(popped, WHEEL_UP - HEAP_DOWN);
-        // The remainder still pops in order.
-        let rest = drain(&mut q);
-        assert_eq!(rest.len(), HEAP_DOWN);
-        assert!(rest.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(q.migrations(), 2, "no further thrashing");
-    }
-
-    #[test]
-    fn pinned_kinds_never_migrate() {
-        for (kind, backend) in [
-            (SchedKind::Heap, ActiveBackend::Heap),
-            (SchedKind::Wheel, ActiveBackend::Wheel),
-        ] {
-            let mut q = AdaptiveScheduler::with_kind(kind);
-            for i in 0..2 * WHEEL_UP as u64 {
-                q.schedule(SimTime(i + 1), i as u32);
+        fn pop_until(&mut self, limit: u64) -> Option<(SimTime, u32)> {
+            if self.items.first()?.0 > limit {
+                return None;
             }
-            assert_eq!(q.backend(), backend);
-            while q.pop().is_some() {}
-            assert_eq!(q.backend(), backend);
-            assert_eq!(q.migrations(), 0);
+            let (at, event) = self.items.remove(0);
+            self.now = at;
+            Some((SimTime(at), event))
         }
     }
 
     #[test]
-    fn set_kind_repins_mid_stream_without_reordering() {
-        let mut reference = AdaptiveScheduler::with_kind(SchedKind::Heap);
-        let mut q = AdaptiveScheduler::with_kind(SchedKind::Heap);
-        for i in 0..1000u64 {
-            let at = SimTime((i * 7919) % 5000);
-            reference.schedule(at, i as u32);
-            q.schedule(at, i as u32);
-        }
-        for _ in 0..100 {
-            assert_eq!(q.pop(), reference.pop());
-        }
-        q.set_kind(SchedKind::Wheel);
-        assert_eq!(q.backend(), ActiveBackend::Wheel);
-        for _ in 0..100 {
-            assert_eq!(q.pop(), reference.pop());
-        }
-        q.set_kind(SchedKind::Heap);
-        assert_eq!(q.backend(), ActiveBackend::Heap);
-        assert_eq!(drain(&mut q), drain(&mut reference));
+    fn ties_pop_in_fifo_order() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(50), 1u32);
+        q.schedule(SimTime(10), 2);
+        q.schedule(SimTime(50), 3);
+        q.schedule(SimTime(10), 4);
+        let got: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|(at, ev)| (at.as_micros(), ev))
+            .collect();
+        assert_eq!(got, vec![(10, 2), (10, 4), (50, 1), (50, 3)]);
+        assert!(q.is_empty());
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random interleavings of schedules and bounded pops — including
-        /// bursts that force heap→wheel crossovers and drains that force
-        /// the way back — pop byte-identically on the adaptive queue, a
-        /// pinned heap, and a pinned wheel.
+        /// Under any interleaving of schedules (ties, near / mid / far /
+        /// 2^45-range deltas, past times that clamp) and bounded pops, the
+        /// queue pops the identical sequence to the sorted-`Vec` reference.
         #[test]
-        fn all_backends_pop_identically(ops in proptest::collection::vec(
-            (0u8..10, any::<u64>()), 1..60usize,
+        fn pops_identically_to_sorted_vec_reference(ops in proptest::collection::vec(
+            (0u8..8, any::<u64>()), 1..200usize,
         )) {
-            let mut adaptive = AdaptiveScheduler::with_kind(SchedKind::Adaptive);
-            let mut heap = AdaptiveScheduler::with_kind(SchedKind::Heap);
-            let mut wheel = AdaptiveScheduler::with_kind(SchedKind::Wheel);
+            let mut q = EventQueue::new();
+            let mut reference = SortedRef { now: 0, items: Vec::new() };
             let mut payload = 0u32;
-            let schedule = |at: u64,
-                                a: &mut AdaptiveScheduler<u32>,
-                                h: &mut AdaptiveScheduler<u32>,
-                                w: &mut AdaptiveScheduler<u32>,
-                                payload: &mut u32| {
-                *payload += 1;
-                a.schedule(SimTime(at), *payload);
-                h.schedule(SimTime(at), *payload);
-                w.schedule(SimTime(at), *payload);
-            };
             for (kind, raw) in ops {
                 match kind {
-                    // A burst big enough to cross WHEEL_UP (with ties and
-                    // spread-out timestamps), forcing an upward migration.
-                    0 => {
-                        for i in 0..(WHEEL_UP as u64 + raw % 64) {
-                            let at = adaptive.now().as_micros()
-                                + (i.wrapping_mul(raw | 1)) % 50_000;
-                            schedule(at, &mut adaptive, &mut heap, &mut wheel, &mut payload);
-                        }
-                    }
-                    // A drain deep enough to cross HEAP_DOWN back down.
-                    1 => {
-                        for _ in 0..(WHEEL_UP + 256) {
-                            let got = adaptive.pop();
-                            prop_assert_eq!(got, heap.pop());
-                            prop_assert_eq!(got, wheel.pop());
-                            if got.is_none() {
-                                break;
-                            }
-                        }
-                    }
-                    // Ordinary schedules: ties, near, mid, far, overflow-range.
-                    2..=6 => {
+                    // Schedule at now + tie / near / mid / far / 2^45 delta.
+                    0..=4 => {
                         let delta = match kind {
-                            2 => raw % 4,
-                            3 => raw % 64,
-                            4 => raw % 100_000,
-                            5 => raw % (1 << 36),
+                            0 => raw % 4,
+                            1 => raw % 64,
+                            2 => raw % 100_000,
+                            3 => raw % (1 << 36),
                             _ => raw % (1 << 45),
                         };
-                        let at = adaptive.now().as_micros().saturating_add(delta);
-                        schedule(at, &mut adaptive, &mut heap, &mut wheel, &mut payload);
+                        payload += 1;
+                        let at = q.now().as_micros().saturating_add(delta);
+                        q.schedule(SimTime(at), payload);
+                        reference.schedule(at, payload);
                     }
-                    // Absolute (possibly past) times: all three clamp alike.
-                    7 => {
+                    // Schedule at an absolute (possibly past) time: clamps.
+                    5 => {
+                        payload += 1;
                         let at = raw % 200_000;
-                        schedule(at, &mut adaptive, &mut heap, &mut wheel, &mut payload);
+                        q.schedule(SimTime(at), payload);
+                        reference.schedule(at, payload);
                     }
-                    // Bounded pops.
+                    // Pop a bounded batch.
                     _ => {
-                        let limit = adaptive
-                            .peek_min_at()
-                            .map_or(0, |t| t.as_micros().saturating_add(raw % 5_000));
+                        let head = reference.items.first().map(|&(at, _)| at);
+                        prop_assert_eq!(q.peek_min_at(), head.map(SimTime));
+                        let limit = head.map_or(0, |at| at.saturating_add(raw % 5_000));
                         for _ in 0..(raw % 8 + 1) {
-                            let got = adaptive.pop_until(SimTime(limit));
-                            prop_assert_eq!(got, heap.pop_until(SimTime(limit)));
-                            prop_assert_eq!(got, wheel.pop_until(SimTime(limit)));
+                            prop_assert_eq!(
+                                q.pop_until(SimTime(limit)),
+                                reference.pop_until(limit)
+                            );
                         }
                     }
                 }
-                prop_assert_eq!(adaptive.len(), heap.len());
-                prop_assert_eq!(adaptive.len(), wheel.len());
+                prop_assert_eq!(q.len(), reference.items.len());
+                prop_assert_eq!(q.now().as_micros(), reference.now);
             }
-            // Full drain must agree to the last event.
+            // Drain: full order must match exactly.
             loop {
-                let got = adaptive.pop();
-                prop_assert_eq!(got, heap.pop());
-                prop_assert_eq!(got, wheel.pop());
+                let got = q.pop();
+                prop_assert_eq!(got, reference.pop_until(u64::MAX));
                 if got.is_none() {
                     break;
                 }

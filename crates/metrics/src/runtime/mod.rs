@@ -3,9 +3,9 @@
 //! Everything else in `peerwindow-metrics` measures *simulated* quantities
 //! — protocol counters, sim-time latencies, per-level tables. This module
 //! is the complementary layer: where does every wall-clock microsecond of
-//! an engine run go? Barrier waits, scheduler migrations, cross-shard
-//! handoff, event execution — the attribution a scaling investigation
-//! needs before it can blame anything.
+//! an engine run go? Barrier waits, cross-shard handoff, event execution
+//! — the attribution a scaling investigation needs before it can blame
+//! anything.
 //!
 //! The design mirrors the trace layer's compiled-out discipline
 //! (`peerwindow_trace::TraceSink`):

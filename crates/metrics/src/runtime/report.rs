@@ -19,12 +19,6 @@ pub struct ShardReport {
     pub handoff_msgs: u64,
     /// Events still pending at report time.
     pub pending: u64,
-    /// Active scheduler backend (`heap` / `wheel`).
-    pub backend: String,
-    /// Wheel↔heap crossover migrations.
-    pub migrations: u64,
-    /// Singleton-slot wheel fast-path hits.
-    pub fast_hits: u64,
 }
 
 /// A merged wall-clock report for one engine run: total time per
@@ -223,24 +217,13 @@ impl RunReport {
         out.push_str(&dist.to_markdown());
 
         if !self.per_shard.is_empty() {
-            let mut tbl = Table::new(vec![
-                "shard",
-                "events",
-                "handoff",
-                "pending",
-                "backend",
-                "migrations",
-                "fast_hits",
-            ]);
+            let mut tbl = Table::new(vec!["shard", "events", "handoff", "pending"]);
             for s in self.top_shards(top) {
                 tbl.row(vec![
                     s.shard.to_string(),
                     s.events.to_string(),
                     s.handoff_msgs.to_string(),
                     s.pending.to_string(),
-                    s.backend.clone(),
-                    s.migrations.to_string(),
-                    s.fast_hits.to_string(),
                 ]);
             }
             out.push('\n');
@@ -288,14 +271,8 @@ impl RunReport {
         }
         for s in &self.per_shard {
             out.push_str(&format!(
-                "{{\"rec\":\"shard\",\"shard\":{},\"events\":{},\"handoff_msgs\":{},\"pending\":{},\"backend\":\"{}\",\"migrations\":{},\"fast_hits\":{}}}\n",
-                s.shard,
-                s.events,
-                s.handoff_msgs,
-                s.pending,
-                escape_json(&s.backend),
-                s.migrations,
-                s.fast_hits
+                "{{\"rec\":\"shard\",\"shard\":{},\"events\":{},\"handoff_msgs\":{},\"pending\":{}}}\n",
+                s.shard, s.events, s.handoff_msgs, s.pending
             ));
         }
         out.push_str("{\"rec\":\"end\"}\n");
@@ -456,9 +433,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<RunReport>, String> {
                     events: u64_field(line, "events").map_err(err)?,
                     handoff_msgs: u64_field(line, "handoff_msgs").map_err(err)?,
                     pending: u64_field(line, "pending").map_err(err)?,
-                    backend: str_field(line, "backend").map_err(err)?,
-                    migrations: u64_field(line, "migrations").map_err(err)?,
-                    fast_hits: u64_field(line, "fast_hits").map_err(err)?,
                 });
             }
             "end" => {
@@ -549,18 +523,12 @@ mod tests {
             events: 80,
             handoff_msgs: 9,
             pending: 0,
-            backend: "wheel".to_string(),
-            migrations: 1,
-            fast_hits: 40,
         });
         r.per_shard.push(ShardReport {
             shard: 1,
             events: 40,
             handoff_msgs: 0,
             pending: 2,
-            backend: "heap".to_string(),
-            migrations: 0,
-            fast_hits: 0,
         });
         r
     }
@@ -621,10 +589,13 @@ mod tests {
         let out = r.render(1);
         assert!(out.contains("barrier_wait"));
         assert!(
-            out.contains("wheel"),
+            out.contains("| 0     | 80 "),
             "top-1 keeps the busiest shard:\n{out}"
         );
-        assert!(!out.contains("heap"), "top-1 drops the idle shard:\n{out}");
+        assert!(
+            !out.contains("| 1     | 40 "),
+            "top-1 drops the idle shard:\n{out}"
+        );
     }
 
     #[test]

@@ -8,14 +8,13 @@
 //! Memory is O(Σ peer-list sizes), so use it for populations up to a few
 //! thousand; the oracle mode covers the 100,000-node experiments.
 //!
-//! Events sit on the sequential engine's hierarchical timing wheel
-//! (`peerwindow_des::EventWheel`), so scheduling cost is O(1) amortised
-//! regardless of how many timers and deliveries are in flight. The
-//! protocol step itself is [`crate::world`]'s, shared with
-//! [`crate::parallel_full`], which shards the same world across a
-//! `ParallelEngine` for multi-core runs. What is this harness's own: nodes
-//! spawn synchronously off a random live bootstrap, departed machines are
-//! reaped from their slots, and the digest is order-sensitive.
+//! Events sit on the sequential engine's `(time, FIFO)` binary heap
+//! (`peerwindow_des::EventQueue`). The protocol step itself is
+//! [`crate::world`]'s, shared with [`crate::parallel_full`], which shards
+//! the same world across a `ParallelEngine` for multi-core runs. What is
+//! this harness's own: nodes spawn synchronously off a random live
+//! bootstrap, departed machines are reaped from their slots, and the
+//! digest is order-sensitive.
 
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
