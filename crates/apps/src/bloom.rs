@@ -44,12 +44,23 @@ pub struct BloomProbe {
     pub h2: u64,
 }
 
-fn probe_hits(bits: &[u8], k: u32, probe: BloomProbe) -> bool {
-    let m = (bits.len() * 8) as u64;
-    (0..k as u64).all(|i| {
-        let bit = probe.h1.wrapping_add(i.wrapping_mul(probe.h2)) % m;
-        bits[(bit / 8) as usize] & (1 << (bit % 8)) != 0
+/// The `k` `(byte, mask)` positions `probe` tests in a filter of `m`
+/// bytes. They depend on `(k, m)` alone, so a sweep over many filters of
+/// one shape computes them once.
+pub(crate) fn probe_positions(
+    probe: BloomProbe,
+    k: u32,
+    m: usize,
+) -> impl Iterator<Item = (usize, u8)> {
+    let m_bits = (m * 8) as u64;
+    (0..k as u64).map(move |i| {
+        let bit = probe.h1.wrapping_add(i.wrapping_mul(probe.h2)) % m_bits;
+        ((bit / 8) as usize, 1 << (bit % 8))
     })
+}
+
+fn probe_hits(bits: &[u8], k: u32, probe: BloomProbe) -> bool {
+    probe_positions(probe, k, bits.len()).all(|(byte, mask)| bits[byte] & mask != 0)
 }
 
 /// A zero-copy view over a serialized filter (`k:u8` + bits), for
@@ -78,6 +89,11 @@ impl<'a> BloomView<'a> {
     /// Number of hash probes.
     pub fn k(&self) -> u32 {
         self.k
+    }
+
+    /// The filter's bit array (the bytes after the `k` byte).
+    pub fn bits(&self) -> &'a [u8] {
+        self.bits
     }
 
     /// Whether the probed item is *possibly* present. Identical result to

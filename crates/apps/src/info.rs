@@ -51,8 +51,10 @@ pub struct InfoMap {
 
 impl InfoMap {
     /// Empty map.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        InfoMap {
+            fields: BTreeMap::new(),
+        }
     }
 
     /// Sets a counter field.

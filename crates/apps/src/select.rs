@@ -36,12 +36,17 @@ pub fn find_partners<'a>(
 }
 
 /// The `k` pointers with the smallest value of `key` (load balancing,
-/// cheapest-bid selection). Pointers without the field are skipped.
+/// cheapest-bid selection), equal values in id order. Pointers without
+/// the field are skipped, and so are those advertising a NaN: it is not
+/// a measurement, and one NaN among the keys leaves `sort_by` without
+/// the total order it panics for want of.
 pub fn k_smallest_by<'a>(list: &'a PeerList, key: &str, k: usize) -> Vec<&'a Pointer> {
     let mut scored: Vec<(f64, &Pointer)> = list
         .iter()
         .filter_map(|p| info_of(p).get_f64(key).map(|v| (v, p)))
+        .filter(|(v, _)| !v.is_nan())
         .collect();
+    // Stable over an id-ordered scan: ties (±0.0 included) keep id order.
     scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
     scored.into_iter().take(k).map(|(_, p)| p).collect()
 }
@@ -125,6 +130,36 @@ mod tests {
         let picks = k_smallest_by(&l, "load", 2);
         let ids: Vec<u128> = picks.iter().map(|p| p.id.raw()).collect();
         assert_eq!(ids, vec![2, 3]);
+    }
+
+    #[test]
+    fn k_smallest_skips_nan_and_ties_by_id() {
+        // 60 peers: id 7 advertises NaN (rustc >= 1.81's sort_by panics
+        // on the non-total order it used to cause), ids 20 and 21 tie at
+        // -0.0 / +0.0 below everyone else's positive load.
+        let l = list_with(
+            (1..=60u128)
+                .map(|id| {
+                    let load = match id {
+                        7 => f64::NAN,
+                        20 => -0.0,
+                        21 => 0.0,
+                        _ => ((id * 37) % 61) as f64 + 1.0,
+                    };
+                    (id, 0, os_info("a", load))
+                })
+                .collect(),
+        );
+        let picks = k_smallest_by(&l, "load", 100);
+        let all: Vec<u128> = picks.iter().map(|p| p.id.raw()).collect();
+        assert_eq!(all.len(), 59);
+        assert!(!all.contains(&7));
+        assert_eq!(all[..2], [20, 21]);
+        let loads: Vec<f64> = picks
+            .iter()
+            .map(|p| info_of(p).get_f64("load").unwrap())
+            .collect();
+        assert!(loads.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -109,6 +109,11 @@ enum Attachment {
     /// A bloom filter over `docs.len()` synthetic documents, where each
     /// element is a document index into a shared universe.
     Filter { docs: Vec<u8>, fp_millis: u8 },
+    /// A filter of one of three fixed `(k, m)` shapes, so that a list
+    /// holds several filters per shape, interleaved in id order with the
+    /// other shapes (the batched path sweeps one packed group per shape
+    /// and has to put the hits back in id order).
+    Shaped { docs: Vec<u8>, shape: u8 },
     /// Undecodable bytes (foreign attachment rot).
     Garbage(Vec<u8>),
     /// No attachment at all.
@@ -116,9 +121,16 @@ enum Attachment {
 }
 
 fn arb_attachment() -> impl Strategy<Value = Attachment> {
+    let shaped = || {
+        (proptest::collection::vec(any::<u8>(), 0..12), 0u8..3)
+            .prop_map(|(docs, shape)| Attachment::Shaped { docs, shape })
+    };
     prop_oneof![
         (proptest::collection::vec(any::<u8>(), 0..12), 1u8..=100u8)
             .prop_map(|(docs, fp_millis)| Attachment::Filter { docs, fp_millis }),
+        // Twice: two in five attachments share one of the three shapes.
+        shaped(),
+        shaped(),
         proptest::collection::vec(any::<u8>(), 0..6).prop_map(Attachment::Garbage),
         Just(Attachment::Empty),
     ]
@@ -134,6 +146,14 @@ fn build_list(attachments: &[Attachment]) -> PeerList {
         let bytes = match a {
             Attachment::Filter { docs, fp_millis } => {
                 let mut f = Bloom::for_items(docs.len().max(1), *fp_millis as f64 / 1000.0);
+                for &d in docs {
+                    f.insert(doc_name(d).as_bytes());
+                }
+                f.to_bytes()
+            }
+            Attachment::Shaped { docs, shape } => {
+                let (bytes, k) = [(8, 3), (39, 7), (1, 1)][*shape as usize];
+                let mut f = Bloom::new(bytes, k);
                 for &d in docs {
                     f.insert(doc_name(d).as_bytes());
                 }
@@ -159,10 +179,11 @@ proptest! {
     /// The PR's batched bloom evaluation — one precomputed probe swept
     /// across every bloom-bearing pointer of a prepared snapshot — must
     /// return exactly what the per-pointer decode-then-test path
-    /// returns, on any mix of filters, garbage, and empty attachments.
+    /// returns, on any mix of filters (of sized and of fixed, repeated
+    /// `(k, m)` shapes), garbage, and empty attachments.
     #[test]
     fn batched_holders_equals_per_pointer_path(
-        attachments in proptest::collection::vec(arb_attachment(), 0..24),
+        attachments in proptest::collection::vec(arb_attachment(), 0..32),
         query_doc in any::<u8>(),
     ) {
         let list = build_list(&attachments);
@@ -199,7 +220,7 @@ proptest! {
         // No false negatives end to end: every pointer whose filter
         // actually holds the queried document is in the result.
         for (slot, a) in attachments.iter().enumerate() {
-            if let Attachment::Filter { docs, .. } = a {
+            if let Attachment::Filter { docs, .. } | Attachment::Shaped { docs, .. } = a {
                 if docs.contains(&query_doc) {
                     let id = 1 + slot as u128;
                     prop_assert!(

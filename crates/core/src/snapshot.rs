@@ -164,9 +164,15 @@ impl PeerSnapshot {
     /// so thin embedders (the transport control port) can serve it
     /// without the application-layer query engine.
     pub fn strongest(&self, k: usize) -> Vec<&Pointer> {
+        let key = |p: &&Pointer| (p.level.value(), p.id);
         let mut all: Vec<&Pointer> = self.pointers.iter().collect();
-        all.sort_by_key(|p| (p.level.value(), p.id));
-        all.truncate(k);
+        // Partition out the k smallest in O(n), then sort only those
+        // (keys are unique, so the unstable sorts are deterministic).
+        if k < all.len() {
+            all.select_nth_unstable_by_key(k, key);
+            all.truncate(k);
+        }
+        all.sort_unstable_by_key(key);
         all
     }
 
@@ -530,6 +536,28 @@ mod tests {
         );
         let ids: Vec<u128> = snap.strongest(3).iter().map(|p| p.id.raw()).collect();
         assert_eq!(ids, vec![20, 40, 30]);
+    }
+
+    #[test]
+    fn strongest_handles_every_budget() {
+        let mut list = PeerList::new(Prefix::EMPTY);
+        for i in 0..200u128 {
+            list.insert(ptr(i * 7 + 1, ((i * 13) % 6) as u8));
+        }
+        let snap = PeerSnapshot::capture(
+            1,
+            0,
+            NodeIdentity::new(NodeId(0), Level::new(0)),
+            Addr(0),
+            &list,
+        );
+        let mut want: Vec<&Pointer> = snap.pointers().iter().collect();
+        want.sort_by_key(|p| (p.level.value(), p.id));
+        assert!(snap.strongest(0).is_empty());
+        for k in [1, 2, 17, 199, 200, 201, usize::MAX] {
+            assert_eq!(snap.strongest(k), want[..k.min(200)], "k = {k}");
+        }
+        assert!(PeerSnapshot::empty().strongest(3).is_empty());
     }
 
     #[test]
