@@ -9,6 +9,11 @@
 //! sender's shard, the same scenario + seed prints the same fingerprint
 //! at any `--shards` value — CI diffs a 1-shard against a 4-shard run.
 //!
+//! `--profile FILE` turns the engine's wall-clock metering on for the
+//! run and writes its `RunReport` (barrier waits, handoff volume, window
+//! shapes, per-shard rows) as JSONL for `pwstat`. Metering only
+//! observes: the fingerprint is the same with and without it.
+//!
 //! Exit status: 0 when every assertion holds, 1 on an assertion failure,
 //! 2 on a usage error.
 //!
@@ -39,7 +44,7 @@ const SCENARIOS: &[&str] = &[
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pwchaos <scenario> [--shards N] [--nodes N] [--seed N] [--trace FILE] [--fingerprint-only]\n\
+        "usage: pwchaos <scenario> [--shards N] [--nodes N] [--seed N] [--trace FILE] [--profile FILE] [--fingerprint-only]\n\
          \n\
          scenarios: {}\n\
          \n\
@@ -66,6 +71,7 @@ struct Opts {
     nodes: u32,
     seed: u64,
     trace_out: Option<String>,
+    profile_out: Option<String>,
     fingerprint_only: bool,
 }
 
@@ -84,6 +90,7 @@ fn main() {
         nodes: 48,
         seed: 7,
         trace_out: None,
+        profile_out: None,
         fingerprint_only: false,
     };
     let mut it = args[1..].iter();
@@ -93,6 +100,7 @@ fn main() {
             "--nodes" => opts.nodes = parse_num("--nodes", it.next()),
             "--seed" => opts.seed = parse_num("--seed", it.next()),
             "--trace" => opts.trace_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--profile" => opts.profile_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--fingerprint-only" => opts.fingerprint_only = true,
             _ => usage(),
         }
@@ -165,6 +173,9 @@ fn base_world(opts: &Opts) -> ParallelFullSim {
     );
     if opts.trace_out.is_some() {
         sim.enable_tracing(true);
+    }
+    if opts.profile_out.is_some() {
+        sim.enable_runtime_metrics(true);
     }
     let seed_id = NodeId(0x0123_4567_89AB_CDEF_0011_2233_4455_6677);
     sim.start_node(SimTime::ZERO, 0, seed_id, 1e9, Bytes::new(), None);
@@ -305,6 +316,19 @@ fn run(opts: &Opts) {
         });
         if !opts.fingerprint_only {
             println!("{path}: {} records", log.len());
+        }
+    }
+    if let Some(path) = &opts.profile_out {
+        let report = sim.runtime_metrics_report(&format!("{}_{}", opts.scenario, opts.shards));
+        std::fs::write(path, report.to_jsonl()).unwrap_or_else(|e| {
+            eprintln!("{path}: {e}");
+            exit(1)
+        });
+        if !opts.fingerprint_only {
+            println!(
+                "{path}: {:.1} ms of engine wall-clock attributed",
+                report.total_time_ns() as f64 / 1e6
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! `pwstat` — render runtime-metrics reports from the command line.
 //!
-//! Input is the JSONL written by `perfbaseline --profile-out` (or any
+//! Input is the JSONL written by `pwchaos --profile` (or any
 //! [`RunReport::to_jsonl`] export): one self-contained record stream per
 //! run, ending in `{"rec":"end"}`. Subcommands:
 //!

@@ -1,4 +1,4 @@
-//! The pwquery serving engine: high-QPS queries over published snapshots.
+//! The serving engine: high-QPS queries over published snapshots.
 //!
 //! [`select`](crate::select) answers the paper's §1/§3 queries directly
 //! against a [`PeerList`](peerwindow_core::peer_list::PeerList) — correct,

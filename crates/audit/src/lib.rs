@@ -731,7 +731,7 @@ mod tests {
         for path in [
             "crates/faults/src/model.rs",
             "crates/sim/src/full.rs",
-            "crates/bench/src/bin/perfbaseline.rs",
+            "crates/bench/tests/faults_overhead.rs",
             "crates/apps/src/bin/pwchaos.rs",
         ] {
             assert!(

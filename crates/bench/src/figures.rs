@@ -1,8 +1,8 @@
 //! One function per §5 figure.
 //!
 //! Every function takes a [`Scale`] so the same code serves the
-//! full-scale `experiments` binary and the quick criterion benches, and
-//! returns both a [`Table`] (written to `results/<id>.csv`) and the raw
+//! `experiments` binary at full scale and under `--quick`, and returns
+//! both a [`Table`] (written to `results/<id>.csv`) and the raw
 //! report(s) for assertions.
 
 use peerwindow_metrics::{fmt_f64, Table};
@@ -10,7 +10,7 @@ use peerwindow_sim::oracle::{run_oracle, OracleConfig};
 use peerwindow_sim::report::OracleReport;
 
 /// Run scale: full reproduces the paper's parameters; quick shrinks the
-/// population and windows for benches and CI.
+/// population and windows for `experiments --quick` and tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Paper-scale populations (figures 5–8: 100,000 nodes).

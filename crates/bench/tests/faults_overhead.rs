@@ -1,6 +1,6 @@
 //! Asserts the fault-injection layer's zero-fault cost on a full
-//! protocol run is noise-level: perfbaseline's `faults_zero_loss` shape,
-//! scaled down so it finishes quickly.
+//! protocol run is noise-level, on a scenario small enough to finish
+//! quickly.
 //!
 //! Two configurations on identical seeded scenarios: no fault model
 //! installed (faults `None`, one branch per send), and an installed

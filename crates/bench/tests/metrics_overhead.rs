@@ -1,6 +1,5 @@
 //! Asserts the runtime-metrics layer's cost on the resident-timer
-//! workload: perfbaseline's shape, scaled down so it finishes quickly
-//! under the debug profile.
+//! workload, at a size that finishes quickly under the debug profile.
 //!
 //! Two distinct configurations, with separate gates:
 //!

@@ -1,6 +1,6 @@
 //! Asserts the tracing layer's off-path cost on the resident-timer
-//! workload is noise-level: perfbaseline's `trace_resident_1m` shape,
-//! scaled down so it finishes quickly under the debug profile.
+//! workload is noise-level, at a size that finishes quickly under the
+//! debug profile.
 //!
 //! Two distinct "off" configurations, with separate gates:
 //!
@@ -48,7 +48,7 @@ impl Simulation for Plain {
 }
 
 /// The traced workload, generic over the sink so each configuration is a
-/// separate monomorphisation (mirrors `perfbaseline::TracedResident`).
+/// separate monomorphisation.
 struct Resident<T: TraceSink> {
     left: u64,
     trace: T,

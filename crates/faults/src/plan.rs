@@ -8,9 +8,8 @@ pub enum NodeSel {
     All,
     /// Exactly one node.
     One(u32),
-    /// Nodes whose `actor % key_mod` lands in `domains` — the same
-    /// affinity key `StubAffineShardMap` uses, so a partition can be cut
-    /// along stub-domain boundaries.
+    /// Nodes whose `actor % key_mod` lands in `domains`, so a partition
+    /// can be cut along stub-domain boundaries.
     Domain {
         /// Modulus for the domain key.
         key_mod: u32,

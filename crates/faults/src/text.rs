@@ -1,7 +1,7 @@
 //! A line-based text serialization for [`FaultPlan`]s.
 //!
-//! The vendored `serde`/`serde_json` are empty stubs (this workspace
-//! builds offline), and the crate must stay dependency-free, so the
+//! The workspace builds offline with no JSON crate (the vendored `serde`
+//! is an empty stub), and the crate must stay dependency-free, so the
 //! plan-file format is hand-rolled: one declaration per line, `#`
 //! comments and blank lines ignored.
 //!

@@ -4,10 +4,9 @@
 //! The audit lint's `wall-clock` rule allows `Instant::now` only under
 //! `crates/metrics/src/runtime` (plus the inherently wall-clock
 //! transport/bench crates), so engine code cannot acquire a timestamp
-//! except through [`Stopwatch`] / [`Profiler`] — and those only *record*
-//! durations; nothing here can feed time back into scheduling.
+//! except through [`Stopwatch`] — and that only *records* durations;
+//! nothing here can feed time back into scheduling.
 
-use std::cell::RefCell;
 use std::time::Instant;
 
 /// A lap timer: `mark` stamps an origin, `lap_ns` returns the elapsed
@@ -40,69 +39,6 @@ impl Stopwatch {
     }
 }
 
-/// A phase-scoped wall-clock profiler for harness code (perfbaseline,
-/// CLIs): open a [`ProfSpan`] around each named phase, read the merged
-/// per-phase totals at the end. Phases keep first-open order; reopening
-/// a name accumulates into the same entry. Single-threaded by design
-/// (interior mutability via `RefCell`), which is all the harnesses need.
-#[derive(Debug, Default)]
-pub struct Profiler {
-    phases: RefCell<Vec<(String, u64)>>,
-}
-
-impl Profiler {
-    /// An empty profiler.
-    pub fn new() -> Self {
-        Profiler::default()
-    }
-
-    /// Opens an RAII span; the elapsed time is attributed to `name`
-    /// when the span drops.
-    pub fn span(&self, name: &str) -> ProfSpan<'_> {
-        ProfSpan {
-            prof: self,
-            name: name.to_string(),
-            t0: Instant::now(),
-        }
-    }
-
-    /// Adds `ns` to phase `name` directly.
-    pub fn add_ns(&self, name: &str, ns: u64) {
-        let mut phases = self.phases.borrow_mut();
-        if let Some(entry) = phases.iter_mut().find(|(n, _)| n == name) {
-            entry.1 += ns;
-        } else {
-            phases.push((name.to_string(), ns));
-        }
-    }
-
-    /// Merged `(phase, total_ns)` pairs in first-open order.
-    pub fn report(&self) -> Vec<(String, u64)> {
-        self.phases.borrow().clone()
-    }
-
-    /// Total nanoseconds across all phases.
-    pub fn total_ns(&self) -> u64 {
-        self.phases.borrow().iter().map(|(_, ns)| ns).sum()
-    }
-}
-
-/// RAII guard from [`Profiler::span`]: attributes its lifetime's
-/// wall-clock duration to the named phase on drop.
-#[derive(Debug)]
-pub struct ProfSpan<'a> {
-    prof: &'a Profiler,
-    name: String,
-    t0: Instant,
-}
-
-impl Drop for ProfSpan<'_> {
-    fn drop(&mut self) {
-        let ns = self.t0.elapsed().as_nanos() as u64;
-        self.prof.add_ns(&self.name, ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,29 +53,5 @@ mod tests {
         let b = w.lap_ns();
         // The second lap only covers the instant between the two calls.
         assert!(b <= a + 1_000_000, "lap origin must restamp ({a} vs {b})");
-    }
-
-    #[test]
-    fn profiler_merges_reopened_phases_in_first_open_order() {
-        let p = Profiler::new();
-        p.add_ns("load", 10);
-        p.add_ns("run", 5);
-        p.add_ns("load", 7);
-        assert_eq!(
-            p.report(),
-            vec![("load".to_string(), 17), ("run".to_string(), 5)]
-        );
-        assert_eq!(p.total_ns(), 22);
-    }
-
-    #[test]
-    fn span_attributes_on_drop() {
-        let p = Profiler::new();
-        {
-            let _s = p.span("phase");
-            std::hint::black_box((0..1000).sum::<u64>());
-        }
-        assert_eq!(p.report().len(), 1);
-        assert_eq!(p.report()[0].0, "phase");
     }
 }

@@ -37,7 +37,7 @@ pub mod clock;
 pub mod prom;
 pub mod report;
 
-pub use clock::{ProfSpan, Profiler, Stopwatch};
+pub use clock::Stopwatch;
 pub use prom::{escape_label, render_counters};
 pub use report::{parse_jsonl, prometheus, RunReport, ShardReport};
 

@@ -7,6 +7,7 @@ use super::prom::{escape_label, render_counters};
 use super::{Counter, SampleKind, TimeCat, GROUPS};
 use crate::histogram::LogHistogram;
 use crate::table::Table;
+use peerwindow_trace::json::{self, JVal};
 
 /// Per-shard breakdown attached to a [`RunReport`].
 #[derive(Clone, Debug, PartialEq)]
@@ -238,30 +239,30 @@ impl RunReport {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"rec\":\"run\",\"name\":\"{}\",\"shards\":{},\"workers\":{}}}\n",
-            escape_json(&self.name),
+            "{{\"rec\":\"run\",\"name\":{},\"shards\":{},\"workers\":{}}}\n",
+            json_str(&self.name),
             self.shards,
             self.workers
         ));
         for (cat, ns) in &self.time_ns {
             out.push_str(&format!(
-                "{{\"rec\":\"time\",\"cat\":\"{}\",\"ns\":{}}}\n",
-                escape_json(cat),
+                "{{\"rec\":\"time\",\"cat\":{},\"ns\":{}}}\n",
+                json_str(cat),
                 ns
             ));
         }
         for (name, v) in &self.counters {
             out.push_str(&format!(
-                "{{\"rec\":\"ctr\",\"name\":\"{}\",\"v\":{}}}\n",
-                escape_json(name),
+                "{{\"rec\":\"ctr\",\"name\":{},\"v\":{}}}\n",
+                json_str(name),
                 v
             ));
         }
         for (name, h) in &self.hists {
             let counts: Vec<String> = h.bucket_counts().iter().map(|c| c.to_string()).collect();
             out.push_str(&format!(
-                "{{\"rec\":\"hist\",\"name\":\"{}\",\"min\":{},\"base\":{},\"underflow\":{},\"overflow\":{},\"counts\":[{}]}}\n",
-                escape_json(name),
+                "{{\"rec\":\"hist\",\"name\":{},\"min\":{},\"base\":{},\"underflow\":{},\"overflow\":{},\"counts\":[{}]}}\n",
+                json_str(name),
                 h.min(),
                 h.base(),
                 h.underflow(),
@@ -280,22 +281,10 @@ impl RunReport {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            if let Some(n) = chars.next() {
-                out.push(n);
-            }
-        } else {
-            out.push(c);
-        }
-    }
+/// `s` as a JSON string literal, quotes included.
+fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    json::write_str(&mut out, s);
     out
 }
 
@@ -310,7 +299,13 @@ fn str_field(line: &str, key: &str) -> Result<String, String> {
     while i < bytes.len() {
         match bytes[i] {
             b'\\' => i += 2,
-            b'"' => return Ok(unescape_json(&line[start..i])),
+            b'"' => {
+                // The literal, both quotes included.
+                return match json::parse(&line[start - 1..=i]) {
+                    Ok(JVal::Str(s)) => Ok(s),
+                    other => Err(format!("bad string field {key:?} in {line:?}: {other:?}")),
+                };
+            }
             _ => i += 1,
         }
     }
@@ -561,6 +556,22 @@ mod tests {
             text,
             "export must be an exact inverse"
         );
+    }
+
+    /// Names are written as JSON string literals, so one holding a
+    /// quote, a backslash, a newline, a tab, a control byte or a
+    /// multi-byte char still makes one record per line and reads back
+    /// unchanged — in the run, counter and histogram name positions.
+    #[test]
+    fn jsonl_round_trips_names_that_need_escaping() {
+        let odd = "a\"b\\c\nd\te\u{1}é✓";
+        let mut r = RunReport::new(odd, 1, 1);
+        r.add_counter(odd, 3);
+        r.merge_hist(odd, &LogHistogram::new(1.0, 2.0));
+        let text = r.to_jsonl();
+        let parsed = parse_jsonl(&text).expect("parse");
+        assert_eq!(parsed, vec![r]);
+        assert_eq!(parsed[0].to_jsonl(), text);
     }
 
     #[test]

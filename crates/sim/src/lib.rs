@@ -11,8 +11,7 @@
 //!   100,000-node runs fit in one machine's memory; multicast trees are
 //!   planned per event and accounted analytically.
 //! * [`parallel_full`] — full fidelity on the *parallel* engine: shards
-//!   of real machines under barrier-synchronised windows, with pluggable
-//!   actor placement (modulo or topology-affine shard maps).
+//!   of real machines under barrier-synchronised windows.
 //! * `world` (private) — the one protocol step both full-fidelity
 //!   harnesses drive: the machines, the crate's only interpreter of
 //!   `Output`, the latency → fault-verdict send path, trace draining and
@@ -37,6 +36,6 @@ mod world;
 pub use directory::Directory;
 pub use full::{FullLog, FullSim};
 pub use oracle::{run_oracle, NetworkConfig, OracleConfig};
-pub use parallel_full::{ParallelFullSim, StubAffineShardMap};
+pub use parallel_full::ParallelFullSim;
 pub use peerwindow_des::runtime_metrics_active;
 pub use report::{LevelRow, OracleReport};

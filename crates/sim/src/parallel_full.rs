@@ -19,45 +19,11 @@
 
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
-use peerwindow_des::{ModuloShardMap, Outbox, ParallelEngine, ShardLogic, ShardMap, SimTime};
+use peerwindow_des::{Outbox, ParallelEngine, ShardLogic, SimTime};
 use peerwindow_faults::{FaultCounters, FaultPlan};
-use peerwindow_topology::{NetworkModel, TransitStubNetwork};
+use peerwindow_topology::NetworkModel;
 
 use crate::world::{self, Event, World};
-
-/// Topology-affine actor placement: overlay addresses whose stub nodes
-/// share a transit-stub *domain* land in the same shard, so the bulk of
-/// intra-domain chatter stays shard-local and the barrier merge carries
-/// only inter-domain traffic. Falls back to spreading domains round-robin
-/// when there are more domains than shards.
-///
-/// The map is a pure function of `(actor, shards)` captured from the
-/// network at construction — cheap to copy into worker threads, and the
-/// simulation outcome stays invariant (asserted by tests) because shard
-/// placement never affects delivery timestamps, only where work runs.
-#[derive(Clone, Copy, Debug)]
-pub struct StubAffineShardMap {
-    stub_count: u32,
-    stubs_per_domain: u32,
-}
-
-impl StubAffineShardMap {
-    /// Captures the stub/domain layout of `net`.
-    pub fn new(net: &TransitStubNetwork) -> Self {
-        StubAffineShardMap {
-            stub_count: net.stub_count(),
-            stubs_per_domain: net.stubs_per_domain(),
-        }
-    }
-}
-
-impl ShardMap for StubAffineShardMap {
-    #[inline]
-    fn shard_of(&self, actor: u32, shards: usize) -> usize {
-        let domain = (actor % self.stub_count) / self.stubs_per_domain;
-        domain as usize % shards
-    }
-}
 
 /// Deterministic per-(src, dst) latency jitter, identical in every shard
 /// layout: base + hash(src, dst) mod 1000 µs, floored at the lookahead —
@@ -125,20 +91,17 @@ impl ShardLogic for Shard {
 
 /// A convenience harness: builds a `ParallelEngine` of `shards` shards
 /// able to host `capacity` actors, with the §5.1-ish uniform latency.
-/// Actor placement defaults to [`ModuloShardMap`]; pass a
-/// [`StubAffineShardMap`] (or any [`ShardMap`]) via [`Self::with_map`] to
-/// co-locate topologically close actors.
-pub struct ParallelFullSim<M: ShardMap = ModuloShardMap> {
-    engine: ParallelEngine<Shard, M>,
+/// Actors are placed `actor % shards`.
+pub struct ParallelFullSim {
+    engine: ParallelEngine<Shard>,
     capacity: usize,
     /// Harness seed, kept so the `set_loss` shim can derive a plan seed.
     seed: u64,
 }
 
-impl ParallelFullSim<ModuloShardMap> {
-    /// Creates the world with the default `actor % shards` placement.
-    /// `lookahead_us` must lower-bound the network latency (it does:
-    /// latencies are floored at it).
+impl ParallelFullSim {
+    /// Creates the world. `lookahead_us` must lower-bound the network
+    /// latency (it does: latencies are floored at it).
     pub fn new(
         shards: usize,
         capacity: usize,
@@ -146,30 +109,6 @@ impl ParallelFullSim<ModuloShardMap> {
         base_latency_us: u64,
         lookahead_us: u64,
         seed: u64,
-    ) -> Self {
-        Self::with_map(
-            shards,
-            capacity,
-            protocol,
-            base_latency_us,
-            lookahead_us,
-            seed,
-            ModuloShardMap,
-        )
-    }
-}
-
-impl<M: ShardMap> ParallelFullSim<M> {
-    /// Creates the world with an explicit actor→shard placement.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_map(
-        shards: usize,
-        capacity: usize,
-        protocol: ProtocolConfig,
-        base_latency_us: u64,
-        lookahead_us: u64,
-        seed: u64,
-        map: M,
     ) -> Self {
         let logics: Vec<Shard> = (0..shards)
             .map(|_| {
@@ -182,7 +121,7 @@ impl<M: ShardMap> ParallelFullSim<M> {
             })
             .collect();
         ParallelFullSim {
-            engine: ParallelEngine::with_map(logics, lookahead_us, map),
+            engine: ParallelEngine::new(logics, lookahead_us),
             capacity,
             seed,
         }
@@ -395,10 +334,6 @@ mod tests {
     use super::*;
 
     fn scenario(shards: usize) -> (u64, u64) {
-        scenario_with(shards, ModuloShardMap)
-    }
-
-    fn scenario_with<M: ShardMap>(shards: usize, map: M) -> (u64, u64) {
         let protocol = ProtocolConfig {
             probe_interval_us: 2_000_000,
             rpc_timeout_us: 400_000,
@@ -407,8 +342,7 @@ mod tests {
             ..ProtocolConfig::default()
         };
         let n = 48u32;
-        let mut sim =
-            ParallelFullSim::with_map(shards, n as usize, protocol, 20_000, 1_000, 7, map);
+        let mut sim = ParallelFullSim::new(shards, n as usize, protocol, 20_000, 1_000, 7);
         // Seed at actor 0, then staggered joiners bootstrapping off it.
         let seed_id = NodeId(0x0123_4567_89AB_CDEF_0011_2233_4455_6677);
         sim.start_node(SimTime::ZERO, 0, seed_id, 1e9, Bytes::new(), None);
@@ -453,32 +387,6 @@ mod tests {
         assert_eq!(f1, f2, "world digest differs (1 vs 2 shards)");
         assert_eq!(f1, f4, "world digest differs (1 vs 4 shards)");
         assert_eq!(f1, f7, "world digest differs (1 vs 7 shards)");
-    }
-
-    /// The topology-affine placement moves actors between shards but must
-    /// not move the simulation: fingerprints and processed-event counts
-    /// match the modulo layout for every shard count.
-    #[test]
-    fn outcome_is_invariant_under_stub_affine_map() {
-        use peerwindow_topology::{TransitStubNetwork, TransitStubParams};
-        let topo = peerwindow_topology::Topology::generate(TransitStubParams::small(), 11);
-        let net = TransitStubNetwork::build(&topo);
-        let affine = StubAffineShardMap::new(&net);
-        let (f1, p1) = scenario(1);
-        for shards in [2usize, 4, 7] {
-            let (fa, pa) = scenario_with(shards, affine);
-            assert_eq!(p1, pa, "processed counts differ (affine, {shards} shards)");
-            assert_eq!(f1, fa, "world digest differs (affine, {shards} shards)");
-        }
-        // Sanity: the affine map really does group neighbours — actors
-        // attached to the same stub domain share a shard.
-        let spd = net.stubs_per_domain();
-        assert!(spd >= 2, "small topology should have multi-stub domains");
-        assert_eq!(affine.shard_of(0, 4), affine.shard_of(1, 4));
-        assert_ne!(
-            affine.shard_of(0, net.stub_count() as usize / spd as usize),
-            affine.shard_of(spd, net.stub_count() as usize / spd as usize),
-        );
     }
 
     #[test]

@@ -65,7 +65,6 @@ struct StubHome {
 /// the transit-to-transit distances need a search.
 pub struct TransitStubNetwork {
     stub_count: u32,
-    stubs_per_domain: u32,
     node_leg_us: u64,
     transit_count: usize,
     /// Row-major `transit_count × transit_count` shortest distances, µs.
@@ -117,7 +116,6 @@ impl TransitStubNetwork {
         }
         TransitStubNetwork {
             stub_count: p.stub_count(),
-            stubs_per_domain: p.stubs_per_domain,
             node_leg_us: p.node_node_us as u64,
             transit_count: transit_count as usize,
             transit_us,
@@ -132,26 +130,10 @@ impl TransitStubNetwork {
         self.stub_count
     }
 
-    /// Stub nodes per stub domain (the generation-time block size that
-    /// [`Self::stub_domain_of`] divides by).
-    pub fn stubs_per_domain(&self) -> u32 {
-        self.stubs_per_domain
-    }
-
     /// The stub node an overlay address attaches to.
     #[inline]
     pub fn stub_of(&self, addr: u32) -> u32 {
         addr % self.stub_count
-    }
-
-    /// The stub *domain* an overlay address attaches to. Stub nodes are
-    /// numbered domain-by-domain at generation time, so a domain is a
-    /// contiguous block of `stubs_per_domain` stub indices. Hosts of one
-    /// domain are topologically close (intra-domain edges only), which
-    /// makes this the natural unit for topology-affine shard placement.
-    #[inline]
-    pub fn stub_domain_of(&self, addr: u32) -> u32 {
-        self.stub_of(addr) / self.stubs_per_domain
     }
 
     /// Raw stub-to-stub latency, µs: the routed distance rounded to the

@@ -1,12 +1,12 @@
 //! A minimal JSON writer and parser.
 //!
-//! The vendored `serde_json` is a stub (this container builds offline),
-//! so the exporters — and the cluster tooling's control protocol, which
-//! is why this module is public — hand-roll the subset of JSON they
-//! need: objects, arrays, strings, and unsigned integers, which is
-//! exactly what trace records serialise to. The parser is tolerant of
-//! whitespace and field order but rejects anything outside that subset
-//! loudly.
+//! The workspace has no JSON crate (this container builds offline), so
+//! the exporters — and the cluster tooling's control protocol and the
+//! runtime-metrics report export, which is why this module is public —
+//! hand-roll the subset of JSON they need: objects, arrays, strings, and
+//! unsigned integers, which is exactly what trace records serialise to.
+//! The parser is tolerant of whitespace and field order but rejects
+//! anything outside that subset loudly.
 
 use crate::ParseError;
 

@@ -193,6 +193,21 @@ fn runtime_metrics_report_is_coherent() {
         "attribution fractions sum to {sum}, expected 1.0"
     );
     assert_eq!(report.per_shard.len(), 4, "expected one row per shard");
+
+    // The export pair on a real run's report, not a synthetic one.
+    use peerwindow::metrics::runtime::{parse_jsonl, prometheus};
+    let text = report.to_jsonl();
+    let parsed = parse_jsonl(&text).expect("a real run's export parses");
+    assert_eq!(parsed.len(), 1);
+    assert_eq!(parsed[0].to_jsonl(), text, "re-export is not byte-equal");
+    let page = prometheus(&parsed);
+    let families = ["time_ns", "shard_events"]
+        .into_iter()
+        .chain(report.counters.iter().map(|(name, _)| name.as_str()));
+    for family in families {
+        let line = format!("# TYPE peerwindow_engine_{family}_total counter");
+        assert!(page.contains(&line), "missing {line:?} in:\n{page}");
+    }
 }
 
 #[test]
