@@ -102,9 +102,11 @@ impl fmt::Display for Finding {
 // ----------------------------------------------------------------------
 
 /// The modules of `peerwindow-core` that sit on the message/event path —
-/// the scope of the `panic-sites` rule.
+/// the scope of the `panic-sites` rule. An entry ending in `/` covers
+/// every file below it.
 const PANIC_SCOPED: &[&str] = &[
     "crates/core/src/node.rs",
+    "crates/core/src/node/",
     "crates/core/src/messages.rs",
     "crates/core/src/event.rs",
     "crates/core/src/multicast.rs",
@@ -146,7 +148,9 @@ fn outside_wall_clock_crates(path: &str) -> bool {
 }
 
 fn in_panic_scope(path: &str) -> bool {
-    PANIC_SCOPED.contains(&path)
+    PANIC_SCOPED
+        .iter()
+        .any(|s| path == *s || (s.ends_with('/') && path.starts_with(s)))
 }
 
 /// Library sources of every crate except `apps` and `bench` (whose whole
@@ -662,6 +666,22 @@ mod tests {
             f.is_empty(),
             "annotated/test-tail sites must not fire: {f:?}"
         );
+    }
+
+    #[test]
+    fn panic_sites_cover_the_node_operation_modules() {
+        let src = "fn probe(v: Option<u64>) -> u64 {\n    v.unwrap()\n}\n";
+        let f = scan_source("crates/core/src/node/detect.rs", src, &no_cfg());
+        assert_eq!(
+            f.iter().filter(|f| f.rule == "panic-sites").count(),
+            1,
+            "an unwrap in a node operation module must fire: {f:?}"
+        );
+        let tail = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        let f = scan_source("crates/core/src/node/detect.rs", &tail, &no_cfg());
+        assert!(f.is_empty(), "the test tail must stay exempt: {f:?}");
+        // The directory entry is a prefix, not a substring match.
+        assert!(scan_source("crates/core/src/nodes.rs", src, &no_cfg()).is_empty());
     }
 
     #[test]

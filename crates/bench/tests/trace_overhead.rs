@@ -2,17 +2,11 @@
 //! workload is noise-level, at a size that finishes quickly under the
 //! debug profile.
 //!
-//! Two distinct "off" configurations, with separate gates:
-//!
-//! * **Compiled out** — the simulation is generic over
-//!   [`TraceSink`] and instantiated with [`NoopTrace`]; monomorphisation
-//!   deletes the trace code entirely. This is what an untraced build
-//!   runs, and the ISSUE 6 acceptance bar (`off_overhead_pct < 2`)
-//!   applies to it.
-//! * **Runtime disabled** — the same simulation instantiated with a
-//!   [`NodeTrace`] whose enabled flag is off: one predictable branch per
-//!   event (the payload closure is never built). This is what a *traced*
-//!   build pays while recording is off.
+//! "Off" here is what a `trace`-enabled `NodeMachine` pays while
+//! recording is disabled: a [`NodeTrace`] whose enabled flag is off,
+//! guarded by one [`NodeTrace::is_enabled`] branch per event before the
+//! payload is built — the shape of `NodeMachine::tr`. An untraced build
+//! compiles the sink out with `cfg(feature = "trace")` and pays nothing.
 //!
 //! Timing on a shared host is noisy (individual runs swing ±20% when a
 //! neighbour steals the core), so the gate interleaves plain/off runs in
@@ -21,7 +15,7 @@
 //! plain-side spread to the allowance.
 
 use peerwindow_des::{Engine, Scheduler, SimTime, Simulation};
-use peerwindow_trace::{CauseId, NodeTrace, NoopTrace, TraceEventKind, TraceRecord, TraceSink};
+use peerwindow_trace::{CauseId, NodeTrace, TraceEventKind, TraceRecord};
 use std::time::Instant;
 
 const RESIDENT: u32 = 5_000;
@@ -47,30 +41,32 @@ impl Simulation for Plain {
     }
 }
 
-/// The traced workload, generic over the sink so each configuration is a
-/// separate monomorphisation.
-struct Resident<T: TraceSink> {
+/// The traced workload: a resident timer set that emits one record per
+/// event when its sink is enabled.
+struct Resident {
     left: u64,
-    trace: T,
+    trace: NodeTrace,
     drained: Vec<TraceRecord>,
 }
 
-impl<T: TraceSink> Simulation for Resident<T> {
+impl Simulation for Resident {
     type Event = u32;
     fn handle(&mut self, now: SimTime, actor: u32, sched: &mut Scheduler<'_, u32>) {
         if self.left > 0 {
             self.left -= 1;
             sched.schedule(period_us(actor), actor);
         }
-        // One guard for the whole trace block: const-false for NoopTrace
-        // (the block is deleted), one predictable branch for a
-        // runtime-disabled NodeTrace — the same shape as NodeMachine::tr.
-        if T::ACTIVE && self.trace.recording() {
+        // One guard for the whole trace block, the same shape as
+        // NodeMachine::tr: one predictable branch while disabled.
+        if self.trace.is_enabled() {
             self.trace.set_now(now.as_micros());
-            self.trace
-                .emit_with(0, CauseId::NONE, || TraceEventKind::ProbeSent {
+            self.trace.emit(
+                0,
+                TraceEventKind::ProbeSent {
                     target: actor as u128,
-                });
+                },
+                CauseId::NONE,
+            );
             self.trace.drain_into(&mut self.drained);
             if self.drained.len() >= 65_536 {
                 self.drained.clear();
@@ -91,7 +87,7 @@ fn run_plain() -> f64 {
     e.stats().processed as f64 / secs
 }
 
-fn run_traced<T: TraceSink>(trace: T) -> f64 {
+fn run_traced(trace: NodeTrace) -> f64 {
     let mut e = Engine::new(Resident {
         left: EVENTS,
         trace,
@@ -152,29 +148,14 @@ fn gate_off_path(mut off_run: impl FnMut() -> f64, base_allowance: f64, what: &s
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "timing assertion needs the release profile; \
-              run with cargo test --release"
-)]
-fn compiled_out_tracing_costs_under_two_percent_plus_noise() {
-    // The ISSUE 6 acceptance bar: the NoopTrace instantiation is the
-    // same machine code as the plain workload, so anything beyond noise
-    // means the abstraction stopped being zero-cost.
-    gate_off_path(|| run_traced(NoopTrace::new(1)), 0.02, "compiled-out trace");
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
     ignore = "timing assertion needs the release profile: without inlining \
               the is_enabled guard costs ~5% here; run with cargo test --release"
 )]
 fn disabled_tracing_costs_under_five_percent_plus_noise() {
     // The runtime-disabled path genuinely pays a load + branch per event
     // and drags the NodeTrace fields into the working set — measured
-    // 2-4% on this tight loop, and that real cost is exactly why the
-    // compiled-out NoopTrace path above exists (and is held to 2%). This
-    // gate is the regression guard against the pre-PR 6 pathology, where
-    // the disabled path cost 19%.
+    // 2-4% on this tight loop. This gate is the regression guard against
+    // the old pathology where the disabled path cost 19%.
     gate_off_path(
         || run_traced(NodeTrace::new(1)),
         0.05,

@@ -17,7 +17,7 @@
 use crate::id::{NodeId, Prefix, ID_BITS};
 use crate::level::Level;
 use crate::peer_list::PeerList;
-use crate::pointer::Addr;
+use crate::pointer::{Addr, Pointer};
 use serde::{Deserialize, Serialize};
 
 /// A forwarding target: the minimum a sender must know to address it.
@@ -61,11 +61,17 @@ impl AudienceView for PeerList {
         changing: NodeId,
         exclude: NodeId,
     ) -> Option<Target> {
-        PeerList::strongest_audience_in_range(self, range, changing, exclude).map(|p| Target {
+        PeerList::strongest_audience_in_range(self, range, changing, exclude).map(Target::from)
+    }
+}
+
+impl From<&Pointer> for Target {
+    fn from(p: &Pointer) -> Self {
+        Target {
             id: p.id,
             addr: p.addr,
             level: p.level,
-        })
+        }
     }
 }
 

@@ -1,34 +1,64 @@
 //! The PeerWindow node — a sans-IO protocol state machine.
 //!
-//! [`NodeMachine`] implements the complete protocol of §4: the four-step
-//! joining process, ring-probing failure detection, tree multicast with
-//! acknowledgements / retries / redirection, lazy top-node-list
-//! maintenance, autonomic level adaptation, and the §4.6 refresh/expiry
-//! mechanism. It performs no I/O and reads no clock: the embedder (a real
-//! UDP transport, or the discrete-event simulator in `peerwindow-sim`)
-//! feeds it `(now, Input)` pairs and executes the returned [`Output`]s.
-//! This makes every protocol decision deterministic and unit-testable.
+//! [`NodeMachine`] implements the complete protocol of §4. It performs no
+//! I/O and reads no clock: the embedder (a real UDP transport, or the
+//! discrete-event simulator in `peerwindow-sim`) feeds it `(now, Input)`
+//! pairs through [`NodeMachine::handle`], its only entry, and executes the
+//! returned [`Output`]s. This makes every protocol decision deterministic
+//! and unit-testable.
+//!
+//! This file holds the public types, the machine's state, construction,
+//! accessors and the three dispatchers (`on_message`, `on_timer`,
+//! `on_command`). Each operation lives in a child module:
+//!
+//! * `detect` — ring-probing failure detection and false-obituary
+//!   refutation (§4.1);
+//! * `dissem` — the dedup horizon, event application, report routing and
+//!   the tree multicast (§4.2, §4.4);
+//! * `join` — the four-step join, level-raise downloads, reconciliation,
+//!   the graceful leave (§4.3) and the top-node-list plumbing (§4.5);
+//! * `adapt` — the bandwidth meter and autonomic level shifts (§2, §4.3);
+//! * `refresh` — observed lifetimes, self-refresh and expiry (§4.6);
+//! * `rpc` — sends, the pending-call table, retries and give-ups.
+//!
+//! Two orders are part of the simulated outcome, so no refactor may move a
+//! statement across another inside a function body: `rand_below` keys off
+//! `next_token`, which every `send_rpc` advances, and the order of `outs`
+//! is the simulators' FIFO tie-break between same-time deliveries.
 
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
-use crate::event::{EventKind, StateEvent};
-use crate::id::{NodeId, Prefix, ID_BITS};
+use crate::event::StateEvent;
+use crate::id::{NodeId, Prefix};
 use crate::level::Level;
 use crate::messages::Message;
-use crate::model::ModelParams;
-use crate::multicast::{forward_steps, Target};
+use crate::multicast::Target;
 use crate::peer_list::PeerList;
-use crate::pointer::{Addr, Pointer};
+use crate::pointer::Addr;
 use crate::top_list::TopList;
+use adapt::BandwidthMeter;
 use bytes::Bytes;
+use dissem::Dedup;
+use refresh::LifetimeStats;
 // Protocol state lives in ordered collections only: iteration order must
 // be a pure function of the contents, never of a hasher seed, or two
 // identically-seeded simulations diverge (see DESIGN.md, "Determinism &
 // invariant contract").
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 #[cfg(feature = "trace")]
-use peerwindow_trace::{CauseId, EventClass, JoinPhase, NodeTrace, TraceEventKind};
+use crate::event::EventKind;
+#[cfg(feature = "trace")]
+use peerwindow_trace::{CauseId, EventClass, NodeTrace, TraceEventKind};
+
+mod adapt;
+mod detect;
+mod dissem;
+mod join;
+mod refresh;
+mod rpc;
+
+use rpc::{PendingRpc, RpcKind};
 
 /// Sequence number used for leave events (reported by detectors who do not
 /// know the subject's own counter; terminal, so "largest wins" is safe).
@@ -131,6 +161,12 @@ pub enum Output {
     Fatal(&'static str),
 }
 
+impl Output {
+    fn timer(delay_us: u64, timer: Timer) -> Output {
+        Output::SetTimer { delay_us, timer }
+    }
+}
+
 /// Lifecycle of the machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
@@ -148,44 +184,6 @@ enum Phase {
     Leaving,
     /// Departed (gracefully or by command); ignores further input.
     Left,
-}
-
-/// Why an RPC was issued — determines the give-up behaviour.
-#[derive(Clone, Debug)]
-enum RpcKind {
-    /// Ring probe; give-up = failure detection (§4.1).
-    Probe,
-    /// Multicast forward; give-up = drop pointer and redirect (§4.2).
-    McastForward {
-        event: StateEvent,
-        /// The flipped range the target was chosen from.
-        range: Prefix,
-    },
-    /// Event report to a top node; give-up = redirect to another top
-    /// (§4.5).
-    Report { event: StateEvent },
-    /// §4.3 step 1.
-    JoinFindTop,
-    /// §4.3 step 2.
-    JoinLevelQuery,
-    /// §4.3 step 3.
-    JoinDownload,
-    /// Level raise download; give-up = abort the raise.
-    RaiseDownload { new_level: Level },
-    /// Post-join reconciliation download (see `Timer::Reconcile`);
-    /// give-up = skip (the §4.6 refresh eventually heals the list).
-    Reconcile,
-    /// Fallback top-list fetch (§4.5); `resume` is re-reported on success.
-    TopListFetch { resume: Option<StateEvent> },
-}
-
-/// A pending request awaiting its reply.
-#[derive(Clone, Debug)]
-struct PendingRpc {
-    target: Target,
-    msg: Message,
-    attempts: u32,
-    kind: RpcKind,
 }
 
 /// Aggregate traffic and protocol counters, readable by the embedder.
@@ -217,83 +215,6 @@ pub struct NodeStats {
     pub rpc_retries: u64,
 }
 
-/// Per-level observed lifetime accumulators (for `LT_l`, §4.6).
-#[derive(Clone, Debug, Default)]
-struct LifetimeStats {
-    count: Vec<u64>,
-    sum_us: Vec<u64>,
-}
-
-impl LifetimeStats {
-    fn record(&mut self, level: Level, lifetime_us: u64) {
-        let l = level.value() as usize;
-        if self.count.len() <= l {
-            self.count.resize(l + 1, 0);
-            self.sum_us.resize(l + 1, 0);
-        }
-        self.count[l] += 1;
-        self.sum_us[l] += lifetime_us;
-    }
-
-    /// Mean observed lifetime at `level`; falls back to the overall mean
-    /// across levels when this level has no samples yet (a fresh node has
-    /// observed few departures, but any timescale beats none for the
-    /// §4.6 machinery).
-    fn mean_us(&self, level: Level) -> Option<u64> {
-        let l = level.value() as usize;
-        match self.count.get(l) {
-            Some(&c) if c > 0 => Some(self.sum_us[l] / c),
-            _ => self.overall_mean_us(),
-        }
-    }
-
-    /// Mean observed lifetime over all levels.
-    fn overall_mean_us(&self) -> Option<u64> {
-        let c: u64 = self.count.iter().sum();
-        self.sum_us.iter().sum::<u64>().checked_div(c)
-    }
-}
-
-/// Sliding-window receive-bandwidth meter (six rotating buckets).
-#[derive(Clone, Debug)]
-struct BandwidthMeter {
-    bucket_us: u64,
-    buckets: [u64; 6],
-    current: usize,
-    current_start_us: u64,
-}
-
-impl BandwidthMeter {
-    fn new(window_us: u64) -> Self {
-        BandwidthMeter {
-            bucket_us: (window_us / 6).max(1),
-            buckets: [0; 6],
-            current: 0,
-            current_start_us: 0,
-        }
-    }
-
-    fn rotate_to(&mut self, now_us: u64) {
-        while now_us >= self.current_start_us + self.bucket_us {
-            self.current = (self.current + 1) % 6;
-            self.buckets[self.current] = 0;
-            self.current_start_us += self.bucket_us;
-        }
-    }
-
-    fn note(&mut self, now_us: u64, bits: u64) {
-        self.rotate_to(now_us);
-        self.buckets[self.current] += bits;
-    }
-
-    /// Average bps over the window ending at `now_us`.
-    fn bps(&mut self, now_us: u64) -> f64 {
-        self.rotate_to(now_us);
-        let total: u64 = self.buckets.iter().sum();
-        total as f64 / (6.0 * self.bucket_us as f64 / 1e6)
-    }
-}
-
 /// The PeerWindow protocol state machine for one node.
 #[derive(Clone, Debug)]
 pub struct NodeMachine {
@@ -307,15 +228,9 @@ pub struct NodeMachine {
     threshold_bps: f64,
     phase: Phase,
     seq: u64,
-    /// Per-subject dedup horizon: highest `(seq, origin_us)` applied,
-    /// plus whether the freshest admitted event was a removal. An event
-    /// is fresh when its seq OR its origin time exceeds the horizon; the
-    /// origin clause lets a live node's later refresh override a false
-    /// leave (whose seq is `LEAVE_SEQ` = max). The removal flag guards
-    /// top-list admission: a stale piggybacked top list must not re-seed
-    /// a node we know departed, because the leave event that purged it
-    /// is already inside the horizon and can never fire again.
-    seen: BTreeMap<NodeId, (u64, u64, bool)>,
+    /// Events already handled: the dedup horizon and the report cycle
+    /// guard (see [`Dedup`]).
+    dedup: Dedup,
     pending: BTreeMap<u64, PendingRpc>,
     next_token: u64,
     meter: BandwidthMeter,
@@ -324,6 +239,9 @@ pub struct NodeMachine {
     rng: u64,
     /// Tops already tried (and failed) for the current report.
     report_dead: Vec<NodeId>,
+    /// The event whose report waits on the pending §4.5 top-list fetch
+    /// (at most one fetch is in flight; see `fetch_top_list`).
+    parked_report: Option<StateEvent>,
     /// When we last announced our own state (join, refresh, shift). The
     /// §4.6 refresh fires when `now − last` exceeds `2 · LT_level`.
     last_self_refresh_us: u64,
@@ -331,8 +249,6 @@ pub struct NodeMachine {
     /// measurement window afterwards: the sliding window still contains
     /// traffic from the old level, and acting on it overshoots.
     last_shift_us: u64,
-    /// Event keys whose reports we already forwarded (cycle guard).
-    forwarded_reports: BTreeSet<(NodeId, u64)>,
     /// Adaptation debounce (see `adapt_level`): consecutive over-budget
     /// (+) or raise-eligible (−) windows.
     adapt_pressure: i8,
@@ -372,10 +288,7 @@ impl NodeMachine {
         // seed erased from every list by an asymmetric link failure can
         // only re-announce itself through this chain.
         if n.cfg.reconcile_interval_us > 0 {
-            outs.push(Output::SetTimer {
-                delay_us: n.cfg.reconcile_interval_us,
-                timer: Timer::Reconcile,
-            });
+            outs.push(Output::timer(n.cfg.reconcile_interval_us, Timer::Reconcile));
         }
         (n, outs)
     }
@@ -420,7 +333,7 @@ impl NodeMachine {
             threshold_bps,
             phase: Phase::FindingTop,
             seq: 0,
-            seen: BTreeMap::new(),
+            dedup: Dedup::default(),
             pending: BTreeMap::new(),
             next_token: 1,
             meter: BandwidthMeter::new(window),
@@ -428,9 +341,9 @@ impl NodeMachine {
             stats: NodeStats::default(),
             rng: seed | 1,
             report_dead: Vec::new(),
+            parked_report: None,
             last_self_refresh_us: 0,
             last_shift_us: 0,
-            forwarded_reports: BTreeSet::new(),
             adapt_pressure: 0,
             fatal_error: None,
             #[cfg(any(test, feature = "invariants"))]
@@ -438,6 +351,17 @@ impl NodeMachine {
             #[cfg(feature = "trace")]
             trace: NodeTrace::new(me.0),
         }
+    }
+
+    /// The periodic timers an active node runs (armed once, on becoming
+    /// active; each re-arms itself in `on_timer`).
+    fn startup_timers(&self) -> Vec<Output> {
+        vec![
+            Output::timer(self.cfg.probe_interval_us, Timer::Probe),
+            Output::timer(self.cfg.bandwidth_window_us, Timer::Adapt),
+            Output::timer(self.cfg.bandwidth_window_us, Timer::Refresh),
+            Output::timer(self.cfg.bandwidth_window_us, Timer::Expire),
+        ]
     }
 
     /// Deliberately reintroduces the DESIGN.md gap-13 bug (the
@@ -622,7 +546,7 @@ impl NodeMachine {
     }
 
     // ------------------------------------------------------------------
-    // Main entry point
+    // Entry point and dispatch
     // ------------------------------------------------------------------
 
     /// Feeds one input at protocol time `now_us`, returning the effects.
@@ -699,10 +623,6 @@ impl NodeMachine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Message handling
-    // ------------------------------------------------------------------
-
     fn on_message(
         &mut self,
         now_us: u64,
@@ -718,1456 +638,95 @@ impl NodeMachine {
         };
         match msg {
             Message::Probe => self.send(outs, reply_to, Message::ProbeAck, 0),
-            Message::ProbeAck => {
-                self.resolve_rpc(|p| matches!(p.kind, RpcKind::Probe) && p.target.id == from);
-            }
-            Message::Report { event } => {
-                // §4.4: the multicast must be rooted at a top node of the
-                // *subject's* part. Acknowledge only if we can root it or
-                // forward it toward someone who can — a silent drop makes
-                // the reporter time out, purge us from its top list, and
-                // converge onto its real part top (stale cross-part
-                // entries are unverifiable any other way).
-                let key = event.key();
-                let covers = self.eigenstring().contains(event.subject);
-                if event.subject == self.me
-                    && event.kind.is_removal()
-                    && self.phase == Phase::Active
-                {
-                    // Someone reported our death to us. We are the living
-                    // proof it is false: ack (so the reporter stops
-                    // retrying) and refute instead of rooting it.
-                    let tops = self.piggyback_tops();
-                    self.send(outs, reply_to, Message::ReportAck { key, tops }, 0);
-                    self.refute_false_obituary(now_us, &event, outs);
-                } else if covers && self.believes_top() {
-                    let tops = self.piggyback_tops();
-                    self.send(outs, reply_to, Message::ReportAck { key, tops }, 0);
-                    self.start_multicast(now_us, event, outs);
-                } else {
-                    let stronger_top = self
-                        .tops
-                        .entries()
-                        .iter()
-                        .filter(|t| {
-                            t.level.value() < self.level.value()
-                                && t.id != self.me
-                                && t.id.prefix(t.level.value()).contains(event.subject)
-                        })
-                        .min_by_key(|t| (t.level.value(), t.id))
-                        .copied();
-                    // Cycle guard: forward each event key at most once
-                    // (stale recorded levels could otherwise bounce a
-                    // report between two nodes forever).
-                    let first_time = self.forwarded_reports.insert(key);
-                    match stronger_top {
-                        Some(top) if first_time => {
-                            let tops = self.piggyback_tops();
-                            self.send(outs, reply_to, Message::ReportAck { key, tops }, 0);
-                            let kind = RpcKind::Report {
-                                event: event.clone(),
-                            };
-                            self.send_rpc(outs, top, Message::Report { event }, kind, 0);
-                        }
-                        _ if covers => {
-                            let tops = self.piggyback_tops();
-                            self.send(outs, reply_to, Message::ReportAck { key, tops }, 0);
-                            self.start_multicast(now_us, event, outs);
-                        }
-                        _ => { /* silent: reporter retries elsewhere */ }
-                    }
-                }
-            }
-            Message::ReportAck { key, tops } => {
-                self.refresh_tops(tops);
-                self.report_dead.clear();
-                self.resolve_rpc(
-                    |p| matches!(&p.kind, RpcKind::Report { event } if event.key() == key),
-                );
-            }
+            Message::ProbeAck => self.on_probe_ack(from),
+            Message::Report { event } => self.on_report(now_us, reply_to, event, outs),
+            Message::ReportAck { key, tops } => self.on_report_ack(key, tops),
             Message::Multicast { event, step } => {
-                let key = event.key();
-                self.send(outs, reply_to, Message::MulticastAck { key }, 0);
-                if self.apply_event(now_us, &event) {
-                    if self.refute_false_obituary(now_us, &event, outs) {
-                        // Our own false obituary: refuted, not forwarded —
-                        // the subtree assigned to us keeps us instead.
-                    } else {
-                        self.forward_event(now_us, &event, step, outs);
-                    }
-                }
+                self.on_multicast(now_us, reply_to, event, step, outs)
             }
-            Message::MulticastAck { key } => {
-                self.resolve_rpc(|p| {
-                    matches!(&p.kind, RpcKind::McastForward { event, .. } if event.key() == key)
-                        && p.target.id == from
-                });
-            }
-            Message::FindTop { joiner } => {
-                // Return tops covering the joiner when we know any;
-                // otherwise our whole top list (the joiner will hop on).
-                let mut tops = self.piggyback_tops();
-                tops.retain(|t| t.id != joiner);
-                let covering: Vec<Target> = tops
-                    .iter()
-                    .copied()
-                    .filter(|t| t.id.prefix(t.level.value()).contains(joiner))
-                    .collect();
-                let reply = if covering.is_empty() { tops } else { covering };
-                self.send(outs, reply_to, Message::FindTopReply { tops: reply }, 0);
-            }
-            Message::FindTopReply { tops } => self.on_find_top_reply(now_us, tops, outs),
-            Message::LevelQuery => {
-                let cost = self.meter.bps(now_us);
-                self.send(
-                    outs,
-                    reply_to,
-                    Message::LevelQueryReply {
-                        level: self.level,
-                        cost_bps: cost,
-                    },
-                    0,
-                );
-            }
+            Message::MulticastAck { key } => self.on_multicast_ack(from, key),
+            Message::FindTop { joiner } => self.on_find_top(reply_to, joiner, outs),
+            Message::FindTopReply { tops } => self.on_find_top_reply(tops, outs),
+            Message::LevelQuery => self.on_level_query(now_us, reply_to, outs),
             Message::LevelQueryReply { level, cost_bps } => {
-                self.on_level_query_reply(now_us, level, cost_bps, outs)
+                self.on_level_query_reply(level, cost_bps, outs)
             }
-            Message::Download { scope } => {
-                let mut pointers = self.peers.subset_for(scope);
-                // Our own list never stores a self-pointer; the downloader
-                // still must learn about us when we fall in its scope.
-                if scope.contains(self.me) {
-                    let mut me =
-                        Pointer::with_info(self.me, self.addr, self.level, self.info.clone());
-                    me.last_refresh_us = now_us;
-                    pointers.push(me);
-                }
-                let tops = self.piggyback_tops();
-                self.send(
-                    outs,
-                    reply_to,
-                    Message::DownloadReply {
-                        scope,
-                        pointers,
-                        tops,
-                    },
-                    0,
-                );
-            }
+            Message::Download { scope } => self.on_download(now_us, reply_to, scope, outs),
             Message::DownloadReply {
                 scope,
                 pointers,
                 tops,
             } => self.on_download_reply(now_us, scope, pointers, tops, outs),
-            Message::TopListRequest => {
-                let tops = self.piggyback_tops();
-                self.send(outs, reply_to, Message::TopListReply { tops }, 0);
-            }
-            Message::TopListReply { tops } => {
-                self.refresh_tops(tops);
-                let resumed = self.take_rpc(|p| matches!(p.kind, RpcKind::TopListFetch { .. }));
-                if let Some(p) = resumed {
-                    if let RpcKind::TopListFetch {
-                        resume: Some(event),
-                    } = p.kind
-                    {
-                        self.report_event(now_us, event, outs);
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Joining (§4.3)
-    // ------------------------------------------------------------------
-
-    fn on_find_top_reply(&mut self, _now_us: u64, tops: Vec<Target>, outs: &mut Vec<Output>) {
-        if self.phase != Phase::FindingTop {
-            // Late duplicate; top list refresh is still useful.
-            self.refresh_tops(tops);
-            return;
-        }
-        self.take_rpc(|p| matches!(p.kind, RpcKind::JoinFindTop));
-        let covering: Vec<Target> = tops
-            .iter()
-            .copied()
-            .filter(|t| t.id.prefix(t.level.value()).contains(self.me))
-            .collect();
-        if let Some(&top) = covering.first() {
-            self.refresh_tops(covering.iter().copied());
-            self.phase = Phase::EstimatingLevel;
-            #[cfg(feature = "trace")]
-            self.tr(
-                CauseId::NONE,
-                TraceEventKind::JoinStep {
-                    phase: JoinPhase::LevelQuery,
-                },
-            );
-            self.send_rpc(outs, top, Message::LevelQuery, RpcKind::JoinLevelQuery, 0);
-        } else if let Some(&hop) = tops.first() {
-            // Cross-part bootstrap (§4.4): ask a top of the bootstrap's
-            // part; its top list holds tops of other parts, ours included.
-            self.send_rpc(
+            Message::TopListRequest => self.send(
                 outs,
-                hop,
-                Message::FindTop { joiner: self.me },
-                RpcKind::JoinFindTop,
+                reply_to,
+                Message::TopListReply {
+                    tops: self.piggyback_tops(),
+                },
                 0,
-            );
-        } else {
-            // The bootstrap knew no top at all: it must be a seed node
-            // itself (it would have answered with covering tops
-            // otherwise). Treat the sender as our top-of-part.
-            self.fail(outs, ProtocolError::BootstrapReturnedNoTops);
+            ),
+            Message::TopListReply { tops } => self.on_top_list_reply(now_us, tops, outs),
         }
     }
 
-    fn on_level_query_reply(
-        &mut self,
-        now_us: u64,
-        l_t: Level,
-        w_t_bps: f64,
-        outs: &mut Vec<Output>,
-    ) {
-        if self.phase != Phase::EstimatingLevel {
-            return;
-        }
-        let queried = self.take_rpc(|p| matches!(p.kind, RpcKind::JoinLevelQuery));
-        let mut level = ModelParams::estimate_join_level(l_t, w_t_bps, self.threshold_bps);
-        // A joiner can never be stronger than its part's tops.
-        if level.value() < l_t.value() {
-            level = l_t;
-        }
-        if self.cfg.warm_up {
-            // §4.3 warm-up: start two levels weaker to come online fast;
-            // the adaptation loop raises us once the background download
-            // would have completed.
-            level = Level::new(level.value().saturating_add(2));
-        }
-        self.level = level;
-        self.phase = Phase::Downloading;
-        #[cfg(feature = "trace")]
-        self.tr(
-            CauseId::NONE,
-            TraceEventKind::JoinStep {
-                phase: JoinPhase::Download,
-            },
-        );
-        let scope = self.eigenstring();
-        // A level reply normally implies a known top (the one we queried),
-        // but a maliciously early or duplicated reply could arrive after
-        // the top list was purged — fail the join rather than panic.
-        let target = queried
-            .map(|p| p.target)
-            .or_else(|| self.tops.choose(&[], |n| self.rand_below(n)));
-        let Some(target) = target else {
-            self.fail(outs, ProtocolError::LevelReplyWithoutKnownTop);
-            return;
-        };
-        self.send_rpc(
-            outs,
-            target,
-            Message::Download { scope },
-            RpcKind::JoinDownload,
-            0,
-        );
-        let _ = now_us;
-    }
-
-    fn on_download_reply(
-        &mut self,
-        now_us: u64,
-        scope: Prefix,
-        pointers: Vec<Pointer>,
-        tops: Vec<Target>,
-        outs: &mut Vec<Output>,
-    ) {
-        self.refresh_tops(tops);
-        match self.phase {
-            Phase::Downloading => {
-                if scope != self.eigenstring() {
-                    return; // stale reply for a different scope
-                }
-                self.take_rpc(|p| matches!(p.kind, RpcKind::JoinDownload));
-                self.peers = PeerList::new(scope);
-                for p in pointers {
-                    self.install_downloaded(p, now_us);
-                }
-                self.reconcile_tops_with_window();
-                self.last_self_refresh_us = now_us;
-                self.phase = Phase::Active;
-                outs.push(Output::Joined);
-                outs.extend(self.startup_timers());
-                // Reconcile after the join multicast has had time to make
-                // us visible to forwarders (a few RPC rounds).
-                outs.push(Output::SetTimer {
-                    delay_us: 4 * self.cfg.rpc_timeout_us,
-                    timer: Timer::Reconcile,
-                });
-                // §4.3 step 4: multicast our joining around our audience set.
-                self.seq += 1;
-                #[cfg(feature = "trace")]
-                self.tr(
-                    CauseId::new(self.me.0, self.seq),
-                    TraceEventKind::JoinStep {
-                        phase: JoinPhase::Active,
-                    },
-                );
-                let event = self.self_event(now_us, EventKind::Join);
-                self.report_event(now_us, event, outs);
-            }
-            Phase::Active => {
-                // Post-join reconciliation: merge-only, never re-scope.
-                if scope == self.eigenstring()
-                    && self
-                        .take_rpc(|p| matches!(p.kind, RpcKind::Reconcile))
-                        .is_some()
-                {
-                    for ptr in pointers {
-                        if !self.peers.contains(ptr.id) {
-                            self.install_downloaded(ptr, now_us);
-                        }
-                    }
-                    return;
-                }
-                // Level-raise download completing.
-                let me = self.me;
-                let pending = self.take_rpc(
-                    |p| matches!(&p.kind, RpcKind::RaiseDownload { new_level } if new_level.eigenstring(me) == scope),
-                );
-                let Some(p) = pending else { return };
-                let RpcKind::RaiseDownload { new_level } = p.kind else {
-                    return;
-                };
-                self.last_shift_us = now_us;
-                let old = self.level;
-                self.level = new_level;
-                self.peers.set_scope(scope);
-                for ptr in pointers {
-                    if !self.peers.contains(ptr.id) {
-                        self.install_downloaded(ptr, now_us);
-                    }
-                }
-                self.reconcile_tops_with_window();
-                outs.push(Output::LevelShifted {
-                    from: old,
-                    to: new_level,
-                });
-                self.seq += 1;
-                #[cfg(feature = "trace")]
-                self.tr(
-                    CauseId::new(self.me.0, self.seq),
-                    TraceEventKind::LevelShift {
-                        from: old.0,
-                        to: new_level.0,
-                    },
-                );
-                let event = self.self_event_with(now_us, EventKind::LevelShift { from: old });
-                self.report_event(now_us, event, outs);
-            }
-            _ => {}
-        }
-    }
-
-    /// Drops top-list entries a just-downloaded window proves gone:
-    /// entries our scope covers but the authoritative pointer list does
-    /// not contain. A leave multicast only reaches the subject's §2
-    /// audience, so a node outside it (e.g. at a deeper level) keeps the
-    /// departed top until the §4.5 lazy heal times a report out against
-    /// it — but a level raise must not carry that stale entry *into* its
-    /// own scope, where the top-containment invariant holds. Found by
-    /// the invariants sweep: [Join(1), Join(2), Shift(1, 1), Leave(2)].
-    fn reconcile_tops_with_window(&mut self) {
-        let scope = self.eigenstring();
-        let stale: Vec<NodeId> = self
-            .tops
-            .entries()
-            .iter()
-            .filter(|t| t.id != self.me && scope.contains(t.id) && !self.peers.contains(t.id))
-            .map(|t| t.id)
-            .collect();
-        for id in stale {
-            self.tops.remove(id);
-        }
-    }
-
-    fn startup_timers(&self) -> Vec<Output> {
-        vec![
-            Output::SetTimer {
-                delay_us: self.cfg.probe_interval_us,
-                timer: Timer::Probe,
-            },
-            Output::SetTimer {
-                delay_us: self.cfg.bandwidth_window_us,
-                timer: Timer::Adapt,
-            },
-            Output::SetTimer {
-                delay_us: self.cfg.bandwidth_window_us,
-                timer: Timer::Refresh,
-            },
-            Output::SetTimer {
-                delay_us: self.cfg.bandwidth_window_us,
-                timer: Timer::Expire,
-            },
-        ]
-    }
-
-    // ------------------------------------------------------------------
-    // Timers
-    // ------------------------------------------------------------------
-
+    /// Periodic timers run their operation on an active node only, and
+    /// re-arm in any phase (`Reconcile` only when its interval is set).
     fn on_timer(&mut self, now_us: u64, timer: Timer, outs: &mut Vec<Output>) {
+        let active = self.phase == Phase::Active;
         match timer {
             Timer::Probe => {
-                if self.phase == Phase::Active {
+                if active {
                     self.probe_successor(outs);
                 }
-                outs.push(Output::SetTimer {
-                    delay_us: self.cfg.probe_interval_us,
-                    timer: Timer::Probe,
-                });
+                outs.push(Output::timer(self.cfg.probe_interval_us, timer));
             }
             Timer::RpcTimeout(token) => self.on_rpc_timeout(now_us, token, outs),
             Timer::Adapt => {
-                if self.phase == Phase::Active {
+                if active {
                     self.adapt_level(now_us, outs);
                 }
-                outs.push(Output::SetTimer {
-                    delay_us: self.cfg.bandwidth_window_us,
-                    timer: Timer::Adapt,
-                });
+                outs.push(Output::timer(self.cfg.bandwidth_window_us, timer));
             }
             Timer::Refresh => {
-                // The timer ticks at the adaptation cadence and sends the
-                // §4.6 refresh only when 2·LT_level has elapsed since our
-                // last announcement, so the period tracks the measured
-                // lifetimes as they evolve.
-                if self.phase == Phase::Active
-                    && now_us.saturating_sub(self.last_self_refresh_us) >= self.refresh_period_us()
-                {
-                    self.last_self_refresh_us = now_us;
-                    self.seq += 1;
-                    let event = self.self_event(now_us, EventKind::Refresh);
-                    self.report_event(now_us, event, outs);
+                if active {
+                    self.refresh_if_due(now_us, outs);
                 }
-                outs.push(Output::SetTimer {
-                    delay_us: self.cfg.bandwidth_window_us,
-                    timer: Timer::Refresh,
-                });
+                outs.push(Output::timer(self.cfg.bandwidth_window_us, timer));
             }
             Timer::Expire => {
-                if self.phase == Phase::Active {
+                if active {
                     self.expire_stale(now_us);
                 }
-                outs.push(Output::SetTimer {
-                    delay_us: self.cfg.bandwidth_window_us,
-                    timer: Timer::Expire,
-                });
+                outs.push(Output::timer(self.cfg.bandwidth_window_us, timer));
             }
             Timer::Reconcile => {
                 if self.cfg.reconcile_interval_us > 0 {
-                    outs.push(Output::SetTimer {
-                        delay_us: self.cfg.reconcile_interval_us,
-                        timer: Timer::Reconcile,
-                    });
+                    outs.push(Output::timer(self.cfg.reconcile_interval_us, timer));
                 }
-                if self.phase == Phase::Active {
-                    if let Some(top) = self.tops.choose(&[], |n| self.rand_below(n)) {
-                        if top.id != self.me {
-                            let scope = self.eigenstring();
-                            self.send_rpc(
-                                outs,
-                                top,
-                                Message::Download { scope },
-                                RpcKind::Reconcile,
-                                0,
-                            );
-                        }
-                    }
-                    // Re-announce ourselves once (a one-shot §4.6 refresh):
-                    // nodes that were themselves mid-join when our join
-                    // event multicast ran could not have been reached.
-                    self.last_self_refresh_us = now_us;
-                    self.seq += 1;
-                    let event = self.self_event(now_us, EventKind::Refresh);
-                    self.report_event(now_us, event, outs);
+                if active {
+                    self.reconcile(now_us, outs);
                 }
             }
         }
     }
-
-    /// §4.6: refresh every `refresh_multiplier · LT_l` for our level; a
-    /// generous default before any lifetime has been observed.
-    fn refresh_period_us(&self) -> u64 {
-        match self.lifetimes.mean_us(self.level) {
-            Some(lt) => (self.cfg.refresh_multiplier * lt as f64) as u64,
-            None => self.cfg.default_refresh_us,
-        }
-        .max(self.cfg.bandwidth_window_us)
-    }
-
-    fn expire_stale(&mut self, now_us: u64) {
-        let mult = self.cfg.expire_multiplier;
-        // Floor the horizon well above the tick/refresh quantisation so a
-        // slightly late refresh can never evict a live neighbor.
-        let floor_us = 3 * self.cfg.bandwidth_window_us;
-        let lifetimes = &self.lifetimes;
-        let removed = self.peers.expire(|lvl| {
-            match lifetimes.mean_us(lvl) {
-                // deadline: entries older than expire_multiplier · LT_l die
-                Some(lt) => now_us.saturating_sub(((mult * lt as f64) as u64).max(floor_us)),
-                None => 0, // no estimate yet: never expire
-            }
-        });
-        self.stats.expired += removed.len() as u64;
-        #[cfg(feature = "trace")]
-        if !removed.is_empty() {
-            self.tr(
-                CauseId::NONE,
-                TraceEventKind::PeersExpired {
-                    count: removed.len() as u32,
-                },
-            );
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Failure detection (§4.1)
-    // ------------------------------------------------------------------
-
-    fn probe_successor(&mut self, outs: &mut Vec<Output>) {
-        // Only one outstanding probe at a time.
-        if self
-            .pending
-            .values()
-            .any(|p| matches!(p.kind, RpcKind::Probe))
-        {
-            return;
-        }
-        let succ = self
-            .peers
-            .ring_successor_in_group(self.me, self.eigenstring(), self.level)
-            // §4.1 probes within the same-level eigenstring group, but
-            // heterogeneous levels can leave that group a singleton: after
-            // a neighbor shifts level it is no longer anyone's group
-            // successor, and its crash would go undetected forever. Found
-            // by the invariants sweep (trace [Join, Shift, Crash] ends
-            // with a permanently stale peer entry). Fall back to the
-            // whole-peer-list ring — same one-probe-per-interval cost.
-            .or_else(|| self.peers.ring_successor(self.me));
-        // Cross-level fallback (ROADMAP "lazy detection of off-level
-        // crashes", found by the model checker at depth 4): a peer alone
-        // in its eigenstring group — e.g. the seed after shifting to a
-        // level nobody else occupies — is in *nobody's* group ring, and
-        // with no lifetime samples at its level, expiry never fires
-        // either, so its crash would hold a departed pointer forever.
-        // The XOR-nearest observer (computed over its own view, peers
-        // plus self — near-identical views elect the same node) therefore
-        // alternates its probe interval between the normal ring successor
-        // and a round-robin over such "lonely" peers. Responsibility MUST
-        // be unique-ish: if every observer probed every lonely peer, a
-        // deep-level node in an N-node system would absorb N probe/ack
-        // pairs per interval — sustained load that keeps a small-budget
-        // node (the usual reason to sit deep) from ever climbing back
-        // (found by the adaptation recovery test). Detection cost is
-        // bounded: one probe per interval as before, the ring cadence at
-        // worst halves for the one responsible observer, and if that
-        // observer dies its own obituary hands the role to the next
-        // nearest. A false positive is safe — the obituary's courtesy
-        // copy lets a live target refute (DESIGN.md gap 13).
-        let lonely = self.lonely_peers();
-        // Every invariants-enabled run is a differential test of the
-        // fast selection against its definition, tick by tick.
-        #[cfg(feature = "invariants")]
-        assert_eq!(
-            lonely,
-            self.lonely_reference(),
-            "{:?}: lonely-peer selection diverged from its reference",
-            self.me
-        );
-        let round = self.stats.probes_sent;
-        let target = if !lonely.is_empty() && (succ.is_none() || round % 2 == 1) {
-            lonely[(round / 2) as usize % lonely.len()]
-        } else {
-            let Some(succ) = succ else { return };
-            Target {
-                id: succ.id,
-                addr: succ.addr,
-                level: succ.level,
-            }
-        };
-        self.stats.probes_sent += 1;
-        #[cfg(feature = "trace")]
-        self.tr(
-            CauseId::NONE,
-            TraceEventKind::ProbeSent {
-                target: target.id.0,
-            },
-        );
-        self.send_rpc(outs, target, Message::Probe, RpcKind::Probe, 0);
-    }
-
-    /// The lonely peers this node answers for, in ascending id order:
-    /// alone in their eigenstring group as this list sees it, not in our
-    /// own group, and no held peer XOR-nearer to them than we are.
-    ///
-    /// Exactly `lonely_reference`, in one pass: the group test is
-    /// read off the level index, and the nearness scan is cut to the ids
-    /// sharing `lcp(me, p)` bits with `p` — any `q` outside that prefix
-    /// differs from `p` in a bit where `me` agrees with it, so
-    /// `q ^ p > me ^ p` and `q` can never fail the test.
-    fn lonely_peers(&self) -> Vec<Target> {
-        self.peers
-            .group_singletons()
-            .into_iter()
-            .filter(|&(id, level)| {
-                let group = level.eigenstring(id);
-                !(level == self.level && group == self.eigenstring()) && {
-                    let mine = self.me.0 ^ id.0;
-                    self.peers
-                        .iter_prefix(id.prefix(self.me.common_prefix_len(id)))
-                        .all(|q| q.id == id || (q.id.0 ^ id.0) >= mine)
-                }
-            })
-            .filter_map(|(id, _)| self.peers.get(id))
-            .map(|p| Target {
-                id: p.id,
-                addr: p.addr,
-                level: p.level,
-            })
-            .collect()
-    }
-
-    /// `lonely_peers` by definition, quadratic in the list: what
-    /// the proptest and every invariants-enabled probe tick compare the
-    /// fast selection against.
-    #[cfg(any(test, feature = "invariants"))]
-    fn lonely_reference(&self) -> Vec<Target> {
-        self.peers
-            .iter()
-            .filter(|p| {
-                let group = p.level.eigenstring(p.id);
-                self.peers.count_group(group, p.level) == 1
-                    && !(p.level == self.level && group == self.eigenstring())
-                    && {
-                        let mine = self.me.0 ^ p.id.0;
-                        self.peers
-                            .iter()
-                            .all(|q| q.id == p.id || (q.id.0 ^ p.id.0) >= mine)
-                    }
-            })
-            .map(|p| Target {
-                id: p.id,
-                addr: p.addr,
-                level: p.level,
-            })
-            .collect()
-    }
-
-    fn on_probe_failure(&mut self, now_us: u64, dead: Target, outs: &mut Vec<Output>) {
-        self.stats.failures_detected += 1;
-        // The detector is an observer too: feed the departed node's
-        // lifetime into the §4.6 estimator, exactly as applying the
-        // leave event would — `apply_event`'s Leave arm cannot, because
-        // by the time the self-originated event reaches it the pointer
-        // is already gone. Without this the detector keeps the generous
-        // no-estimate refresh default while every *other* observer
-        // tightens its expiry horizon from the same departure, and the
-        // detector's own entry is the first to be (wrongly) expired.
-        // Found by the depth-4 sweep: [Join(1), Join(2), Crash(2),
-        // Shift(0, 1)].
-        if let Some(old) = self.peers.remove(dead.id) {
-            if old.first_seen_us > 0 && now_us > old.first_seen_us {
-                self.lifetimes.record(old.level, now_us - old.first_seen_us);
-            }
-        }
-        outs.push(Output::FailureDetected { dead: dead.id });
-        #[cfg(feature = "trace")]
-        self.tr(
-            CauseId::new(dead.id.0, LEAVE_SEQ),
-            TraceEventKind::Obituary { subject: dead.id.0 },
-        );
-        let event = StateEvent {
-            subject: dead.id,
-            addr: dead.addr,
-            level: dead.level,
-            kind: EventKind::Leave,
-            seq: LEAVE_SEQ,
-            origin_us: now_us,
-            info: Bytes::new(),
-        };
-        self.report_event(now_us, event.clone(), outs);
-        // Courtesy copy straight to the condemned node. The §4.2
-        // dissection excludes the changing node from its own audience,
-        // so a false positive (three lost probe acks, §4.1) would
-        // otherwise stay invisible until its next periodic refresh —
-        // past the horizon of anyone who expires it first. Truly dead
-        // nodes ignore the datagram; live ones refute immediately (see
-        // `refute_false_obituary`). `ID_BITS` as the step makes the
-        // copy a leaf: a non-Active receiver that still processes it
-        // computes zero forwards.
-        if !self.gap13_suppressed() {
-            self.send(
-                outs,
-                dead,
-                Message::Multicast {
-                    event,
-                    step: ID_BITS,
-                },
-                0,
-            );
-        }
-        // §4.1: "redirects its probing to the next neighbor, and then
-        // immediately detects C's failure" — probe the new successor now.
-        self.probe_successor(outs);
-    }
-
-    // ------------------------------------------------------------------
-    // Events: application, reporting, multicast (§2, §4.2)
-    // ------------------------------------------------------------------
-
-    fn self_event(&self, now_us: u64, kind: EventKind) -> StateEvent {
-        self.self_event_with(now_us, kind)
-    }
-
-    fn self_event_with(&self, now_us: u64, kind: EventKind) -> StateEvent {
-        StateEvent {
-            subject: self.me,
-            addr: self.addr,
-            level: self.level,
-            kind,
-            seq: self.seq,
-            origin_us: now_us,
-            info: self.info.clone(),
-        }
-    }
-
-    /// §4.6 false-obituary refutation: we just heard our own departure
-    /// announced while very much alive (three lost probe acks suffice at
-    /// Internet loss rates, §4.1). Re-announce immediately — the
-    /// refresh's later origin re-admits us everywhere and demotes
-    /// lingering obituary copies to duplicates (see [`Self::dedup_admit`]).
-    /// Waiting for the periodic §4.6 refresh instead would leave us
-    /// invisible for up to a full refresh period. Returns whether the
-    /// event was such an obituary (and was refuted).
-    fn refute_false_obituary(
-        &mut self,
-        now_us: u64,
-        event: &StateEvent,
-        outs: &mut Vec<Output>,
-    ) -> bool {
-        if event.subject != self.me || !event.kind.is_removal() || self.phase != Phase::Active {
-            return false;
-        }
-        if self.gap13_suppressed() {
-            return false;
-        }
-        self.last_self_refresh_us = now_us;
-        self.seq += 1;
-        #[cfg(feature = "trace")]
-        self.tr(
-            CauseId::new(self.me.0, self.seq),
-            TraceEventKind::Refutation,
-        );
-        let refute = self.self_event(now_us, EventKind::Refresh);
-        self.report_event(now_us, refute, outs);
-        true
-    }
-
-    /// Routes an event towards a top node (or multicasts directly when we
-    /// are a top node ourselves).
-    fn report_event(&mut self, now_us: u64, event: StateEvent, outs: &mut Vec<Output>) {
-        if self.believes_top() && self.phase == Phase::Active {
-            self.start_multicast(now_us, event, outs);
-            return;
-        }
-        let mut dead = self.report_dead.clone();
-        // Never report to ourselves: a node able to root this multicast
-        // would have taken the believes_top branch above. Our own
-        // top-list entry goes stale the instant we shift off level 0 —
-        // picking it would root the multicast at our new (narrower)
-        // level and the rest of the id space would never hear the event.
-        // (Found by the invariants sweep: [Join, Shift(seed, 1)].)
-        dead.push(self.me);
-        // Prefer top-list entries that actually cover the subject (their
-        // eigenstring prefixes its id); in a split system the others
-        // belong to foreign parts and cannot root this multicast.
-        let covering: Vec<Target> = self
-            .tops
-            .entries()
-            .iter()
-            .filter(|t| {
-                !dead.contains(&t.id) && t.id.prefix(t.level.value()).contains(event.subject)
-            })
-            .copied()
-            .collect();
-        let top = if covering.is_empty() {
-            self.tops.choose(&dead, |n| self.rand_below(n))
-        } else {
-            Some(covering[self.rand_below(covering.len())])
-        };
-        let Some(top) = top else {
-            // All tops stale: fall back to asking any peer (§4.5).
-            self.fetch_top_list(outs, Some(event));
-            return;
-        };
-        self.send_rpc(
-            outs,
-            top,
-            Message::Report { event },
-            RpcKind::Report {
-                event: placeholder(),
-            },
-            0,
-        );
-    }
-
-    /// Announces a downward level shift (`old` → the already-updated
-    /// `self.level`), then narrows the peer-list scope.
-    ///
-    /// Ordering is load-bearing. A node that *was* top is the only
-    /// guaranteed root for its own shift event — its top list can be just
-    /// itself (a seed), and every other entry may belong to a foreign
-    /// part — so it must multicast from the old step over the still-wide
-    /// peer list *before* dropping the out-of-scope entries. Found by the
-    /// invariants sweep: trace `[Join, Shift(seed, 1)]` left the joiner
-    /// permanently recording the seed at level 0.
-    fn announce_lowered(&mut self, now_us: u64, old: Level, outs: &mut Vec<Output>) {
-        outs.push(Output::LevelShifted {
-            from: old,
-            to: self.level,
-        });
-        self.seq += 1;
-        #[cfg(feature = "trace")]
-        self.tr(
-            CauseId::new(self.me.0, self.seq),
-            TraceEventKind::LevelShift {
-                from: old.0,
-                to: self.level.0,
-            },
-        );
-        let event = self.self_event_with(now_us, EventKind::LevelShift { from: old });
-        if old.is_top() && self.phase == Phase::Active {
-            if self.apply_event(now_us, &event) {
-                self.forward_event(now_us, &event, old.value(), outs);
-            }
-            self.peers.set_scope(self.eigenstring());
-        } else {
-            self.peers.set_scope(self.eigenstring());
-            self.report_event(now_us, event, outs);
-        }
-    }
-
-    /// Applies an event locally and forwards it from `step = our level`
-    /// (the root role in §4.2).
-    fn start_multicast(&mut self, now_us: u64, event: StateEvent, outs: &mut Vec<Output>) {
-        if self.apply_event(now_us, &event) {
-            let step = self.level.value();
-            #[cfg(feature = "trace")]
-            self.tr(
-                CauseId::new(event.subject.0, event.seq),
-                TraceEventKind::McastRoot {
-                    class: Self::trace_event_class(&event.kind),
-                    step,
-                },
-            );
-            self.forward_event(now_us, &event, step, outs);
-        }
-    }
-
-    /// Computes and issues the §4.2 forwards for an event we are
-    /// responsible for at `step`.
-    fn forward_event(
-        &mut self,
-        _now_us: u64,
-        event: &StateEvent,
-        step: u8,
-        outs: &mut Vec<Output>,
-    ) {
-        let forwards = forward_steps(&self.peers, self.me, step, event.subject);
-        for f in forwards {
-            self.stats.forwards += 1;
-            #[cfg(feature = "trace")]
-            self.tr(
-                CauseId::new(event.subject.0, event.seq),
-                TraceEventKind::McastHop {
-                    class: Self::trace_event_class(&event.kind),
-                    child: f.target.id.0,
-                    step: f.next_step,
-                },
-            );
-            let range = self
-                .me
-                .prefix(f.next_step - 1)
-                .child(!self.me.bit(f.next_step - 1));
-            self.send_rpc(
-                outs,
-                f.target,
-                Message::Multicast {
-                    event: event.clone(),
-                    step: f.next_step,
-                },
-                RpcKind::McastForward {
-                    event: event.clone(),
-                    range,
-                },
-                self.cfg.processing_delay_us,
-            );
-        }
-    }
-
-    /// Installs a pointer obtained from a bulk download. Downloads carry
-    /// no age information (`first_seen_us` may be 0 = unknown); unknown
-    /// ages are preserved so they never contaminate the §4.6 lifetime
-    /// estimator with short observation spans.
-    fn install_downloaded(&mut self, mut ptr: Pointer, now_us: u64) {
-        if ptr.id == self.me || self.known_departed(ptr.id) {
-            // A downloaded list races with leave multicasts exactly like
-            // a piggybacked top list does (see `refresh_tops`): the
-            // leave we already applied can never purge a re-admitted
-            // entry. Downloads carry no origin time to compare, so skip
-            // conservatively — a live node's §4.6 refresh re-admits.
-            return;
-        }
-        ptr.last_refresh_us = now_us;
-        self.peers.insert(ptr);
-    }
-
-    /// Whether `event` is fresh w.r.t. the dedup horizon, updating it.
-    fn dedup_admit(&mut self, event: &StateEvent) -> bool {
-        let e = self.seen.entry(event.subject).or_insert((0, 0, false));
-        // Removals carry the sentinel seq, so ordering falls entirely to
-        // the origin timestamp: a removal that originated no later than
-        // the subject's newest known announcement is stale information —
-        // the subject has demonstrably outlived it. Without this, a
-        // lingering copy of a refuted false obituary (§4.1 probe
-        // misfire) re-kills the entry on arrival, since the sentinel
-        // always wins the seq comparison.
-        let stale = if event.kind.is_removal() {
-            event.origin_us <= e.1
-        } else {
-            event.seq <= e.0 && event.origin_us <= e.1
-        };
-        if stale {
-            self.stats.events_duped += 1;
-            return false;
-        }
-        e.0 = e.0.max(event.seq);
-        e.1 = e.1.max(event.origin_us);
-        e.2 = event.kind.is_removal();
-        true
-    }
-
-    /// Whether the freshest event we applied for `id` was a removal —
-    /// i.e. the node departed and nothing newer has overridden that.
-    fn known_departed(&self, id: NodeId) -> bool {
-        self.seen.get(&id).is_some_and(|e| e.2)
-    }
-
-    /// Applies an event to the local peer list; returns `true` when fresh.
-    fn apply_event(&mut self, now_us: u64, event: &StateEvent) -> bool {
-        let subject = event.subject;
-        if subject == self.me {
-            // Our own event coming back (we initiated it): fresh only when
-            // we have not seen it, so the initiating call forwards once.
-            return self.dedup_admit(&event.clone());
-        }
-        if !self.dedup_admit(event) {
-            return false;
-        }
-        self.stats.events_applied += 1;
-        // Keep the top-node list's recorded levels in sync (stale levels
-        // there misroute reports and break the believes_top judgement).
-        if event.kind.is_removal() {
-            self.tops.remove(subject);
-        } else if event.level.is_top() {
-            // A level-0 subject IS a top node: admit it, don't just sync
-            // an existing entry. Piggyback alone never seeds the list of
-            // a node that was born top (its own FindTop replies are
-            // self-only), and an empty list leaves believes_top()
-            // vacuously true after that node later lowers itself — it
-            // then answers FindTop with itself and roots joins below
-            // step 0, so part of the id space never hears them. Found by
-            // the invariants sweep: [Join, Shift(seed, 1), Join].
-            self.refresh_tops([Target {
-                id: subject,
-                addr: event.addr,
-                level: event.level,
-            }]);
-        } else {
-            self.tops.note_level(subject, event.level);
-        }
-        if !self.eigenstring().contains(subject) {
-            // Outside our scope: we still forward (we may be a top node of
-            // a part that covers it — then it IS in scope; otherwise this
-            // is a routing artefact) but do not store.
-            return true;
-        }
-        match event.kind {
-            EventKind::Leave => {
-                if let Some(old) = self.peers.remove(subject) {
-                    if old.first_seen_us > 0 && event.origin_us > old.first_seen_us {
-                        self.lifetimes
-                            .record(old.level, event.origin_us - old.first_seen_us);
-                    }
-                }
-                // Purge the top-node list too: a departed top would
-                // otherwise absorb (and lose) reports until every node
-                // individually timed out against it (§4.5's lazy
-                // maintenance heals much faster with this).
-                self.tops.remove(subject);
-                // A later-originating event (a rejoin, or a refresh from a
-                // falsely-declared node) re-admits via the origin clause.
-            }
-            EventKind::Join => {
-                let ptr = event.to_pointer(now_us);
-                self.peers.insert(ptr);
-            }
-            EventKind::LevelShift { .. } | EventKind::InfoChange | EventKind::Refresh => {
-                if self.peers.contains(subject) {
-                    self.peers.update_level(subject, event.level);
-                    self.peers.update_info(subject, event.info.clone(), now_us);
-                } else {
-                    // Absent pointer: §4.6 — the refresh revives it. The
-                    // node's true join time is unknown; a zero first-seen
-                    // keeps it out of the lifetime estimator.
-                    let mut ptr = event.to_pointer(now_us);
-                    ptr.first_seen_us = 0;
-                    self.peers.insert(ptr);
-                }
-            }
-        }
-        true
-    }
-
-    // ------------------------------------------------------------------
-    // Level adaptation (autonomy, §2/§4.3)
-    // ------------------------------------------------------------------
-
-    fn adapt_level(&mut self, now_us: u64, outs: &mut Vec<Output>) {
-        // Cooldown: measure a full fresh window at the new level before
-        // deciding again, or every shift begets another.
-        if now_us.saturating_sub(self.last_shift_us) < self.cfg.bandwidth_window_us {
-            return;
-        }
-        let cost = self.meter.bps(now_us);
-        // Debounce: one noisy window must not trigger a (system-wide
-        // multicast) shift; require two consecutive windows agreeing.
-        if cost > self.threshold_bps && self.level != Level::MAX {
-            self.adapt_pressure = self.adapt_pressure.max(0) + 1;
-        } else if cost < self.threshold_bps * self.cfg.grow_fraction && !self.level.is_top() {
-            self.adapt_pressure = self.adapt_pressure.min(0) - 1;
-        } else {
-            self.adapt_pressure = 0;
-        }
-        if self.adapt_pressure >= 2 && self.level != Level::MAX {
-            self.adapt_pressure = 0;
-            // Over budget: shrink the peer list.
-            self.last_shift_us = now_us;
-            let old = self.level;
-            self.level = self.level.lowered();
-            self.announce_lowered(now_us, old, outs);
-        } else if self.adapt_pressure <= -4 && !self.level.is_top() {
-            self.adapt_pressure = 0;
-            // Under budget: try to grow, if our part allows it.
-            let part_top_level = self
-                .tops
-                .entries()
-                .iter()
-                .map(|t| t.level)
-                .min()
-                .unwrap_or(Level::TOP);
-            if self.level.value() <= part_top_level.value() {
-                return; // already as strong as our part's tops
-            }
-            if self
-                .pending
-                .values()
-                .any(|p| matches!(p.kind, RpcKind::RaiseDownload { .. }))
-            {
-                return; // raise already in flight
-            }
-            let new_level = self.level.raised();
-            let scope = new_level.eigenstring(self.me);
-            let Some(top) = self.tops.choose(&[], |n| self.rand_below(n)) else {
-                return;
-            };
-            self.send_rpc(
-                outs,
-                top,
-                Message::Download { scope },
-                RpcKind::RaiseDownload { new_level },
-                0,
-            );
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Commands
-    // ------------------------------------------------------------------
 
     fn on_command(&mut self, now_us: u64, cmd: Command, outs: &mut Vec<Output>) {
         match cmd {
-            Command::ChangeInfo(info) => {
-                self.info = info;
-                if self.phase == Phase::Active {
-                    self.seq += 1;
-                    let event = self.self_event(now_us, EventKind::InfoChange);
-                    self.report_event(now_us, event, outs);
-                }
-            }
+            Command::ChangeInfo(info) => self.change_info(now_us, info, outs),
             Command::SetThreshold(bps) => self.threshold_bps = bps,
-            Command::SetLevel(target) => {
-                if self.phase != Phase::Active || target == self.level {
-                    return;
-                }
-                self.last_shift_us = now_us;
-                if target.value() > self.level.value() {
-                    // Weaker: shrink in place and announce.
-                    let old = self.level;
-                    self.level = target;
-                    self.announce_lowered(now_us, old, outs);
-                } else {
-                    // Stronger: download the wider list first (§4.3).
-                    let scope = target.eigenstring(self.me);
-                    if let Some(top) = self.tops.choose(&[], |n| self.rand_below(n)) {
-                        self.send_rpc(
-                            outs,
-                            top,
-                            Message::Download { scope },
-                            RpcKind::RaiseDownload { new_level: target },
-                            0,
-                        );
-                    }
-                }
-            }
-            Command::Shutdown => {
-                if self.phase == Phase::Active {
-                    let event = StateEvent {
-                        subject: self.me,
-                        addr: self.addr,
-                        level: self.level,
-                        kind: EventKind::Leave,
-                        seq: LEAVE_SEQ,
-                        origin_us: now_us,
-                        info: Bytes::new(),
-                    };
-                    self.report_event(now_us, event, outs);
-                    // §4.3: drain the announcement (retries and redirects
-                    // included) before going silent. Going Left at once
-                    // abandons the multicast's RPC state — a forward
-                    // addressed to a not-yet-detected crash then dies
-                    // with no redirect, hiding the leave from an entire
-                    // subtree until §4.6 expiry. Found by the invariant
-                    // checker's full-sim companion test (crash 1.5 s
-                    // before a graceful leave).
-                    self.phase = Phase::Leaving;
-                    return;
-                }
-                self.phase = Phase::Left;
-            }
+            Command::SetLevel(target) => self.set_level(now_us, target, outs),
+            Command::Shutdown => self.shutdown(now_us, outs),
         }
-    }
-
-    // ------------------------------------------------------------------
-    // RPC plumbing
-    // ------------------------------------------------------------------
-
-    fn send(&mut self, outs: &mut Vec<Output>, to: Target, msg: Message, delay_us: u64) {
-        self.stats.tx_msgs += 1;
-        let bits = msg.wire_bits(&self.cfg);
-        self.stats.tx_bits += bits;
-        #[cfg(feature = "trace")]
-        self.tr(
-            Self::trace_cause(&msg),
-            TraceEventKind::MsgSend {
-                to: to.id.0,
-                class: msg.trace_class(),
-                bits,
-            },
-        );
-        outs.push(Output::Send { to, msg, delay_us });
-    }
-
-    fn send_rpc(
-        &mut self,
-        outs: &mut Vec<Output>,
-        to: Target,
-        msg: Message,
-        kind: RpcKind,
-        delay_us: u64,
-    ) {
-        let token = self.next_token;
-        self.next_token += 1;
-        // Fix up the placeholder hack for Report (see report_event).
-        let kind = match (&kind, &msg) {
-            (RpcKind::Report { .. }, Message::Report { event }) => RpcKind::Report {
-                event: event.clone(),
-            },
-            _ => kind,
-        };
-        self.pending.insert(
-            token,
-            PendingRpc {
-                target: to,
-                msg: msg.clone(),
-                attempts: 1,
-                kind,
-            },
-        );
-        self.send(outs, to, msg, delay_us);
-        outs.push(Output::SetTimer {
-            delay_us: delay_us + self.cfg.rpc_timeout_us,
-            timer: Timer::RpcTimeout(token),
-        });
-    }
-
-    /// Removes the first pending RPC matching `pred` (reply arrived).
-    fn resolve_rpc(&mut self, pred: impl Fn(&PendingRpc) -> bool) {
-        if let Some((&token, _)) = self.pending.iter().find(|(_, p)| pred(p)) {
-            self.pending.remove(&token);
-        }
-    }
-
-    /// Removes and returns the first pending RPC matching `pred`.
-    fn take_rpc(&mut self, pred: impl Fn(&PendingRpc) -> bool) -> Option<PendingRpc> {
-        let token = self
-            .pending
-            .iter()
-            .find(|(_, p)| pred(p))
-            .map(|(&t, _)| t)?;
-        self.pending.remove(&token)
-    }
-
-    fn on_rpc_timeout(&mut self, now_us: u64, token: u64, outs: &mut Vec<Output>) {
-        let Some(mut p) = self.pending.remove(&token) else {
-            return; // already resolved
-        };
-        if p.attempts < self.cfg.max_attempts {
-            p.attempts += 1;
-            self.stats.rpc_retries += 1;
-            let new_token = self.next_token;
-            self.next_token += 1;
-            self.send(outs, p.target, p.msg.clone(), 0);
-            outs.push(Output::SetTimer {
-                delay_us: self.backoff_wait_us(p.attempts),
-                timer: Timer::RpcTimeout(new_token),
-            });
-            self.pending.insert(new_token, p);
-            return;
-        }
-        // Give up after max_attempts.
-        match p.kind {
-            RpcKind::Probe => self.on_probe_failure(now_us, p.target, outs),
-            RpcKind::McastForward { event, range } => {
-                // §4.2: remove the stale pointer and redirect. The paper
-                // removes it *quietly*, but a quiet removal races §4.1:
-                // the forwarder that drops the dead node is — by the
-                // prefix-routing structure — usually its ring prober, so
-                // the failure would never be reported and every other
-                // audience member would keep the stale entry until the
-                // §4.6 expiry. On the other hand, reporting a leave
-                // straight away turns every triple packet loss into a
-                // false obituary multicast. So: remove locally and
-                // redirect now (delivery continuity), and *verify* the
-                // suspect with a probe — the probe's own give-up path
-                // reports the leave only if the node is really gone
-                // (DESIGN.md clarification).
-                self.stats.stale_dropped += 1;
-                if let Some(old) = self.peers.remove(p.target.id) {
-                    let suspect = Target {
-                        id: old.id,
-                        addr: old.addr,
-                        level: old.level,
-                    };
-                    self.send_rpc(outs, suspect, Message::Probe, RpcKind::Probe, 0);
-                }
-                if let Some(next) = crate::multicast::redirect_target(
-                    &self.peers,
-                    range,
-                    event.subject,
-                    self.me,
-                    &[],
-                ) {
-                    let step = range.len();
-                    #[cfg(feature = "trace")]
-                    self.tr(
-                        CauseId::new(event.subject.0, event.seq),
-                        TraceEventKind::McastRedirect {
-                            class: Self::trace_event_class(&event.kind),
-                            old: p.target.id.0,
-                            new: next.id.0,
-                            step,
-                        },
-                    );
-                    self.send_rpc(
-                        outs,
-                        next,
-                        Message::Multicast {
-                            event: event.clone(),
-                            step,
-                        },
-                        RpcKind::McastForward { event, range },
-                        0,
-                    );
-                }
-            }
-            RpcKind::Report { event } => {
-                self.tops.remove(p.target.id);
-                self.report_dead.push(p.target.id);
-                self.report_event(now_us, event, outs);
-            }
-            RpcKind::JoinFindTop | RpcKind::JoinLevelQuery | RpcKind::JoinDownload => {
-                // Try another known top; if none, the join fails.
-                let dead = vec![p.target.id];
-                self.tops.remove(p.target.id);
-                if let Some(top) = self.tops.choose(&dead, |n| self.rand_below(n)) {
-                    let kind = p.kind;
-                    self.send_rpc(outs, top, p.msg, kind, 0);
-                } else {
-                    self.fail(outs, ProtocolError::NoReachableTop);
-                }
-            }
-            RpcKind::RaiseDownload { .. } => {
-                // Abort the raise and forget the unresponsive top so the
-                // next attempt picks a live one.
-                self.tops.remove(p.target.id);
-            }
-            RpcKind::Reconcile => { /* §4.6 refresh will heal eventually */ }
-            RpcKind::TopListFetch { resume } => {
-                // Try one more random peer, then drop the event (it will
-                // self-heal via §4.6).
-                self.fetch_top_list(outs, resume);
-            }
-        }
-    }
-
-    fn fetch_top_list(&mut self, outs: &mut Vec<Output>, resume: Option<StateEvent>) {
-        if self
-            .pending
-            .values()
-            .any(|p| matches!(p.kind, RpcKind::TopListFetch { .. }))
-        {
-            return;
-        }
-        let n = self.peers.len();
-        if n == 0 {
-            return;
-        }
-        let idx = self.rand_below(n);
-        let Some(ptr) = self.peers.iter().nth(idx) else {
-            return;
-        };
-        let target = Target {
-            id: ptr.id,
-            addr: ptr.addr,
-            level: ptr.level,
-        };
-        self.send_rpc(
-            outs,
-            target,
-            Message::TopListRequest,
-            RpcKind::TopListFetch { resume },
-            0,
-        );
-    }
-
-    /// Merges piggybacked top-node pointers, dropping any entry for
-    /// ourselves. Peers legitimately list us among the tops of the part,
-    /// but storing a self-entry is poison: it is never level-synced (we
-    /// do not apply our own events), and a later level raise can pick it
-    /// and "download" from ourselves — an empty list — leaving the shift
-    /// announced to nobody. Found by the invariants sweep:
-    /// [Join, Shift(1), Shift(0)].
-    /// Also drops entries for nodes whose freshest known event was a
-    /// removal: piggybacked top lists race with leave multicasts, and a
-    /// stale list arriving after we applied the leave would re-seed the
-    /// departed node forever — the leave is inside the dedup horizon and
-    /// can never purge it again. A rejoin or refresh (fresh by the
-    /// origin clause) clears the flag and re-admits through
-    /// `apply_event`. Found by the invariants sweep at depth 4:
-    /// [Join(1), Join(2), Shift(1, 1), Leave(2)].
-    fn refresh_tops(&mut self, fresh: impl IntoIterator<Item = Target>) {
-        let me = self.me;
-        let fresh: Vec<Target> = fresh
-            .into_iter()
-            .filter(|t| t.id != me && !self.known_departed(t.id))
-            .collect();
-        self.tops.refresh(fresh);
-    }
-
-    fn piggyback_tops(&self) -> Vec<Target> {
-        if self.believes_top() {
-            // §4.5: a top node hands out tops of its own part — itself and
-            // its same-group peers from the (fully connected) peer list.
-            let mut tops: Vec<Target> = self
-                .peers
-                .iter_prefix(self.eigenstring())
-                .filter(|ptr| ptr.level == self.level)
-                .take(self.tops.capacity().saturating_sub(1))
-                .map(|ptr| Target {
-                    id: ptr.id,
-                    addr: ptr.addr,
-                    level: ptr.level,
-                })
-                .collect();
-            tops.insert(0, self.as_target());
-            tops.truncate(self.tops.capacity());
-            tops
-        } else {
-            self.tops.piggyback(NodeId(0))
-        }
-    }
-
-    /// Retry wait before attempt `attempt + 1`: exponential backoff over
-    /// the base RPC timeout, capped, stretched by deterministic jitter
-    /// (the paper retries at the fixed `rpc_timeout_us`; that cadence
-    /// resonates with bursty loss and post-partition retry storms —
-    /// every node re-sends in lockstep — so retries now spread out).
-    fn backoff_wait_us(&self, attempt: u32) -> u64 {
-        let base = self.cfg.rpc_timeout_us.max(1);
-        let mult = self.cfg.rpc_backoff_mult.max(1.0);
-        let wait = (base as f64 * mult.powi(attempt.saturating_sub(1) as i32))
-            .min(self.cfg.rpc_backoff_max_us.max(base) as f64) as u64;
-        let span = (wait as f64 * self.cfg.rpc_backoff_jitter.clamp(0.0, 1.0)) as u64;
-        if span == 0 {
-            wait
-        } else {
-            // rand_below keys off next_token, which on_rpc_timeout just
-            // advanced — each retry draws fresh jitter.
-            wait + self.rand_below(span as usize + 1) as u64
-        }
-    }
-
-    /// Deterministic xorshift, used where the paper says "randomly".
-    fn rand_below(&self, n: usize) -> usize {
-        debug_assert!(n > 0);
-        let mut x = self.rng ^ self.next_token.wrapping_mul(0x9E3779B97F4A7C15);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x % n as u64) as usize
-    }
-}
-
-/// Placeholder event used only to tag the RPC kind before `send_rpc`
-/// clones the real event out of the message (avoids a double clone).
-fn placeholder() -> StateEvent {
-    StateEvent {
-        subject: NodeId(0),
-        addr: Addr(0),
-        level: Level::TOP,
-        kind: EventKind::Refresh,
-        seq: 0,
-        origin_us: 0,
-        info: Bytes::new(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
+    use crate::pointer::Pointer;
+    #[cfg(feature = "trace")]
+    use peerwindow_trace::JoinPhase;
     use proptest::prelude::*;
     use std::collections::BinaryHeap;
 
@@ -2184,6 +743,10 @@ mod tests {
         outputs: Vec<(usize, Output)>,
         /// Message payloads, parked outside the ordered queue key.
         parked: Vec<(NodeId, Addr, Message)>,
+        /// Every send, in emission order: sender index, target, message.
+        sent: Vec<(usize, Target, Message)>,
+        /// `MulticastAck`s from the first machine to the second are lost.
+        lost_acks: Option<(usize, usize)>,
     }
 
     #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -2203,6 +766,8 @@ mod tests {
                 dead: Vec::new(),
                 outputs: Vec::new(),
                 parked: Vec::new(),
+                sent: Vec::new(),
+                lost_acks: None,
             }
         }
 
@@ -2256,6 +821,12 @@ mod tests {
                     Output::Send { to, msg, delay_us } => {
                         // Resolve destination machine by address.
                         let dest = to.addr.0 as usize;
+                        self.sent.push((from, to, msg.clone()));
+                        if matches!(msg, Message::MulticastAck { .. })
+                            && self.lost_acks == Some((from, dest))
+                        {
+                            continue;
+                        }
                         self.seq += 1;
                         let at = self.now + delay_us + self.latency_us;
                         let msg_idx = self.parked.len();
@@ -2457,6 +1028,76 @@ mod tests {
     }
 
     #[test]
+    fn unacked_forward_is_dropped_verified_and_redirected() {
+        // §4.2 give-up at the machine level: d receives a's forward but
+        // its acks are lost, so after max_attempts a drops d, probes it,
+        // and re-sends the same (event, step) into the same flipped range.
+        let mut net = MiniNet::new();
+        let a = net.add_seed(0x2000_0000_0000_0000_0000_0000_0000_0000); // 0010…
+        let b = net.add_joiner(0x6000_0000_0000_0000_0000_0000_0000_0000, a, 1e9); // 0110…
+        let d = net.add_joiner(0x8000_0000_0000_0000_0000_0000_0000_0000, a, 1e9); // 1000…
+        let e = net.add_joiner(0xC000_0000_0000_0000_0000_0000_0000_0000, a, 1e9); // 1100…
+        net.add_joiner(0xE000_0000_0000_0000_0000_0000_0000_0000, a, 1e9); // 1110…
+        net.run_until(10_000_000);
+        let id = |i: usize| net.machines[i].id();
+        let (a_id, b_id, d_id, e_id) = (id(a), id(b), id(d), id(e));
+        assert_eq!(net.machines[a].peers().len(), 4);
+        let before = net.machines[a].stats();
+        net.lost_acks = Some((d, a));
+        let from = net.sent.len();
+        net.send_command(a, Command::ChangeInfo(Bytes::from_static(b"v2")));
+        net.run_until(15_000_000);
+
+        let m = &net.machines[a];
+        assert_eq!(m.stats().stale_dropped, before.stale_dropped + 1);
+        assert!(!m.peers().contains(d_id), "the unacked pointer was kept");
+        let sends: Vec<(NodeId, &Message)> = net.sent[from..]
+            .iter()
+            .filter(|(i, _, _)| *i == a)
+            .map(|(_, to, msg)| (to.id, msg))
+            .collect();
+        let forwards = |to: NodeId| -> Vec<(StateEvent, u8)> {
+            sends
+                .iter()
+                .filter_map(|&(t, msg)| match msg {
+                    Message::Multicast { event, step } if t == to && event.subject == a_id => {
+                        Some((event.clone(), *step))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        // Three attempts at d, all for the step-1 range "1".
+        let to_d = forwards(d_id);
+        assert_eq!(to_d.len() as u32, m.cfg.max_attempts, "{to_d:?}");
+        assert!(to_d.iter().all(|f| f == &to_d[0]));
+        let (event, step) = to_d[0].clone();
+        assert_eq!((event.kind, step), (EventKind::InfoChange, 1));
+        // The acked forward to b went out once.
+        assert_eq!(forwards(b_id).len(), 1);
+        // After the last attempt: a verification probe to d, then the
+        // same event and step to the strongest remaining member of "1".
+        let last = sends
+            .iter()
+            .rposition(|&(t, msg)| t == d_id && matches!(msg, Message::Multicast { .. }))
+            .unwrap();
+        let probe = sends
+            .iter()
+            .position(|&(t, msg)| t == d_id && matches!(msg, Message::Probe))
+            .expect("no verification probe to the dropped node");
+        assert!(probe > last);
+        let range = Prefix::from_bits_str("1").unwrap();
+        let strongest = m.peers().strongest_audience_in_range(range, a_id, a_id);
+        assert_eq!(strongest.map(|p| p.id), Some(e_id));
+        assert_eq!(forwards(e_id), vec![(event, step)]);
+        let redirect = sends
+            .iter()
+            .position(|&(t, msg)| t == e_id && matches!(msg, Message::Multicast { .. }))
+            .unwrap();
+        assert!(redirect > probe);
+    }
+
+    #[test]
     fn info_change_propagates_to_audience() {
         let mut net = MiniNet::new();
         let a = net.add_seed(0x2000_0000_0000_0000_0000_0000_0000_0000);
@@ -2465,8 +1106,8 @@ mod tests {
         net.send_command(b, Command::ChangeInfo(Bytes::from_static(b"os:plan9")));
         net.run_until(10_000_000);
         let b_id = net.machines[b].id();
-        let seen = net.machines[a].peers().get(b_id).unwrap();
-        assert_eq!(&seen.info[..], b"os:plan9");
+        let entry = net.machines[a].peers().get(b_id).unwrap();
+        assert_eq!(&entry.info[..], b"os:plan9");
     }
 
     #[test]

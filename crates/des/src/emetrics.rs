@@ -6,7 +6,8 @@
 //! module picks the implementation at compile time: the real cache-line-
 //! padded `ShardSlot` under the `runtime-metrics` feature, the `NoopMetrics`
 //! ZST otherwise — so a default build carries no metrics state, branches,
-//! or wall-clock reads at all, exactly like the trace layer's `NoopTrace`.
+//! or wall-clock reads at all, as a build without `peerwindow-core`'s
+//! `trace` feature carries no trace code.
 //!
 //! Report types (`RunReport`) are unconditional: callers can always ask
 //! for a report; compiled out it is simply empty.

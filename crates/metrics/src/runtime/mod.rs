@@ -7,8 +7,8 @@
 //! — the attribution a scaling investigation needs before it can blame
 //! anything.
 //!
-//! The design mirrors the trace layer's compiled-out discipline
-//! (`peerwindow_trace::TraceSink`):
+//! The design is a compiled-out sink (`peerwindow-core`'s trace hooks get
+//! the same effect from `cfg(feature = "trace")` instead):
 //!
 //! * [`MetricsSink`] is the static-dispatch recording interface. Engines
 //!   are written against it generically and guard every instrumentation

@@ -52,7 +52,7 @@ pub use record::{
     CauseId, DiagCode, EventClass, FaultClass, JoinPhase, MsgClass, TraceEventKind, TraceRecord,
 };
 pub use registry::{CounterRegistry, SampleSeries};
-pub use sink::{canonical_sort, NodeTrace, NoopTrace, TraceSink};
+pub use sink::{canonical_sort, NodeTrace};
 
 /// Errors from the JSONL / Chrome parsers.
 #[derive(Clone, Debug, PartialEq, Eq)]

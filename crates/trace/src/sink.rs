@@ -12,100 +12,6 @@
 
 use crate::record::{CauseId, TraceEventKind, TraceRecord};
 
-/// A statically-dispatched trace sink, so hot loops can be generic over
-/// "traced" vs "untraced" and have the untraced instantiation *compiled
-/// out* rather than branching per event.
-///
-/// [`NodeTrace`] is the real sink; [`NoopTrace`] is a zero-sized
-/// implementation whose methods are empty `#[inline]` bodies — after
-/// monomorphisation an untraced simulation contains no trace state, no
-/// branch, and no dead record-building code (the event payload is built
-/// inside the [`TraceSink::emit_with`] closure, which a no-op sink never
-/// calls). This is what lets the bench suite measure the *compiled-out*
-/// configuration honestly instead of a runtime-disabled flag.
-pub trait TraceSink {
-    /// `false` for sinks that discard everything; lets embedders skip
-    /// whole bookkeeping blocks (`if T::ACTIVE { ... }`) that exist only
-    /// to feed the sink.
-    const ACTIVE: bool;
-
-    /// Whether the sink is currently capturing (`false` for no-op sinks,
-    /// the runtime flag for [`NodeTrace`]). Embedders guard their whole
-    /// per-event trace block behind this — `T::ACTIVE && recording()`
-    /// const-folds to `false` for a no-op sink and costs one predictable
-    /// branch for a runtime-disabled one.
-    fn recording(&self) -> bool;
-
-    /// Sets the simulation time stamped onto subsequent records.
-    fn set_now(&mut self, now_us: u64);
-
-    /// Records an event. `kind` is a closure so building the payload is
-    /// skipped entirely when the sink is a no-op (or runtime-disabled).
-    fn emit_with(&mut self, level: u8, cause: CauseId, kind: impl FnOnce() -> TraceEventKind);
-
-    /// Moves buffered records into `out` (no-op sinks leave it alone).
-    fn drain_into(&mut self, out: &mut Vec<TraceRecord>);
-}
-
-/// The compiled-out trace sink: zero-sized, every method an empty inline
-/// body. `Simulation<NoopTrace>` monomorphises to code with no tracing in
-/// it at all.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoopTrace;
-
-impl NoopTrace {
-    /// Creates the no-op sink; the `node` id is accepted (and discarded)
-    /// so traced and untraced construction sites look identical.
-    #[inline(always)]
-    pub fn new(_node: u128) -> Self {
-        NoopTrace
-    }
-}
-
-impl TraceSink for NoopTrace {
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn recording(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn set_now(&mut self, _now_us: u64) {}
-
-    #[inline(always)]
-    fn emit_with(&mut self, _level: u8, _cause: CauseId, _kind: impl FnOnce() -> TraceEventKind) {}
-
-    #[inline(always)]
-    fn drain_into(&mut self, _out: &mut Vec<TraceRecord>) {}
-}
-
-impl TraceSink for NodeTrace {
-    const ACTIVE: bool = true;
-
-    #[inline]
-    fn recording(&self) -> bool {
-        self.enabled
-    }
-
-    #[inline]
-    fn set_now(&mut self, now_us: u64) {
-        NodeTrace::set_now(self, now_us);
-    }
-
-    #[inline]
-    fn emit_with(&mut self, level: u8, cause: CauseId, kind: impl FnOnce() -> TraceEventKind) {
-        if self.enabled {
-            self.emit(level, kind(), cause);
-        }
-    }
-
-    #[inline]
-    fn drain_into(&mut self, out: &mut Vec<TraceRecord>) {
-        NodeTrace::drain_into(self, out);
-    }
-}
-
 /// A single node's trace buffer: an enabled flag, the per-node emission
 /// counter, and the pending records. Cheap when disabled (one branch per
 /// would-be record); embedders drain it after every handled input so the
@@ -225,52 +131,6 @@ mod tests {
             "emission counter must survive drains"
         );
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn emit_with_skips_payload_when_disabled_or_noop() {
-        // Disabled NodeTrace: closure must not run, nothing buffered.
-        let mut t = NodeTrace::new(3);
-        let mut built = 0u32;
-        TraceSink::emit_with(&mut t, 0, CauseId::NONE, || {
-            built += 1;
-            TraceEventKind::MsgSend {
-                to: 9,
-                class: MsgClass::Probe,
-                bits: 1,
-            }
-        });
-        assert_eq!(built, 0);
-        assert!(t.is_empty());
-
-        // Enabled: closure runs once, record lands.
-        t.set_enabled(true);
-        TraceSink::emit_with(&mut t, 0, CauseId::NONE, || {
-            built += 1;
-            TraceEventKind::MsgSend {
-                to: 9,
-                class: MsgClass::Probe,
-                bits: 1,
-            }
-        });
-        assert_eq!(built, 1);
-        assert!(!t.is_empty());
-
-        // NoopTrace: statically inert.
-        const { assert!(!NoopTrace::ACTIVE) };
-        let mut n = NoopTrace::new(3);
-        TraceSink::emit_with(&mut n, 0, CauseId::NONE, || {
-            built += 10;
-            TraceEventKind::MsgSend {
-                to: 9,
-                class: MsgClass::Probe,
-                bits: 1,
-            }
-        });
-        assert_eq!(built, 1, "no-op sink must never build the payload");
-        let mut out = Vec::new();
-        TraceSink::drain_into(&mut n, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]
