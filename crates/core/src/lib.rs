@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::messages::Message;
     pub use crate::model::ModelParams;
     pub use crate::multicast::{
-        forward_steps, plan_tree, tree_stats, AudienceView, Forward, Target, TreeEdge, TreeStats,
+        forward_steps, plan_tree, tree_stats, Forward, Target, TreeEdge, TreeStats,
     };
     pub use crate::node::{Command, Input, NodeMachine, NodeStats, Output, Timer};
     pub use crate::parts::{audit_parts, PartAudit, PartMap};

@@ -9,12 +9,16 @@
 //! not pre-determined; every node picks its next target at runtime from its
 //! own peer list.
 //!
-//! This module is *pure*: it computes forwarding decisions from a view of
-//! the membership ([`AudienceView`]) without performing I/O, so the same
-//! logic drives the sans-IO node machine (full fidelity), the oracle-mode
-//! simulator, and the property tests.
+//! This module is *pure*: it computes forwarding decisions from a
+//! [`PeerList`] without performing I/O, so the same logic drives the
+//! sans-IO node machine (full fidelity, from the node's own list) and the
+//! property tests (from any list, e.g. ground truth). The oracle-mode
+//! simulator plans its trees with its own trie (`peerwindow_sim::plan`),
+//! which a test there keeps equal to [`plan_tree`].
 
-use crate::id::{NodeId, Prefix, ID_BITS};
+#[cfg(any(test, feature = "invariants"))]
+use crate::id::ID_BITS;
+use crate::id::{NodeId, Prefix};
 use crate::level::Level;
 use crate::peer_list::PeerList;
 use crate::pointer::{Addr, Pointer};
@@ -29,40 +33,6 @@ pub struct Target {
     pub addr: Addr,
     /// Target level as known to the sender.
     pub level: Level,
-}
-
-/// A queryable view of the membership, as seen by one forwarding node.
-///
-/// Implemented by [`PeerList`] (a node's own, possibly erroneous knowledge)
-/// and by the oracle directory in `peerwindow-sim` (ground truth).
-pub trait AudienceView {
-    /// The strongest (smallest level value) audience-set member of
-    /// `changing` whose id lies in `range`, excluding `exclude` and
-    /// `changing` itself; ties broken by smallest id.
-    fn strongest_audience_in_range(
-        &self,
-        range: Prefix,
-        changing: NodeId,
-        exclude: NodeId,
-    ) -> Option<Target>;
-
-    /// Whether any audience-set member of `changing` (≠ `exclude`,
-    /// ≠ `changing`) lies in `range`.
-    fn any_audience_in_range(&self, range: Prefix, changing: NodeId, exclude: NodeId) -> bool {
-        self.strongest_audience_in_range(range, changing, exclude)
-            .is_some()
-    }
-}
-
-impl AudienceView for PeerList {
-    fn strongest_audience_in_range(
-        &self,
-        range: Prefix,
-        changing: NodeId,
-        exclude: NodeId,
-    ) -> Option<Target> {
-        PeerList::strongest_audience_in_range(self, range, changing, exclude).map(Target::from)
-    }
 }
 
 impl From<&Pointer> for Target {
@@ -97,9 +67,29 @@ pub struct Forward {
 /// interpreted as: stop once the node's remaining responsibility range
 /// holds no other audience member (empty *sibling* half-ranges are skipped,
 /// not terminal — otherwise members deeper on the node's own side would be
-/// unreachable).
-pub fn forward_steps<V: AudienceView>(
-    view: &V,
+/// unreachable). Once `local.prefix(s)` holds no audience member, no later
+/// flipped range can hold one either, so this is exactly "the strongest
+/// audience member of every non-empty flipped range", which
+/// [`PeerList::forwards`] computes in one walk per level.
+pub fn forward_steps(peers: &PeerList, local: NodeId, step: u8, changing: NodeId) -> Vec<Forward> {
+    let mut out = peers.forwards(local, step, changing);
+    out.sort_unstable_by_key(|f| f.next_step);
+    // Every invariants-enabled run is a differential test of the walk
+    // against the per-step loop, delivery by delivery.
+    #[cfg(feature = "invariants")]
+    assert_eq!(
+        out,
+        forward_steps_reference(peers, local, step, changing),
+        "{local:?}: forward walk diverged from the per-step loop (step {step}, about {changing:?})"
+    );
+    out
+}
+
+/// [`forward_steps`] as one range query per step and flipped range: the
+/// definition the walk is tested against.
+#[cfg(any(test, feature = "invariants"))]
+pub(crate) fn forward_steps_reference(
+    peers: &PeerList,
     local: NodeId,
     step: u8,
     changing: NodeId,
@@ -107,14 +97,17 @@ pub fn forward_steps<V: AudienceView>(
     let mut out = Vec::new();
     for s in step..ID_BITS {
         let remaining = local.prefix(s);
-        if !view.any_audience_in_range(remaining, changing, local) {
+        if peers
+            .strongest_audience_in_range(remaining, changing, local)
+            .is_none()
+        {
             break;
         }
         let flipped = remaining.child(!local.bit(s));
-        if let Some(target) = view.strongest_audience_in_range(flipped, changing, local) {
+        if let Some(p) = peers.strongest_audience_in_range(flipped, changing, local) {
             out.push(Forward {
                 next_step: s + 1,
-                target,
+                target: Target::from(p),
             });
         }
     }
@@ -125,21 +118,21 @@ pub fn forward_steps<V: AudienceView>(
 /// unanswered attempts the pointer is removed and the message redirected).
 /// `range` is the flipped range of the failed send; `dead` contains ids
 /// already tried. Returns the strongest remaining candidate.
-pub fn redirect_target<V: AudienceView>(
-    view: &V,
+pub fn redirect_target(
+    peers: &PeerList,
     range: Prefix,
     changing: NodeId,
     local: NodeId,
     dead: &[NodeId],
 ) -> Option<Target> {
-    // The view is expected to have dropped `dead` already (the failed
+    // The list is expected to have dropped `dead` already (the failed
     // pointer is removed before redirecting); this fallback skips them in
     // case the caller retries before mutating its list.
-    let t = view.strongest_audience_in_range(range, changing, local)?;
+    let t = peers.strongest_audience_in_range(range, changing, local)?;
     if dead.contains(&t.id) {
         None
     } else {
-        Some(t)
+        Some(Target::from(t))
     }
 }
 
@@ -158,24 +151,20 @@ pub struct TreeEdge {
 
 /// Plans the complete multicast tree for an event about `changing`, rooted
 /// at `root` (a top node of the subject's part) with responsibility range
-/// length `root_step` (the root's level). Requires a *consistent* view —
-/// ground truth in oracle mode, or any single node's list in tests.
+/// length `root_step` (the root's level). Every sender is assumed to hold
+/// `peers` — a *consistent* view such as ground truth, or any single
+/// node's list in tests.
 ///
 /// Returns the edges in breadth-first order. With a consistent view the
 /// receivers are exactly the audience set minus `{root, changing}`, each
 /// reached once (asserted by the property tests).
-pub fn plan_tree<V: AudienceView>(
-    view: &V,
-    root: NodeId,
-    root_step: u8,
-    changing: NodeId,
-) -> Vec<TreeEdge> {
+pub fn plan_tree(peers: &PeerList, root: NodeId, root_step: u8, changing: NodeId) -> Vec<TreeEdge> {
     let mut edges = Vec::new();
     // (node, step, depth) work queue.
     let mut queue = std::collections::VecDeque::new();
     queue.push_back((root, root_step, 0u32));
     while let Some((node, step, depth)) = queue.pop_front() {
-        for f in forward_steps(view, node, step, changing) {
+        for f in forward_steps(peers, node, step, changing) {
             edges.push(TreeEdge {
                 from: node,
                 to: f.target,
@@ -224,6 +213,7 @@ mod tests {
     use super::*;
     use crate::level::NodeIdentity;
     use crate::pointer::Pointer;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     fn nid(bits: &str) -> NodeId {
@@ -387,5 +377,69 @@ mod tests {
         pruned.remove(nid("1101"));
         let t = redirect_target(&pruned, range, changing, nid("0010"), &[nid("1101")]).unwrap();
         assert_eq!(t.id, nid("1010"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-walk-per-level forwards equal the per-step loop on
+        /// random lists — clustered shared prefixes, ids on flipped-range
+        /// boundaries, levels 0–7 — for `changing` absent from the list,
+        /// held in it, or equal to `local`, at every step up to 24 plus a
+        /// drawn one, 127 and `ID_BITS`.
+        #[test]
+        fn forward_walk_matches_per_step_loop(
+            pool in proptest::collection::vec(any::<u128>(), 6),
+            entries in proptest::collection::vec((0usize..8, any::<u128>(), 0u8..=7, 0u8..3), 0..64),
+            local_spec in (0usize..8, any::<u128>(), 0u8..=7, 0u8..3),
+            changing_spec in (0usize..8, any::<u128>(), 0u8..=7, 0u8..3),
+            local_held in any::<bool>(),
+            step in 0u8..=ID_BITS,
+        ) {
+            // Clusters 0–5 share the first 3–12 bits of a pool id; 6 and
+            // 7 are uniform ids. Shape 1 clears every bit past the first
+            // 4–19 and shape 2 sets them: the first and last id of a
+            // flipped range, where a cursor off by one shows.
+            let id_of = |(cluster, tail, _, shape): (usize, u128, u8, u8)| {
+                let id = match pool.get(cluster) {
+                    Some(&base) => {
+                        let shared = 3 + (tail % 10) as u32;
+                        let high = u128::MAX << (128 - shared);
+                        (base & high) | (tail & !high)
+                    }
+                    None => tail,
+                };
+                let low = u128::MAX >> (4 + (tail >> 120) % 16);
+                NodeId(match shape {
+                    1 => id & !low,
+                    2 => id | low,
+                    _ => id,
+                })
+            };
+            let local = id_of(local_spec);
+            let mut list = PeerList::new(Prefix::EMPTY);
+            for &e in &entries {
+                list.insert(Pointer::new(id_of(e), Addr(0), Level::new(e.2)));
+            }
+            if local_held {
+                list.insert(Pointer::new(local, Addr(0), Level::new(local_spec.2)));
+            }
+            let drawn = id_of(changing_spec);
+            let mut absent = list.clone();
+            absent.remove(drawn);
+            let held = list
+                .iter()
+                .nth((changing_spec.1 % list.len().max(1) as u128) as usize)
+                .map_or(drawn, |p| p.id);
+            for (peers, changing) in [(&absent, drawn), (&list, held), (&list, local)] {
+                for s in (0..=24).chain([step, 127, ID_BITS]) {
+                    prop_assert_eq!(
+                        forward_steps(peers, local, s, changing),
+                        forward_steps_reference(peers, local, s, changing),
+                        "local {local:?}, step {s}, changing {changing:?}"
+                    );
+                }
+            }
+        }
     }
 }

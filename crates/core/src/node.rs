@@ -1147,6 +1147,11 @@ mod tests {
         assert_eq!(lt.mean_us(Level::new(2)), Some(500));
         // Levels without samples fall back to the overall mean.
         assert_eq!(lt.mean_us(Level::new(1)), Some(300));
+        // The per-level table expiry prices once says the same.
+        let (per_level, overall) = lt.means_us();
+        assert_eq!(per_level, [Some(200), Some(300), Some(500)]);
+        assert_eq!(overall, lt.mean_us(Level::new(5)));
+        assert_eq!(LifetimeStats::default().means_us(), (vec![], None));
     }
 
     #[cfg(feature = "trace")]

@@ -54,18 +54,29 @@ impl NodeMachine {
         // observer dies its own obituary hands the role to the next
         // nearest. A false positive is safe — the obituary's courtesy
         // copy lets a live target refute (DESIGN.md gap 13).
-        let lonely = self.lonely_peers();
-        // Every invariants-enabled run is a differential test of the
-        // fast selection against its definition, tick by tick.
-        #[cfg(feature = "invariants")]
-        assert_eq!(
-            lonely,
-            self.lonely_reference(),
-            "{:?}: lonely-peer selection diverged from its reference",
-            self.me
-        );
         let round = self.stats.probes_sent;
-        let target = if !lonely.is_empty() && (succ.is_none() || round % 2 == 1) {
+        let lonely_round = succ.is_none() || round % 2 == 1;
+        // Only a lonely round reads the list. Every invariants-enabled
+        // run still builds it each tick, as a differential test of the
+        // fast selection against its definition.
+        #[cfg(feature = "invariants")]
+        let lonely = {
+            let lonely = self.lonely_peers();
+            assert_eq!(
+                lonely,
+                self.lonely_reference(),
+                "{:?}: lonely-peer selection diverged from its reference",
+                self.me
+            );
+            lonely
+        };
+        #[cfg(not(feature = "invariants"))]
+        let lonely = if lonely_round {
+            self.lonely_peers()
+        } else {
+            Vec::new()
+        };
+        let target = if lonely_round && !lonely.is_empty() {
             lonely[(round / 2) as usize % lonely.len()]
         } else {
             let Some(succ) = succ else { return };

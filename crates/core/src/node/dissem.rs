@@ -16,7 +16,7 @@ use peerwindow_trace::{CauseId, TraceEventKind};
 
 /// What the node remembers of events it has already handled: the
 /// per-subject dedup horizon and the report cycle guard. Neither map
-/// shrinks yet (ROADMAP "Bounded protocol state").
+/// shrinks yet (ROADMAP "Where PeerWindow stops converging").
 #[derive(Clone, Debug, Default)]
 pub(super) struct Dedup {
     /// Per-subject dedup horizon: highest `(seq, origin_us)` applied,
@@ -342,10 +342,10 @@ impl NodeMachine {
                 self.peers.insert(ptr);
             }
             EventKind::LevelShift { .. } | EventKind::InfoChange | EventKind::Refresh => {
-                if self.peers.contains(subject) {
-                    self.peers.update_level(subject, event.level);
-                    self.peers.update_info(subject, event.info.clone(), now_us);
-                } else {
+                if !self
+                    .peers
+                    .update(subject, event.level, event.info.clone(), now_us)
+                {
                     // Absent pointer: §4.6 — the refresh revives it. The
                     // node's true join time is unknown; a zero first-seen
                     // keeps it out of the lifetime estimator.

@@ -39,6 +39,17 @@ impl LifetimeStats {
         }
     }
 
+    /// `mean_us` of every level that has a slot, in level order, and of
+    /// every level past them (the overall mean), which is summed once
+    /// here rather than once per level without samples.
+    pub(super) fn means_us(&self) -> (Vec<Option<u64>>, Option<u64>) {
+        let overall = self.overall_mean_us();
+        let per_level = (self.count.iter().zip(&self.sum_us))
+            .map(|(&c, &sum)| sum.checked_div(c).or(overall))
+            .collect();
+        (per_level, overall)
+    }
+
     /// Mean observed lifetime over all levels.
     fn overall_mean_us(&self) -> Option<u64> {
         let c: u64 = self.count.iter().sum();
@@ -75,13 +86,20 @@ impl NodeMachine {
         // Floor the horizon well above the tick/refresh quantisation so a
         // slightly late refresh can never evict a live neighbor.
         let floor_us = 3 * self.cfg.bandwidth_window_us;
-        let lifetimes = &self.lifetimes;
+        let deadline = |mean_us: Option<u64>| match mean_us {
+            // entries older than expire_multiplier · LT_l die
+            Some(lt) => now_us.saturating_sub(((mult * lt as f64) as u64).max(floor_us)),
+            None => 0, // no estimate yet: never expire
+        };
+        // One deadline per level, priced before the walk, not per pointer.
+        let (per_level, overall) = self.lifetimes.means_us();
+        let deadlines: Vec<u64> = per_level.into_iter().map(deadline).collect();
+        let past_slots = deadline(overall);
         let removed = self.peers.expire(|lvl| {
-            match lifetimes.mean_us(lvl) {
-                // deadline: entries older than expire_multiplier · LT_l die
-                Some(lt) => now_us.saturating_sub(((mult * lt as f64) as u64).max(floor_us)),
-                None => 0, // no estimate yet: never expire
-            }
+            deadlines
+                .get(usize::from(lvl.value()))
+                .copied()
+                .unwrap_or(past_slots)
         });
         self.stats.expired += removed.len() as u64;
         #[cfg(feature = "trace")]

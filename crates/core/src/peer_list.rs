@@ -8,6 +8,7 @@
 
 use crate::id::{NodeId, Prefix, ID_BITS};
 use crate::level::{Level, NodeIdentity};
+use crate::multicast::{Forward, Target};
 use crate::pointer::Pointer;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -390,12 +391,91 @@ impl PeerList {
         None
     }
 
-    /// Whether any audience-set member of `changing` (other than `exclude`
-    /// and `changing` itself) lies within `range`. Used to terminate the
-    /// multicast recursion ("until no more appropriate node can be found").
-    pub fn any_audience_in_range(&self, range: Prefix, changing: NodeId, exclude: NodeId) -> bool {
-        self.strongest_audience_in_range(range, changing, exclude)
-            .is_some()
+    /// Every §4.2 forward of one delivery, in no particular order: for each
+    /// `s` in `step..ID_BITS`, the strongest audience-set member of
+    /// `changing` (ties to the smallest id) in the flipped range
+    /// `F_s = local.prefix(s).child(!local.bit(s))`, sent with
+    /// `next_step = s + 1`. `local` and `changing` are never targets.
+    ///
+    /// One walk per level, strongest first: seek the first level-`l`
+    /// audience member inside `local.prefix(step)`, charge it to
+    /// `s = lcp(local, id)` unless a stronger level already filled `s`,
+    /// then seek past `F_s`. The `F_s` partition `local.prefix(step)`
+    /// minus `local`, so a level costs one seek per flipped range it
+    /// occupies, not one range query per `s`.
+    pub fn forwards(&self, local: NodeId, step: u8, changing: NodeId) -> Vec<Forward> {
+        let shared = local.common_prefix_len(changing);
+        let mut filled = 0u128; // bit s: F_s has its target
+        let mut out = Vec::new();
+        for (l, set) in (0..=ID_BITS).zip(&self.by_level) {
+            // Level-l audience members share `changing`'s first l bits:
+            // one id range, which meets `local.prefix(step)` only when the
+            // two prefixes nest, and then the longer one is the overlap.
+            if shared < l.min(step) {
+                continue;
+            }
+            let range = if l > step {
+                changing.prefix(l)
+            } else {
+                local.prefix(step)
+            };
+            let end = range.range_end();
+            let mut ids = set.range(range.range_start()..);
+            while let Some(&id) = ids.next() {
+                if id > end {
+                    break;
+                }
+                if id == local || id == changing {
+                    continue;
+                }
+                let s = local.common_prefix_len(id);
+                let slot = 1u128 << s;
+                if filled & slot == 0 {
+                    filled |= slot;
+                    if let Some(p) = self.entries.get(&id) {
+                        out.push(Forward {
+                            next_step: s + 1,
+                            target: Target::from(p),
+                        });
+                    }
+                }
+                // The rest of this level in F_s = id.prefix(s + 1) loses to
+                // what filled it: a stronger level, or this smaller id.
+                let past = id.prefix(s + 1).range_end();
+                if past >= end {
+                    break;
+                }
+                ids = set.range(NodeId(past.0 + 1)..);
+            }
+        }
+        out
+    }
+
+    /// Updates the recorded level, attached info and refresh stamp of
+    /// `id` in one lookup — exactly [`PeerList::update_level`] followed by
+    /// [`PeerList::update_info`], counters included. Returns `false` if
+    /// the id is unknown.
+    pub fn update(&mut self, id: NodeId, level: Level, info: bytes::Bytes, now_us: u64) -> bool {
+        let Some(p) = self.entries.get_mut(&id) else {
+            return false;
+        };
+        let old = std::mem::replace(&mut p.level, level);
+        // §4.6 refresh reports re-deliver the info a node already
+        // advertises; only a genuine change is serving-observable.
+        let info_changed = p.info != info;
+        p.info = info;
+        p.last_refresh_us = now_us;
+        if old != level {
+            self.generation += 1;
+            self.content_generation += 1;
+            self.unindex(id, old);
+            self.index(id, level);
+        }
+        if info_changed {
+            self.content_generation += 1;
+        }
+        self.generation += 1;
+        true
     }
 
     /// All audience-set members of `changing` present in this list (test
@@ -679,6 +759,33 @@ mod tests {
         // the content counter (refresh stamps are not serving-layer
         // state), so it moved two less.
         assert_eq!(list.content_generation(), cg + 4);
+
+        // update() is update_level + update_info in one lookup: same
+        // counters, same entry, same level index, same verdict.
+        let x = bytes::Bytes::from_static(b"x");
+        let y = bytes::Bytes::from_static(b"y");
+        let e = nid("1011");
+        let mut with_info = figure1_list();
+        assert!(with_info.update_info(e, x.clone(), 3));
+        for (id, level, info) in [
+            (e, Level::new(1), x.clone()),   // same level and info
+            (e, Level::new(3), x.clone()),   // new level
+            (e, Level::new(1), y.clone()),   // new info
+            (e, Level::TOP, y.clone()),      // both
+            (nid("0001"), Level::TOP, y),    // absent id
+            (nid("1000"), Level::new(2), x), // the only level-3 entry: the index shrinks
+        ] {
+            let (mut one, mut two) = (with_info.clone(), with_info.clone());
+            let found = one.update(id, level, info.clone(), 9);
+            assert_eq!(found, two.update_level(id, level));
+            assert_eq!(found, two.update_info(id, info, 9));
+            assert_eq!(found, with_info.contains(id));
+            assert_eq!(one.generation(), two.generation(), "{id:?} {level:?}");
+            assert_eq!(one.content_generation(), two.content_generation());
+            assert_eq!(one.get(id), two.get(id));
+            assert_eq!(one.level_histogram(), two.level_histogram());
+            assert!(one.index_is_consistent());
+        }
     }
 
     #[test]
