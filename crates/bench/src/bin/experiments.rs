@@ -176,7 +176,7 @@ fn main() {
     if want("fig9") || want("fig10") {
         let t = Instant::now();
         println!("\n[scalability sweep {:?} …]", args.scale.sweep_ns());
-        let sweep = scale_sweep(args.scale, args.seed);
+        let sweep = scale_sweep(args.scale, args.seed, common.as_ref());
         println!("[sweep done in {:.1?}]", t.elapsed());
         if want("fig9") {
             emit(

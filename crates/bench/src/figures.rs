@@ -124,12 +124,41 @@ pub fn fig8(report: &OracleReport) -> Table {
     t
 }
 
+/// Runs every config side by side, one scoped thread each; the reports
+/// come back in input order.
+fn run_all(configs: Vec<OracleConfig>) -> Vec<OracleReport> {
+    std::thread::scope(|s| {
+        let runs: Vec<_> = configs
+            .into_iter()
+            .map(|cfg| s.spawn(move || run_oracle(cfg)))
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
 /// Figures 9 + 10: sweep the system scale; returns the per-scale reports.
-pub fn scale_sweep(scale: Scale, seed: u64) -> Vec<(usize, OracleReport)> {
-    scale
-        .sweep_ns()
-        .into_iter()
-        .map(|n| (n, run_oracle(scale.config(n, seed))))
+/// The sweep's `common_n()` point is [`common_run`]'s configuration, so a
+/// `common` report already made stands in for it instead of a second run.
+pub fn scale_sweep(
+    scale: Scale,
+    seed: u64,
+    common: Option<&OracleReport>,
+) -> Vec<(usize, OracleReport)> {
+    let reused = |n: usize| common.filter(|_| n == scale.common_n());
+    let ns = scale.sweep_ns();
+    let fresh = ns
+        .iter()
+        .filter(|&&n| reused(n).is_none())
+        .map(|&n| scale.config(n, seed))
+        .collect();
+    let mut fresh = run_all(fresh).into_iter();
+    ns.into_iter()
+        .map(|n| {
+            let report = reused(n).cloned().or_else(|| fresh.next());
+            (n, report.expect("a report per fresh point"))
+        })
         .collect()
 }
 
@@ -177,20 +206,23 @@ pub fn lifetime_rates(scale: Scale) -> Vec<f64> {
     }
 }
 
-/// Figures 11 + 12: sweep `Lifetime_Rate`; returns per-rate reports.
+/// Figures 11 + 12: sweep `Lifetime_Rate`, every rate side by side;
+/// returns per-rate reports.
 pub fn lifetime_sweep(scale: Scale, seed: u64) -> Vec<(f64, OracleReport)> {
     let n = scale.lifetime_sweep_n();
-    lifetime_rates(scale)
-        .into_iter()
-        .map(|rate| {
+    let rates = lifetime_rates(scale);
+    let configs = rates
+        .iter()
+        .map(|&rate| {
             let mut cfg = scale.config(n, seed);
             cfg.churn.lifetime_rate = rate;
             // High churn shortens the useful probe period; the §4.6
             // refresh logic would also tighten. Keep protocol constants
             // fixed (the paper does) — only the workload changes.
-            (rate, run_oracle(cfg))
+            cfg
         })
-        .collect()
+        .collect();
+    rates.into_iter().zip(run_all(configs)).collect()
 }
 
 /// Figure 11: node distribution vs `Lifetime_Rate`.
@@ -267,7 +299,7 @@ mod tests {
 
     #[test]
     fn quick_sweeps_have_paper_trends() {
-        let sweep = scale_sweep(Scale::Quick, 13);
+        let sweep = scale_sweep(Scale::Quick, 13, None);
         // Figure 9: larger systems push nodes to lower levels.
         let first = &sweep.first().unwrap().1;
         let last = &sweep.last().unwrap().1;

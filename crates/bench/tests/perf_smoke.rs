@@ -16,8 +16,8 @@
 //!   grow < 3× as much over 10 000 as sorting the same nodes by id does
 //!   (one sort per call reads ≈ 1×; one sorted insert per node ≈ 6×, and
 //!   a bare 16× bar read 16–18× on a 2 MB-L2 host where the column spills
-//!   the cache), and planning a 64 000-entry audience < 12× an
-//!   8 000-entry one (linear is 8).
+//!   the cache), and planning one event over the kept trie of a
+//!   64 000-member directory < 12× over an 8 000-member one (linear is 8).
 //!
 //! Each ratio gate is additionally wrapped in [`retry_gate`]: the full
 //! comparison is re-measured up to three times and only fails if every
@@ -27,8 +27,7 @@
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
 use peerwindow_des::{DetRng, ModuloShardMap, Outbox, ParallelEngine, ShardLogic, SimTime};
-use peerwindow_sim::directory::{AudienceEntry, Directory};
-use peerwindow_sim::plan::{plan_event_indexed, Rmq};
+use peerwindow_sim::directory::{Charge, Directory};
 use std::time::Instant;
 
 const TRIES: usize = 3;
@@ -246,45 +245,39 @@ fn join_all_secs(nodes: &[(NodeId, u32, Level, f64, f64)]) -> f64 {
     secs
 }
 
-/// An audience of `n` members of some subject: a level-`l` member shares
-/// the subject's first `l` bits, and entry 0 is a top node.
-fn audience_of(n: u32) -> Vec<AudienceEntry> {
-    let mut rng = DetRng::new(0xa0d1);
-    let subject = rng.next_u128();
-    let mut audience: Vec<AudienceEntry> = (0..n)
-        .map(|slot| {
-            let level = mixed_level(&mut rng);
-            let tail = u128::MAX >> level;
-            AudienceEntry {
-                id: subject & !tail | rng.next_u128() & tail,
-                level,
-                slot,
-                addr: slot,
-            }
-        })
-        .collect();
-    audience.sort_unstable_by_key(|e| e.id);
-    assert!(audience.windows(2).all(|w| w[0].id < w[1].id));
-    audience[0].level = 0;
-    audience
+/// A directory of `n` nodes at the benchmark's level mix.
+fn directory_of(n: u32) -> Directory {
+    let mut dir = Directory::new();
+    dir.join_all(joiners(n));
+    dir
 }
 
-/// Seconds to plan one event (trie build included) over `audience`.
-fn plan_secs(audience: &[AudienceEntry], rmq: &mut Rmq) -> f64 {
+/// Seconds to plan one event over `dir`'s kept trie, as `run_oracle` does,
+/// about an id `dir` does not hold (as after a departure). Each call
+/// draws a new subject from `rng`, as each event of a run has its own:
+/// one walk repeated sixteen times is one the branch predictor learns by
+/// heart at 8 000 members and not at 64 000.
+fn plan_secs(dir: &mut Directory, rng: &mut DetRng) -> f64 {
+    let subject = NodeId(rng.next_u128());
+    let root = dir.random_top_for(subject, |n| n / 2).expect("a top node");
+    let charge = Charge {
+        event_bits: 1_000,
+        ack_bits: 100,
+        measuring: true,
+    };
     let mut deliveries = 0;
     let t = Instant::now();
-    plan_event_indexed(
-        std::hint::black_box(audience),
-        rmq,
+    dir.plan(
+        subject,
+        root,
         0,
         0,
-        0,
-        0,
+        charge,
         |_, _| 1,
-        |d| deliveries += std::hint::black_box(d.at_us).min(1) as usize,
+        |h| deliveries += std::hint::black_box(h.at_us).min(1) as usize,
     );
     let secs = t.elapsed().as_secs_f64();
-    assert_eq!(deliveries, audience.len() - 1);
+    assert_eq!(deliveries, dir.audience_len(subject) - 1);
     secs
 }
 
@@ -350,14 +343,14 @@ fn oracle_warm_start_and_planner_scale_linearly() {
         || fastest(&mut || sort_secs(&large)) / fastest(&mut || sort_secs(&small)),
         "a sorted insert per node is back in the warm start",
     );
-    let (small, large) = (audience_of(8_000), audience_of(64_000));
-    let (mut rmq_small, mut rmq_large) = (Rmq::new(), Rmq::new());
+    let (mut small, mut large) = (directory_of(8_000), directory_of(64_000));
+    let (mut small_rng, mut large_rng) = (DetRng::new(0xa0d1), DetRng::new(0xa0d1));
     scaling_gate(
-        "plan_event_indexed over 8 000 / 64 000 entries",
+        "one event over the kept trie of 8 000 / 64 000 members",
         12.0, // linear is 8x
-        || plan_secs(&small, &mut rmq_small),
-        || plan_secs(&large, &mut rmq_large),
+        || plan_secs(&mut small, &mut small_rng),
+        || plan_secs(&mut large, &mut large_rng),
         || 1.0,
-        "per-split searches or a per-event table are back in the planner",
+        "per-node searches or a per-event rebuild are back in the planner",
     );
 }

@@ -7,13 +7,20 @@
 //! structures." The directory holds the live membership in sorted vectors
 //! (one global, one per level), so every peer-list-shaped question — list
 //! sizes, group populations, multicast target selection — is a pair of
-//! binary searches instead of per-node state, and an audience set is one
-//! linear pass over the global vector and the `(level, slot, addr)` column
-//! kept beside it.
+//! binary searches instead of per-node state. Beside them it keeps one
+//! compressed binary trie over every live id, which plans each event's
+//! multicast ([`Directory::plan`]) without extracting its audience;
+//! [`Directory::collect_audience`] is the extraction the older planner in
+//! [`crate::plan`] reads.
+
+mod trie;
 
 use peerwindow_core::prelude::{Level, NodeId, Prefix};
+use trie::Trie;
+pub use trie::{Charge, Hop, Traffic};
 
-/// Per-node simulation state (traffic accounting and workload schedule).
+/// Per-node simulation state (workload schedule and adaptation); the
+/// node's traffic counters are [`Directory::traffic`].
 #[derive(Clone, Debug)]
 pub struct SlotData {
     /// Node id.
@@ -28,12 +35,6 @@ pub struct SlotData {
     pub bandwidth_bps: f64,
     /// Whether the node is currently alive.
     pub alive: bool,
-    /// Bits received in the current adaptation window.
-    pub rx_window_bits: u64,
-    /// Bits received during the measurement period.
-    pub rx_measure_bits: u64,
-    /// Bits sent during the measurement period.
-    pub tx_measure_bits: u64,
     /// Event sequence counter (for StateEvent seq fields).
     pub seq: u64,
     /// Adaptation debounce: +1 per over-budget window, −1 per
@@ -65,6 +66,8 @@ pub struct Directory {
     slots: Vec<SlotData>,
     /// Live count per level (kept in sync with `levels`).
     level_counts: Vec<usize>,
+    /// The kept multicast trie over `all`.
+    trie: Trie,
 }
 
 fn insert_sorted(v: &mut Vec<u128>, x: u128) {
@@ -165,9 +168,6 @@ impl Directory {
             threshold_bps,
             bandwidth_bps,
             alive: true,
-            rx_window_bits: 0,
-            rx_measure_bits: 0,
-            tx_measure_bits: 0,
             seq: 1,
             pressure: 0,
         });
@@ -196,14 +196,16 @@ impl Directory {
         self.all.insert(pos, id.raw());
         self.members.insert(pos, member);
         insert_sorted(&mut self.levels[member.level as usize], id.raw());
+        self.trie.insert(member.slot, id.raw(), addr, member.level);
         member.slot
     }
 
     /// Adds every node of `nodes`, each a tuple of [`Self::join`]'s
     /// arguments, with the slots and the end state of joining them one by
     /// one in iteration order. The sorted columns are appended to and
-    /// sorted once, not shifted per node: O(n log n) for a whole
-    /// population where repeated `join` is O(n²).
+    /// sorted once, not shifted per node, and the trie is built in one
+    /// stack pass over them: O(n log n) for a whole population where
+    /// repeated `join` is O(n²).
     ///
     /// # Panics
     /// Panics if an id is already live or comes twice.
@@ -226,6 +228,8 @@ impl Directory {
         for ids in &mut self.levels {
             ids.sort_unstable();
         }
+        self.trie
+            .rebuild(&self.all, &self.members, self.slots.len());
     }
 
     /// Removes a node; returns its slot if it was live.
@@ -238,6 +242,7 @@ impl Directory {
         self.members.remove(pos);
         remove_sorted(&mut self.levels[level], id.raw());
         self.level_counts[level] -= 1;
+        self.trie.remove(id.raw());
         Some(slot)
     }
 
@@ -257,6 +262,7 @@ impl Directory {
         self.level_counts[l] += 1;
         self.slots[slot as usize].level = new;
         self.members[pos].level = new.value();
+        self.trie.set_level(id.raw(), new.value());
         Some((slot, old))
     }
 
@@ -351,8 +357,64 @@ impl Directory {
         }
     }
 
-    /// Consistency check for tests: every invariant the sorted vectors and
-    /// counters must satisfy.
+    /// Size of `subject`'s audience, counted from the level columns: the
+    /// level-`l` nodes sharing `l` bits with it, over every `l`, less the
+    /// subject itself if live.
+    pub fn audience_len(&self, subject: NodeId) -> usize {
+        let covering: usize = (0..=self.max_level())
+            .map(|l| self.count_level_prefix(l, subject.prefix(l)))
+            .sum();
+        covering - self.get(subject).is_some() as usize
+    }
+
+    /// Plans the multicast of an event about `subject` (live or just
+    /// departed) from `root`, a live node of its audience that holds the
+    /// event at `t_root`, over the kept trie, and charges every member's
+    /// [`Traffic`] as it goes. `latency(from_addr, to_addr)` supplies
+    /// one-way latency; `processing_us` is the §5.1 per-hop compute delay.
+    /// Calls `on_deliver` once per receiver but the root, in the same
+    /// depth-first send order, with the same times, steps and depths, as
+    /// [`crate::plan::plan_event`] over [`Self::collect_audience`].
+    ///
+    /// # Panics
+    /// Panics if `root` is not live.
+    #[allow(clippy::too_many_arguments)]
+    pub fn plan<L, F>(
+        &mut self,
+        subject: NodeId,
+        root: NodeId,
+        t_root: u64,
+        processing_us: u64,
+        charge: Charge,
+        latency: L,
+        on_deliver: F,
+    ) where
+        L: FnMut(u32, u32) -> u64,
+        F: FnMut(&Hop),
+    {
+        self.trie.walk(
+            subject.raw(),
+            root.raw(),
+            t_root,
+            processing_us,
+            charge,
+            latency,
+            on_deliver,
+        );
+    }
+
+    /// The traffic counters of a live slot.
+    pub fn traffic(&self, slot: u32) -> &Traffic {
+        self.trie.traffic(slot)
+    }
+
+    /// Starts a new adaptation window for every node.
+    pub fn reset_windows(&mut self) {
+        self.trie.reset_windows();
+    }
+
+    /// Consistency check for tests: every invariant the sorted vectors,
+    /// counters and the kept trie must satisfy.
     pub fn check_invariants(&self) {
         assert!(self.all.windows(2).all(|w| w[0] < w[1]), "all not sorted");
         assert_eq!(self.members.len(), self.all.len(), "column length");
@@ -375,6 +437,8 @@ impl Directory {
         assert_eq!(total, self.all.len(), "levels partition all");
         let alive = self.slots.iter().filter(|s| s.alive).count();
         assert_eq!(alive, self.all.len(), "a live slot is missing from all");
+        self.trie
+            .check_invariants(&self.all, &self.members, self.slots.len());
     }
 }
 
@@ -585,6 +649,107 @@ mod proptests {
         )
     }
 
+    /// Ids that crowd the deep end of the trie: four bases that part only
+    /// in their last byte, each spread over its low three bits.
+    fn clustered_id() -> impl Strategy<Value = u128> {
+        (0u64..4, 0u64..8).prop_map(|(base, low)| {
+            0x5EED_0000_0000_0000_0000_0000_0000_0000 | (base << 6 | low) as u128
+        })
+    }
+
+    /// Operations over uniform and clustered ids at levels 0–6, each with a
+    /// pick of the live subject to plan for after it.
+    fn arb_mixed_ops() -> impl Strategy<Value = Vec<(Op, usize)>> {
+        let op = prop_oneof![
+            (prop_oneof![any::<u128>(), clustered_id()], 0u8..7)
+                .prop_map(|(id, l)| Op::Join(id, l)),
+            any::<usize>().prop_map(Op::Leave),
+            (any::<usize>(), 0u8..7).prop_map(|(i, l)| Op::Shift(i, l)),
+        ];
+        proptest::collection::vec((op, any::<usize>()), 1..80)
+    }
+
+    /// A delivery named by ids: (parent, child, child level, at, step, depth).
+    type Named = (u128, u128, u8, u64, u8, u32);
+
+    /// Both ways of planning one event, and the charges the kept trie made.
+    #[derive(Default)]
+    struct Plans {
+        kept: Vec<Named>,
+        reference: Vec<Named>,
+        /// Per audience member, its counters after the kept-trie plan and
+        /// what the per-member formula expects.
+        charges: Vec<(Traffic, Traffic)>,
+    }
+
+    /// Plans `subject`'s event from a top of its part both ways: the kept
+    /// trie, and `collect_audience` + `plan_event_indexed`.
+    fn both_plans(dir: &mut Directory, subject: NodeId) -> Plans {
+        use crate::plan::{plan_event_indexed, Rmq};
+        let Some(root) = dir.random_top_for(subject, |n| n / 2) else {
+            return Plans::default();
+        };
+        // Asymmetric, so a hop with sender and receiver swapped shows.
+        let latency = |a: u32, b: u32| 1_000 * (a % 1_000) as u64 + (b % 1_000) as u64 + 1;
+        let mut audience = Vec::new();
+        dir.collect_audience(subject, &mut audience);
+        let root_idx = audience
+            .binary_search_by_key(&root.raw(), |e| e.id)
+            .expect("the root is an audience member");
+        let mut want = Vec::new();
+        plan_event_indexed(
+            &audience,
+            &mut Rmq::new(),
+            root_idx,
+            audience[root_idx].level,
+            50,
+            7,
+            |p, c| latency(audience[p].addr, audience[c].addr),
+            |d| {
+                let (p, c) = (&audience[d.parent], &audience[d.child]);
+                want.push((p.id, c.id, c.level, d.at_us, d.step, d.depth));
+            },
+        );
+        assert_eq!(want.len() + 1, dir.audience_len(subject));
+        let charge = Charge {
+            event_bits: 1 << 20,
+            ack_bits: 1,
+            measuring: true,
+        };
+        let before: Vec<Traffic> = audience.iter().map(|e| *dir.traffic(e.slot)).collect();
+        let mut kept = Vec::new();
+        dir.plan(subject, root, 50, 7, charge, latency, |h| {
+            kept.push((
+                h.parent.raw(),
+                h.child.raw(),
+                h.level,
+                h.at_us,
+                h.step,
+                h.depth,
+            ));
+        });
+        let mut charges = Vec::new();
+        for (e, before) in audience.iter().zip(before) {
+            let kids = want.iter().filter(|d| d.0 == e.id).count() as u64;
+            let acked = (e.id != root.raw()) as u64;
+            let expected = Traffic {
+                rx_window_bits: before.rx_window_bits + charge.event_bits,
+                rx_measure_bits: before.rx_measure_bits
+                    + charge.event_bits
+                    + kids * charge.ack_bits,
+                tx_measure_bits: before.tx_measure_bits
+                    + kids * charge.event_bits
+                    + acked * charge.ack_bits,
+            };
+            charges.push((*dir.traffic(e.slot), expected));
+        }
+        Plans {
+            kept,
+            reference: want,
+            charges,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -652,6 +817,50 @@ mod proptests {
             }
         }
 
+        /// After every join, leave and level shift the kept trie equals one
+        /// rebuilt from the columns, and plans — for a live subject and for
+        /// the id just removed — the reference planner's deliveries over the
+        /// extracted audience, field for field and in order.
+        #[test]
+        fn kept_trie_plans_like_the_reference_planner(ops in arb_mixed_ops()) {
+            let mut dir = Directory::new();
+            let mut live: Vec<u128> = Vec::new();
+            for (op, pick) in ops {
+                let mut subjects = Vec::new();
+                match op {
+                    Op::Join(id, level) => {
+                        if dir.get(NodeId(id)).is_none() {
+                            dir.join(NodeId(id), id as u32 ^ 0x9E37, Level::new(level), 500.0, 1e6);
+                            live.push(id);
+                        }
+                    }
+                    Op::Leave(i) => {
+                        if !live.is_empty() {
+                            let id = live.swap_remove(i % live.len());
+                            dir.leave(NodeId(id));
+                            subjects.push(id);
+                        }
+                    }
+                    Op::Shift(i, level) => {
+                        if !live.is_empty() {
+                            dir.change_level(NodeId(live[i % live.len()]), Level::new(level));
+                        }
+                    }
+                }
+                dir.check_invariants();
+                if !live.is_empty() {
+                    subjects.push(live[pick % live.len()]);
+                }
+                for subject in subjects {
+                    let plans = both_plans(&mut dir, NodeId(subject));
+                    prop_assert_eq!(plans.kept, plans.reference, "subject {}", NodeId(subject));
+                    for (charged, expected) in plans.charges {
+                        prop_assert_eq!(charged, expected, "charges for subject {}", NodeId(subject));
+                    }
+                }
+            }
+        }
+
         /// `join_all` leaves what joining its nodes one by one leaves —
         /// every column, counter and slot — on an empty directory and on
         /// one that has seen joins and leaves.
@@ -677,6 +886,13 @@ mod proptests {
             for &(id, _) in earlier.iter().step_by(3) {
                 one_by_one.leave(NodeId(id));
             }
+            // Traffic on the survivors, which `join_all` must carry over.
+            if let Some(&(subject, _)) = earlier.first() {
+                if let Some(root) = one_by_one.random_top_for(NodeId(subject), |_| 0) {
+                    let charge = Charge { event_bits: 1_000, ack_bits: 1, measuring: true };
+                    one_by_one.plan(NodeId(subject), root, 0, 0, charge, |_, _| 1, |_| {});
+                }
+            }
             let mut batched = one_by_one.clone();
             for node in &batch {
                 let (id, addr, level, threshold_bps, bandwidth_bps) = args(node);
@@ -691,6 +907,9 @@ mod proptests {
             // every field, floats exactly.
             prop_assert_eq!(format!("{:?}", batched.members), format!("{:?}", one_by_one.members));
             prop_assert_eq!(format!("{:?}", batched.slots), format!("{:?}", one_by_one.slots));
+            for m in &batched.members {
+                prop_assert_eq!(batched.traffic(m.slot), one_by_one.traffic(m.slot));
+            }
         }
 
         /// part_of always returns the strongest covering eigenstring.

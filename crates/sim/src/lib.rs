@@ -16,8 +16,10 @@
 //!   harnesses drive: the machines, the crate's only interpreter of
 //!   `Output`, the latency → fault-verdict send path, trace draining and
 //!   snapshot publication. The engines only order events.
-//! * [`directory`], [`plan`] — the oracle's membership structure and tree
-//!   planner.
+//! * [`directory`] — the oracle's membership structure, whose kept trie
+//!   plans each event's multicast tree; [`plan`] — the per-event planner
+//!   over an extracted audience, the reference that trie is tested
+//!   against.
 //! * [`report`] — per-level result rows (the columns of figures 5–8).
 
 #![forbid(unsafe_code)]

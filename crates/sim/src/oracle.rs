@@ -2,10 +2,9 @@
 //!
 //! A single ground-truth [`Directory`] stands in for every node's correct
 //! peer list (the paper's own memory trick); each event's multicast tree is
-//! planned by [`crate::plan::plan_event_indexed`] on the binary trie of the
-//! event's audience, with per-hop latency from a [`NetworkModel`], and its
-//! traffic is charged in one pass over the audience afterwards; peer-list
-//! errors are accounted *time-weighted*: each
+//! planned by [`Directory::plan`] on the directory's kept binary trie, with
+//! per-hop latency from a [`NetworkModel`], and its traffic is charged as
+//! it is planned; peer-list errors are accounted *time-weighted*: each
 //! audience member's list is wrong about the subject from the event's
 //! origin until its own delivery instant, so
 //! `error_rate = Σ staleness / (window · Σ list sizes)` — exactly the
@@ -19,8 +18,7 @@
 //! and the joining download transfer is accounted as bulk bytes rather
 //! than simulated hop by hop.
 
-use crate::directory::{AudienceEntry, Directory};
-use crate::plan::{plan_event_indexed, Rmq};
+use crate::directory::{Charge, Directory};
 use crate::report::{LevelRow, OracleReport};
 use peerwindow_core::model::ModelParams;
 use peerwindow_core::prelude::{Level, NodeId, Prefix, ProtocolConfig};
@@ -46,20 +44,6 @@ pub enum NetworkConfig {
         /// Topology seed.
         seed: u64,
     },
-}
-
-impl NetworkConfig {
-    fn build(&self) -> Box<dyn NetworkModel> {
-        match self {
-            NetworkConfig::Uniform { latency_us } => Box::new(UniformNetwork {
-                latency_us: *latency_us,
-            }),
-            NetworkConfig::TransitStub { params, seed } => {
-                let topo = Topology::generate(*params, *seed);
-                Box::new(TransitStubNetwork::build(&topo))
-            }
-        }
-    }
 }
 
 /// Configuration of one oracle run.
@@ -149,18 +133,13 @@ enum ChangeKind {
     Shift,
 }
 
-struct OracleSim {
+struct OracleSim<N> {
     cfg: OracleConfig,
     model: ModelParams,
     dir: Directory,
-    net: Box<dyn NetworkModel>,
+    net: N,
     rng: DetRng,
     arrivals: Vec<(f64, NodeSpec)>,
-    // Reused buffers.
-    audience: Vec<AudienceEntry>,
-    rmq: Rmq,
-    /// Copies each audience member forwarded in the current multicast.
-    kids: Vec<u32>,
     // Measurement state.
     measure_start_us: u64,
     measure_end_us: u64,
@@ -186,7 +165,7 @@ struct OracleSim {
     shift_registry: peerwindow_trace::CounterRegistry,
 }
 
-impl OracleSim {
+impl<N: NetworkModel> OracleSim<N> {
     fn in_measure(&self, t_us: u64) -> bool {
         (self.measure_start_us..self.measure_end_us).contains(&t_us)
     }
@@ -234,84 +213,55 @@ impl OracleSim {
                 ChangeKind::Info => 64, // small attached payload
                 _ => 0,
             };
-        let ack_bits = self.cfg.protocol.ack_msg_bits;
         let processing = self.cfg.protocol.processing_delay_us;
         let measuring = self.in_measure(origin_us);
         self.events_this_window += 1;
         if measuring {
             self.events += 1;
         }
-        // Borrow dance: move the buffers out, work, put them back.
-        let mut audience = std::mem::take(&mut self.audience);
-        let mut rmq = std::mem::take(&mut self.rmq);
-        self.dir.collect_audience(subject, &mut audience);
-        if audience.is_empty() {
-            self.audience = audience;
-            self.rmq = rmq;
-            return;
-        }
-        let root_idx = audience
-            .binary_search_by_key(&root.raw(), |e| e.id)
-            .expect("root is an audience member");
         self.grow_levels(self.dir.max_level());
         // The report hop into the root is the first delivery.
         if measuring {
-            self.errsec_per_level[audience[root_idx].level as usize] +=
+            let root_level = self.dir.get(root).expect("the root is live").level;
+            self.errsec_per_level[root_level.value() as usize] +=
                 (report_at_us - origin_us) as f64 / 1e6;
         }
-        let root_step = audience[root_idx].level;
+        let charge = Charge {
+            event_bits,
+            ack_bits: self.cfg.protocol.ack_msg_bits,
+            measuring,
+        };
         let mut max_depth = 0u32;
         let mut last_at = report_at_us;
         let mut deliveries = 0u64;
-        self.kids.clear();
-        self.kids.resize(audience.len(), 0);
-        plan_event_indexed(
-            &audience,
-            &mut rmq,
-            root_idx,
-            root_step,
+        self.dir.plan(
+            subject,
+            root,
             report_at_us,
             processing,
-            // Addresses were copied into the audience entries, so latency
-            // lookups never touch `dir`.
-            |a, b| self.net.latency_us(audience[a].addr, audience[b].addr),
-            |d| {
+            charge,
+            |a, b| self.net.latency_us(a, b),
+            |hop| {
                 deliveries += 1;
-                max_depth = max_depth.max(d.depth);
-                last_at = last_at.max(d.at_us);
-                self.kids[d.parent] += 1;
+                max_depth = max_depth.max(hop.depth);
+                last_at = last_at.max(hop.at_us);
                 if measuring {
                     // A float sum: it stays in delivery order.
-                    self.errsec_per_level[audience[d.child].level as usize] +=
-                        (d.at_us - origin_us) as f64 / 1e6;
+                    self.errsec_per_level[hop.level as usize] +=
+                        (hop.at_us - origin_us) as f64 / 1e6;
                 }
             },
         );
         debug_assert_eq!(
             deliveries as usize,
-            audience.len() - 1,
+            self.dir.audience_len(subject) - 1,
             "the tree must reach every member but the root once"
         );
-        // Traffic, one visit per member (integer sums, so the order is
-        // free): everyone receives the event once, the root by the report
-        // hop, which is not acked; every copy sent on is acked back.
-        for (i, (member, &kids)) in audience.iter().zip(&self.kids).enumerate() {
-            let slot = self.dir.slot_mut(member.slot);
-            slot.rx_window_bits += event_bits;
-            if measuring {
-                let (kids, acks_sent) = (kids as u64, (i != root_idx) as u64);
-                slot.rx_measure_bits += event_bits + kids * ack_bits;
-                slot.tx_measure_bits += kids * event_bits + acks_sent * ack_bits;
-            }
-        }
         if measuring {
             self.deliveries += deliveries;
             self.depth_stat.push(max_depth as f64);
             self.delay_stat.push((last_at - origin_us) as f64 / 1e6);
         }
-        audience.clear();
-        self.audience = audience;
-        self.rmq = rmq;
     }
 
     fn handle_arrive(&mut self, now: SimTime, idx: u32, sched: &mut Scheduler<'_, Ev>) {
@@ -382,7 +332,7 @@ impl OracleSim {
             if !slot.alive || !(idx as u64 + phase).is_multiple_of(2) {
                 continue;
             }
-            let bps = slot.rx_window_bits as f64 / window_s;
+            let bps = self.dir.traffic(idx as u32).rx_window_bits as f64 / window_s;
             let mut pressure = slot.pressure;
             if bps > slot.threshold_bps && slot.level != Level::MAX {
                 pressure = pressure.max(0) + 1;
@@ -440,10 +390,7 @@ impl OracleSim {
                 );
             }
         }
-        // Reset the windows.
-        for i in 0..self.dir.slots().len() {
-            self.dir.slot_mut(i as u32).rx_window_bits = 0;
-        }
+        self.dir.reset_windows();
     }
 
     fn handle_sample(&mut self) {
@@ -482,10 +429,11 @@ impl OracleSim {
             / (self.cfg.protocol.probe_interval_us as f64 / 1e6);
         // Per-level (rx, tx, count) over live nodes, slots in storage order.
         let mut traffic = vec![(0.0, 0.0, 0.0); self.errsec_per_level.len()];
-        for s in self.dir.slots().iter().filter(|s| s.alive) {
+        for (slot, s) in self.dir.slots().iter().enumerate().filter(|(_, s)| s.alive) {
             let (rx, tx, cnt) = &mut traffic[s.level.value() as usize];
-            *rx += s.rx_measure_bits as f64;
-            *tx += s.tx_measure_bits as f64;
+            let counters = self.dir.traffic(slot as u32);
+            *rx += counters.rx_measure_bits as f64;
+            *tx += counters.tx_measure_bits as f64;
             *cnt += 1.0;
         }
         for (l, &(rx, tx, cnt)) in traffic.iter().enumerate() {
@@ -551,7 +499,7 @@ impl OracleSim {
     }
 }
 
-impl Simulation for OracleSim {
+impl<N: NetworkModel> Simulation for OracleSim<N> {
     type Event = Ev;
     fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
         match event {
@@ -574,17 +522,31 @@ impl Simulation for OracleSim {
 
 /// Runs one oracle-mode simulation and returns its report.
 pub fn run_oracle(cfg: OracleConfig) -> OracleReport {
+    match cfg.network {
+        NetworkConfig::Uniform { latency_us } => run(cfg, move || UniformNetwork { latency_us }),
+        NetworkConfig::TransitStub { params, seed } => run(cfg, move || {
+            TransitStubNetwork::build(&Topology::generate(params, seed))
+        }),
+    }
+}
+
+/// [`run_oracle`] over the network `build_net` makes. The network and the
+/// warm-start population are pure and separately seeded, so they are made
+/// side by side.
+fn run<N: NetworkModel>(cfg: OracleConfig, build_net: impl FnOnce() -> N + Send) -> OracleReport {
     let model = cfg.model();
-    let net = cfg.network.build();
+    let (net, population) = std::thread::scope(|s| {
+        let net = s.spawn(build_net);
+        let population = cfg.churn.initial_population();
+        let net = net.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        (net, population)
+    });
     let duration_s = cfg.warmup_s + cfg.measure_s;
     let sim = OracleSim {
         model,
         net,
         rng: DetRng::for_stream(cfg.seed, 0xC0FFEE),
         arrivals: cfg.churn.arrivals(duration_s),
-        audience: Vec::new(),
-        rmq: Rmq::new(),
-        kids: Vec::new(),
         measure_start_us: (cfg.warmup_s * 1e6) as u64,
         measure_end_us: (duration_s * 1e6) as u64,
         errsec_per_level: Vec::new(),
@@ -605,7 +567,6 @@ pub fn run_oracle(cfg: OracleConfig) -> OracleReport {
         cfg,
     };
     // Warm start: steady-state population at analytically stable levels.
-    let population = sim.cfg.churn.initial_population();
     let mut engine = Engine::new(sim);
     {
         let n = population.len().max(2) as f64;

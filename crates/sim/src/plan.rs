@@ -1,13 +1,17 @@
 //! Per-event multicast tree planning over an extracted audience set.
 //!
-//! Oracle mode plans each event's entire dissemination tree in one pass
-//! over the (sorted) audience array instead of simulating every hop as a
-//! discrete event. The §4.2 recursion dissects the id-sorted array bit by
-//! bit, which is a walk down the compressed binary trie of the ids: every
-//! range it hands on is one subtree, and target selection ("highest level,
-//! smallest id") asks for a subtree's minimum. [`Rmq::build`] makes the
-//! trie, minima included, in one linear stack pass; the planner descends
-//! it, accumulating latency + processing per hop. The result is
+//! `run_oracle` plans over the directory's kept trie
+//! ([`crate::Directory::plan`]); this planner, over one event's audience
+//! as [`crate::Directory::collect_audience`] extracts it, is the reference
+//! that trie is tested against. It plans the event's entire dissemination
+//! tree in one pass over the (sorted) audience array instead of simulating
+//! every hop as a discrete event. The §4.2 recursion dissects the
+//! id-sorted array bit by bit, which is a walk down the compressed binary
+//! trie of the ids: every range it hands on is one subtree, and target
+//! selection ("highest level, smallest id") asks for a subtree's minimum.
+//! [`Rmq::build`] makes the trie, minima included, in one linear stack
+//! pass; the planner descends it, accumulating latency + processing per
+//! hop. The result is
 //! bit-identical to `peerwindow_core::multicast::plan_tree` over a
 //! consistent peer list (asserted by tests), at a cost of O(A) per event
 //! instead of O(A · levels · log N) heap events.

@@ -7,7 +7,7 @@
 //! behaviour of a small system run both ways.
 
 use peerwindow::prelude::*;
-use peerwindow::sim::directory::{AudienceEntry, Directory};
+use peerwindow::sim::directory::{AudienceEntry, Charge, Directory};
 use peerwindow::sim::plan::{plan_event, Rmq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,6 +71,25 @@ fn oracle_planner_equals_reference_planner() {
                 },
             );
             assert_eq!(got, reference, "seed {seed}, subject {subject}");
+            // The planner `run_oracle` walks: the directory's kept trie.
+            let charge = Charge {
+                event_bits: 0,
+                ack_bits: 0,
+                measuring: false,
+            };
+            let mut kept = BTreeSet::new();
+            dir.plan(
+                subject,
+                root,
+                0,
+                0,
+                charge,
+                |_, _| 0,
+                |h| {
+                    kept.insert((h.parent.raw(), h.child.raw()));
+                },
+            );
+            assert_eq!(kept, reference, "kept trie, seed {seed}, subject {subject}");
         }
     }
 }
