@@ -24,16 +24,21 @@
 //!   taking a lock.
 //!
 //! **Refresh is a patch.** [`QueryEngine::refresh`] derives the next
-//! prepared snapshot from the one it is serving. One merge walk over the
-//! two id-sorted pointer arrays finds the pointers both hold with the
-//! same `(id, level, info bytes)`; those are *carried*: they share their
+//! prepared snapshot from the one it is serving. A snapshot keeps its
+//! pointers in shared runs (`peerwindow_core::snapshot`), and an index
+//! entry names a pointer by run and offset, packed into a `u32`. A new
+//! run that *is* a run of the served snapshot (`Arc::ptr_eq`) is carried
+//! whole: its decoded infos by one `Arc::clone`, its entries renumbered
+//! by run index. The remaining runs take one merge walk against the
+//! served pointers, which finds those both hold with the same `(id,
+//! level, info bytes)`; those are *carried* too: they share their
 //! decoded [`InfoMap`] (an `Arc`) and keep every index entry, renumbered
 //! from old position to new. Only the rest — joiners, and pointers whose
 //! level or info changed — are decoded and sorted, and each index is
 //! rebuilt by one linear pass that renumbers the carried entries and
 //! merges the small sorted run of fresh ones in. The order survives the
-//! renumbering because it is monotone (both arrays are id-sorted, so a
-//! carried pointer's rank among carried pointers never changes) and
+//! renumbering because it is monotone (runs and offsets are in id order,
+//! so a carried pointer's rank among carried pointers never changes) and
 //! every index sorts on fields a carried pointer keeps: id, `(level,
 //! id)`, `(value, id)`. Lists, columns and groups left empty are
 //! dropped, so the result is structurally what building from nothing
@@ -65,9 +70,9 @@
 use crate::bloom::{probe_positions, Bloom, BloomProbe, BloomView};
 use crate::info::{InfoMap, Value};
 use crate::select;
-use bytes::Bytes;
+use peerwindow_core::id::NodeId;
 use peerwindow_core::pointer::Pointer;
-use peerwindow_core::snapshot::{PeerSnapshot, Published, SnapshotReader};
+use peerwindow_core::snapshot::{PeerSnapshot, Published, SnapshotReader, RUN_LEN};
 use peerwindow_trace::{CauseId, DiagCode, NodeTrace, TraceEventKind, TraceRecord};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BTreeMap;
@@ -81,13 +86,42 @@ static NO_INFO: InfoMap = InfoMap::new();
 /// Remap entry of an old pointer the next epoch does not carry.
 const GONE: u32 = u32::MAX;
 
-/// A numeric column: `(value, pointer index)` ascending by value, then
-/// index. NaN never enters one.
+/// Low bits of a packed index entry: the offset within a run. The high
+/// bits hold the run index, so packed entries ascend in id order.
+const OFFSET_BITS: u32 = RUN_LEN.next_power_of_two().trailing_zeros();
+const OFFSET_MASK: u32 = (1 << OFFSET_BITS) - 1;
+
+/// The index entry of offset `off` in run `run`.
+#[inline]
+fn pack(run: usize, off: usize) -> u32 {
+    ((run as u32) << OFFSET_BITS) | off as u32
+}
+
+/// The `(run, offset)` an index entry names.
+#[inline]
+fn unpack(entry: u32) -> (usize, usize) {
+    (
+        (entry >> OFFSET_BITS) as usize,
+        (entry & OFFSET_MASK) as usize,
+    )
+}
+
+/// The pointer an index entry names: O(1), no search.
+#[inline]
+fn at(snap: &PeerSnapshot, entry: u32) -> &Pointer {
+    let (run, off) = unpack(entry);
+    &snap.runs()[run][off]
+}
+
+/// A numeric column: `(value, entry)` ascending by value, then entry.
+/// NaN never enters one.
 type Column = Vec<(f64, u32)>;
 
-/// The exact-match string index: key → value → pointer indices,
-/// ascending.
+/// The exact-match string index: key → value → entries, ascending.
 type StrIndex = BTreeMap<String, BTreeMap<String, Vec<u32>>>;
+
+/// Decoded infos of one run, offset-parallel with it.
+type RunInfos = Arc<[Option<Arc<InfoMap>>]>;
 
 /// A filter's shape `(k, m)`: `k` probes over `m` bytes.
 type Shape = (u32, usize);
@@ -97,7 +131,7 @@ type Shape = (u32, usize);
 /// holders sweep.
 #[derive(Debug, Default, PartialEq)]
 struct BloomRows {
-    /// Pointer indices, ascending.
+    /// Entries, ascending.
     idxs: Vec<u32>,
     /// `idxs.len()` filters of `m` bytes each, row-major, index-parallel
     /// with `idxs`.
@@ -116,22 +150,24 @@ impl BloomRows {
 /// materialized, bloom filters packed. Queries against a prepared
 /// snapshot are allocation-light index walks.
 ///
-/// Pointer indices are positions in `snap.pointers()`, which is sorted
-/// by id: ascending index order *is* id order.
+/// Index entries name a pointer by run and offset in `snap.runs()`,
+/// packed into a `u32`; runs and offsets are in id order, so
+/// ascending entry order *is* id order.
 #[derive(Debug)]
 pub struct PreparedSnapshot {
     snap: Arc<PeerSnapshot>,
-    /// Decoded info per pointer (index-parallel with `snap.pointers()`),
-    /// shared with every epoch that carries the pointer; `None` where
-    /// the attachment is empty or not an `InfoMap` (served as the empty
-    /// map, mirroring [`select::info_of`]).
-    infos: Vec<Option<Arc<InfoMap>>>,
-    /// Indices of pointers whose non-empty info decoded as neither an
+    /// Decoded info per pointer, one slice per run of `snap`; a shared
+    /// run's slice is shared with every epoch that carries the run whole,
+    /// and a pointer's map with every epoch that carries the pointer.
+    /// `None` where the attachment is empty or not an `InfoMap` (served
+    /// as the empty map, mirroring [`select::info_of`]).
+    infos: Vec<RunInfos>,
+    /// Entries of pointers whose non-empty info decoded as neither an
     /// `InfoMap` nor a bloom attachment — foreign-attachment rot,
     /// surfaced not hidden. Ascending.
     undecodable: Vec<u32>,
-    /// Pointer indices sorted by `(level value, id)` — the
-    /// strongest-nodes order.
+    /// Entries sorted by `(level value, id)` — the strongest-nodes
+    /// order.
     by_level: Vec<u32>,
     /// Per-key numeric columns (the order [`select::k_smallest_by`]'s
     /// stable sort over an id-ordered scan produces).
@@ -145,11 +181,41 @@ pub struct PreparedSnapshot {
     blooms: BTreeMap<Shape, BloomRows>,
 }
 
-/// Whether two attachments hold the same bytes: the same buffer (a
-/// snapshot clones the list's `Bytes`, so an untouched pointer's is), or
-/// equal content.
-fn same_bytes(a: &Bytes, b: &Bytes) -> bool {
-    (std::ptr::eq(a.as_ptr(), b.as_ptr()) && a.len() == b.len()) || a[..] == b[..]
+/// Where the next epoch put the pointers of one served run.
+#[derive(Clone, Copy)]
+enum Moved {
+    /// Nowhere: none is carried.
+    Gone,
+    /// The run is shared whole, at this run index.
+    Whole(u32),
+    /// Pointer by pointer: the new entries of its offsets start here in
+    /// the walk's `each` table, [`GONE`] where not carried.
+    Each(u32),
+}
+
+/// A position in the served snapshot's pointers, moving forward only.
+#[derive(Default)]
+struct Cursor {
+    run: usize,
+    off: usize,
+}
+
+impl Cursor {
+    /// Moves to the first pointer of `runs` with an id of at least `id`,
+    /// passing a whole run on its last id.
+    fn seek(&mut self, runs: &[Arc<[Pointer]>], id: NodeId) {
+        while let Some(run) = runs.get(self.run) {
+            if run[run.len() - 1].id < id {
+                self.run += 1;
+                self.off = 0;
+                continue;
+            }
+            while run[self.off].id < id {
+                self.off += 1;
+            }
+            return;
+        }
+    }
 }
 
 fn cmp_entry(a: &(f64, u32), b: &(f64, u32)) -> CmpOrdering {
@@ -334,41 +400,74 @@ impl PreparedSnapshot {
     /// before). Nothing of `self` is modified: readers holding it keep
     /// their epoch's answers.
     ///
-    /// A pointer is *carried* when its `(id, level, info bytes)` are in
-    /// both snapshots (`addr` and the refresh stamps feed no index), and
-    /// *fresh* otherwise. Carried pointers keep their decoded info and
-    /// their index entries, renumbered; only fresh ones are decoded and
-    /// sorted. Both pointer arrays are id-sorted, so the old → new
-    /// renumbering of carried pointers is strictly increasing, and every
-    /// index order — id, `(level, id)`, `(value, id)` — is an order on
-    /// fields a carried pointer keeps: a renumbered list is still
-    /// sorted, and merging the sorted fresh entries in gives the list a
-    /// from-scratch build would. Cost: one pass over both pointer
-    /// arrays and each index, plus decode and sort of the fresh ones.
+    /// A run of `snap` that is a run of `self.snap` (`Arc::ptr_eq`) is
+    /// carried whole: its infos by one `Arc::clone`, its entries
+    /// renumbered by run index. In the other runs a pointer is *carried*
+    /// when its `(id, level, info bytes)` are in both snapshots (`addr`
+    /// and the refresh stamps feed no index), and *fresh* otherwise.
+    /// Carried pointers keep their decoded info and their index entries,
+    /// renumbered; only fresh ones are decoded and sorted. Entries ascend
+    /// in id order in both snapshots, so the old → new renumbering of
+    /// carried pointers is strictly increasing, and every index order —
+    /// id, `(level, id)`, `(value, id)` — is an order on fields a carried
+    /// pointer keeps: a renumbered list is still sorted, and merging the
+    /// sorted fresh entries in gives the list a from-scratch build
+    /// would. Cost: one pass over the runs, over the pointers of the
+    /// runs not shared and over each index, plus decode and sort of the
+    /// fresh ones.
     fn advance(&self, snap: Arc<PeerSnapshot>) -> Self {
-        let old = self.snap.pointers();
-        let new = snap.pointers();
-        let mut remap = vec![GONE; old.len()];
+        let old = self.snap.runs();
+        let new = snap.runs();
+        assert!(
+            new.len() < (u32::MAX >> OFFSET_BITS) as usize,
+            "too many runs to pack an index entry"
+        );
+        let mut moved = vec![Moved::Gone; old.len()];
+        let mut each: Vec<u32> = Vec::new();
         let mut infos = Vec::with_capacity(new.len());
         let mut fresh = Fresh::default();
-        let mut o = 0;
-        for (idx, p) in new.iter().enumerate() {
-            let idx = idx as u32;
-            while old.get(o).is_some_and(|q| q.id < p.id) {
-                o += 1;
+        let mut o = Cursor::default();
+        for (r, run) in new.iter().enumerate() {
+            o.seek(old, run[0].id);
+            if o.off == 0 && old.get(o.run).is_some_and(|was| Arc::ptr_eq(was, run)) {
+                moved[o.run] = Moved::Whole(r as u32);
+                infos.push(Arc::clone(&self.infos[o.run]));
+                continue;
             }
-            match old.get(o) {
-                Some(q) if q.id == p.id && q.level == p.level && same_bytes(&q.info, &p.info) => {
-                    remap[o] = idx;
-                    infos.push(self.infos[o].clone());
+            let mut run_infos = Vec::with_capacity(run.len());
+            for (off, p) in run.iter().enumerate() {
+                let idx = pack(r, off);
+                o.seek(old, p.id);
+                match old.get(o.run).map(|was| &was[o.off]) {
+                    Some(q) if q.id == p.id && q.level == p.level && q.same_info(p) => {
+                        let base = match moved[o.run] {
+                            Moved::Each(base) => base,
+                            _ => {
+                                let base = each.len() as u32;
+                                moved[o.run] = Moved::Each(base);
+                                each.resize(each.len() + old[o.run].len(), GONE);
+                                base
+                            }
+                        };
+                        each[base as usize + o.off] = idx;
+                        run_infos.push(self.infos[o.run][o.off].clone());
+                    }
+                    _ => run_infos.push(fresh.index(idx, p)),
                 }
-                _ => infos.push(fresh.index(idx, p)),
             }
+            infos.push(run_infos.into());
         }
-        let carry = |i: u32| Some(remap[i as usize]).filter(|&idx| idx != GONE);
-        let carry_entry = |(v, i): (f64, u32)| carry(i).map(|idx| (v, idx));
+        let carry = |entry: u32| {
+            let (r, off) = unpack(entry);
+            match moved[r] {
+                Moved::Gone => None,
+                Moved::Whole(to) => Some(pack(to as usize, off)),
+                Moved::Each(base) => Some(each[base as usize + off]).filter(|&e| e != GONE),
+            }
+        };
+        let carry_entry = |(v, e): (f64, u32)| carry(e).map(|e| (v, e));
         let level_then_id = |a: &u32, b: &u32| {
-            let level = |i: &u32| new[*i as usize].level.value();
+            let level = |e: &u32| at(&snap, *e).level.value();
             level(a).cmp(&level(b)).then(a.cmp(b))
         };
         fresh.idxs.sort_unstable_by(level_then_id);
@@ -433,10 +532,23 @@ impl PreparedSnapshot {
         self.undecodable.len() as u64
     }
 
-    /// The decoded info of pointer index `i` (empty map on decode
-    /// failure, like [`select::info_of`]).
+    /// The decoded info of the pointer at position `i` in id order
+    /// (empty map on decode failure, like [`select::info_of`]).
     pub fn info(&self, i: usize) -> &InfoMap {
-        self.infos[i].as_deref().unwrap_or(&NO_INFO)
+        let (run, off) = self.snap.locate(i);
+        self.infos[run][off].as_deref().unwrap_or(&NO_INFO)
+    }
+
+    /// The pointers `entries` name, in order; the run table is read
+    /// once, not per entry.
+    fn resolve(&self, entries: impl Iterator<Item = u32>) -> Vec<&Pointer> {
+        let runs = self.snap.runs();
+        entries
+            .map(|e| {
+                let (run, off) = unpack(e);
+                &runs[run][off]
+            })
+            .collect()
     }
 
     /// All pointers whose decoded info satisfies `pred` — the
@@ -445,7 +557,7 @@ impl PreparedSnapshot {
         self.snap
             .pointers()
             .iter()
-            .zip(&self.infos)
+            .zip(self.infos.iter().flat_map(|run| run.iter()))
             .filter(|(p, m)| pred(p, m.as_deref().unwrap_or(&NO_INFO)))
             .map(|(p, _)| p)
             .collect()
@@ -461,11 +573,7 @@ impl PreparedSnapshot {
             .get(key)
             .and_then(|by_value| by_value.get(value))
         {
-            Some(idxs) => idxs
-                .iter()
-                .take(limit)
-                .map(|&i| &self.snap.pointers()[i as usize])
-                .collect(),
+            Some(idxs) => self.resolve(idxs.iter().take(limit).copied()),
             None => Vec::new(),
         }
     }
@@ -475,11 +583,7 @@ impl PreparedSnapshot {
     /// value.
     pub fn k_smallest_by(&self, key: &str, k: usize) -> Vec<&Pointer> {
         match self.f64_cols.get(key) {
-            Some(col) => col
-                .iter()
-                .take(k)
-                .map(|&(_, i)| &self.snap.pointers()[i as usize])
-                .collect(),
+            Some(col) => self.resolve(col.iter().take(k).map(|&(_, e)| e)),
             None => Vec::new(),
         }
     }
@@ -487,11 +591,7 @@ impl PreparedSnapshot {
     /// Up to `k` pointers at the strongest levels (`O(k)` off the level
     /// order).
     pub fn strongest(&self, k: usize) -> Vec<&Pointer> {
-        self.by_level
-            .iter()
-            .take(k)
-            .map(|&i| &self.snap.pointers()[i as usize])
-            .collect()
+        self.resolve(self.by_level.iter().take(k).copied())
     }
 
     /// Pointers that *probably* hold the probed document, in id order:
@@ -514,9 +614,7 @@ impl PreparedSnapshot {
         }
         // Each group's hits ascend; across groups they interleave.
         hits.sort_unstable();
-        hits.iter()
-            .map(|&i| &self.snap.pointers()[i as usize])
-            .collect()
+        self.resolve(hits.into_iter())
     }
 
     /// Convenience: hash `document` and run the batched holders query.
@@ -687,6 +785,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use peerwindow_core::peer_list::PeerList;
     use peerwindow_core::prelude::*;
     use peerwindow_core::snapshot::SnapshotPublisher;
@@ -696,43 +795,50 @@ mod tests {
     /// replaced — decode every pointer, push every entry, sort every
     /// index — kept as the reference the patched build is compared with.
     fn prepare_reference(snap: Arc<PeerSnapshot>) -> PreparedSnapshot {
-        let n = snap.len();
-        let mut infos = Vec::with_capacity(n);
+        let mut infos = Vec::with_capacity(snap.runs().len());
+        let mut entries = Vec::with_capacity(snap.len());
         let mut undecodable = Vec::new();
         let mut f64_cols: BTreeMap<String, Column> = BTreeMap::new();
         let mut str_index: StrIndex = BTreeMap::new();
         let mut blooms: BTreeMap<Shape, BloomRows> = BTreeMap::new();
-        for (i, p) in snap.pointers().iter().enumerate() {
-            let idx = i as u32;
-            if let Some(v) = BloomView::parse(&p.info) {
-                blooms
-                    .entry((v.k(), p.info.len() - 1))
-                    .or_default()
-                    .push(idx, &p.info[1..]);
-            }
-            let info = match select::try_info_of(p) {
-                Ok(m) => m,
-                Err(_) => {
-                    if BloomView::parse(&p.info).is_none() {
-                        undecodable.push(idx);
+        for (r, run) in snap.runs().iter().enumerate() {
+            let mut run_infos = Vec::with_capacity(run.len());
+            for (off, p) in run.iter().enumerate() {
+                let idx = pack(r, off);
+                entries.push(idx);
+                if let Some(v) = BloomView::parse(&p.info) {
+                    blooms
+                        .entry((v.k(), p.info.len() - 1))
+                        .or_default()
+                        .push(idx, &p.info[1..]);
+                }
+                let info = match select::try_info_of(p) {
+                    Ok(m) => m,
+                    Err(_) => {
+                        if BloomView::parse(&p.info).is_none() {
+                            undecodable.push(idx);
+                        }
+                        InfoMap::default()
                     }
-                    InfoMap::default()
+                };
+                for (key, value) in info.iter() {
+                    match value {
+                        Value::F64(v) if v.is_nan() => {}
+                        Value::F64(v) => {
+                            f64_cols.entry(key.to_string()).or_default().push((*v, idx))
+                        }
+                        Value::U64(_) => {}
+                        Value::Str(s) => str_index
+                            .entry(key.to_string())
+                            .or_default()
+                            .entry(s.clone())
+                            .or_default()
+                            .push(idx),
+                    }
                 }
-            };
-            for (key, value) in info.iter() {
-                match value {
-                    Value::F64(v) if v.is_nan() => {}
-                    Value::F64(v) => f64_cols.entry(key.to_string()).or_default().push((*v, idx)),
-                    Value::U64(_) => {}
-                    Value::Str(s) => str_index
-                        .entry(key.to_string())
-                        .or_default()
-                        .entry(s.clone())
-                        .or_default()
-                        .push(idx),
-                }
+                run_infos.push((!info.is_empty()).then(|| Arc::new(info)));
             }
-            infos.push((!info.is_empty()).then(|| Arc::new(info)));
+            infos.push(run_infos.into());
         }
         for col in f64_cols.values_mut() {
             // Stable by-value sort: ties keep pointer-id order, exactly
@@ -740,9 +846,9 @@ mod tests {
             // scan.
             col.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         }
-        let mut by_level: Vec<u32> = (0..n as u32).collect();
-        by_level.sort_by_key(|&i| {
-            let p = &snap.pointers()[i as usize];
+        let mut by_level = entries;
+        by_level.sort_by_key(|&e| {
+            let p = at(&snap, e);
             (p.level.value(), p.id)
         });
         PreparedSnapshot {
@@ -1000,28 +1106,31 @@ mod tests {
         );
     }
 
-    /// One list operation of the differential test, over a small id
-    /// universe so that operations collide.
+    /// One list operation of the differential test. The narrow universe
+    /// of 12 ids makes operations collide; the wide one of [`WIDE`],
+    /// half of it filled before the first operation, spreads the list
+    /// over several runs, so a refresh carries untouched runs whole and
+    /// carries pointer by pointer inside the runs that changed.
     #[derive(Clone, Debug)]
     enum Op {
         Insert {
-            id: u8,
+            id: u16,
             level: u8,
             att: u8,
         },
         Remove {
-            id: u8,
+            id: u16,
         },
         UpdateLevel {
-            id: u8,
+            id: u16,
             level: u8,
         },
         UpdateInfo {
-            id: u8,
+            id: u16,
             att: u8,
         },
         Touch {
-            id: u8,
+            id: u16,
         },
         /// Publishes the list; the engine refreshes only if `serve`, so
         /// it skips epochs.
@@ -1030,21 +1139,20 @@ mod tests {
         },
     }
 
-    fn arb_op() -> impl Strategy<Value = Op> {
-        let insert = || {
-            (0u8..12, 0u8..4, any::<u8>()).prop_map(|(id, level, att)| Op::Insert {
-                id,
-                level,
-                att,
-            })
+    const WIDE: u16 = 8 * RUN_LEN as u16;
+
+    fn arb_op(universe: u16) -> impl Strategy<Value = Op> {
+        let id = move || 0..universe;
+        let insert = move || {
+            (id(), 0u8..4, any::<u8>()).prop_map(|(id, level, att)| Op::Insert { id, level, att })
         };
         prop_oneof![
             insert(),
             insert(),
-            (0u8..12).prop_map(|id| Op::Remove { id }),
-            (0u8..12, 0u8..4).prop_map(|(id, level)| Op::UpdateLevel { id, level }),
-            (0u8..12, any::<u8>()).prop_map(|(id, att)| Op::UpdateInfo { id, att }),
-            (0u8..12).prop_map(|id| Op::Touch { id }),
+            id().prop_map(|id| Op::Remove { id }),
+            (id(), 0u8..4).prop_map(|(id, level)| Op::UpdateLevel { id, level }),
+            (id(), any::<u8>()).prop_map(|(id, att)| Op::UpdateInfo { id, att }),
+            id().prop_map(|id| Op::Touch { id }),
             any::<bool>().prop_map(|serve| Op::Publish { serve }),
         ]
     }
@@ -1061,7 +1169,7 @@ mod tests {
     /// parses as a filter (`k` = its first key's length), so the typed
     /// maps populate bloom groups of their own beside the three real
     /// filter shapes.
-    fn attachment(att: u8, id: u8) -> Bytes {
+    fn attachment(att: u8, id: u16) -> Bytes {
         let own_name = format!("n{id}");
         let own_doc = format!("doc-{id}");
         let map = |os: Option<&str>, load: Option<f64>, name: Option<&str>| {
@@ -1107,7 +1215,7 @@ mod tests {
         }
     }
 
-    fn node(id: u8) -> NodeId {
+    fn node(id: u16) -> NodeId {
         NodeId(1 + id as u128 * 1_000)
     }
 
@@ -1176,10 +1284,18 @@ mod tests {
         /// reader — is untouched.
         #[test]
         fn patched_refresh_equals_from_scratch_prepare(
-            ops in proptest::collection::vec(arb_op(), 1..160),
+            wide in any::<bool>(),
+            ops in proptest::collection::vec(arb_op(if wide { WIDE } else { 12 }), 1..160),
         ) {
             let me = NodeIdentity::new(NodeId(u128::MAX), Level::new(0));
             let mut list = PeerList::new(Prefix::EMPTY);
+            if wide {
+                for id in (0..WIDE).step_by(2) {
+                    let att = (id % 20) as u8;
+                    let level = Level::new(att % 4);
+                    list.insert(Pointer::with_info(node(id), Addr(0), level, attachment(att, id)));
+                }
+            }
             let mut publisher = SnapshotPublisher::new();
             let engine = QueryEngine::new(publisher.reader());
             let plans = plans();

@@ -221,7 +221,7 @@ impl PeerList {
     }
 
     /// Iterates over all pointers in nodeId order.
-    pub fn iter(&self) -> impl Iterator<Item = &Pointer> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &Pointer> + Clone + '_ {
         self.entries.values()
     }
 

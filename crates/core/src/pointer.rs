@@ -91,6 +91,15 @@ impl Pointer {
         NodeIdentity::new(self.id, self.level)
     }
 
+    /// Whether `other` carries the same attached info: the same buffer
+    /// (an untouched pointer's snapshot copy shares the list's `Bytes`),
+    /// or equal bytes.
+    #[inline]
+    pub fn same_info(&self, other: &Pointer) -> bool {
+        let (a, b) = (&self.info, &other.info);
+        (std::ptr::eq(a.as_ptr(), b.as_ptr()) && a.len() == b.len()) || a[..] == b[..]
+    }
+
     /// Approximate wire size in bits, for bandwidth accounting: 128-bit id,
     /// 48-bit address (IPv4 + port), 8-bit level, plus the attached info.
     #[inline]
