@@ -2,7 +2,8 @@
 //!
 //! The sans-IO machine never panics on malformed or surprising input: a
 //! condition the protocol cannot recover from becomes a [`ProtocolError`],
-//! surfaced to the embedder through [`crate::node::Output::Fatal`]. This
+//! recorded in the machine, which leaves: the embedder reads it through
+//! [`crate::node::NodeMachine::fatal_error`] once `has_left()`. This
 //! keeps every event-handling path total — a requirement enforced
 //! mechanically by `peerwindow-audit`'s `panic-site` lint rule.
 
@@ -10,9 +11,9 @@ use core::fmt;
 
 /// An unrecoverable protocol-level failure inside the state machine.
 ///
-/// Each variant maps to a stable static description (usable as the
-/// `Output::Fatal` payload) so embedders can match on the reason without
-/// string parsing.
+/// Each variant maps to a stable static description (what the harness
+/// logs record) so embedders can match on the reason without string
+/// parsing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtocolError {
     /// The bootstrap node answered with an empty top-node list — it cannot
@@ -27,7 +28,7 @@ pub enum ProtocolError {
 }
 
 impl ProtocolError {
-    /// Stable static description, suitable for `Output::Fatal`.
+    /// Stable static description, suitable for logs.
     pub const fn as_str(self) -> &'static str {
         match self {
             ProtocolError::BootstrapReturnedNoTops => "bootstrap returned no top nodes",

@@ -156,9 +156,6 @@ pub enum Output {
         /// New level.
         to: Level,
     },
-    /// The machine cannot make progress (e.g. its bootstrap node died
-    /// before answering). The embedder should discard the node.
-    Fatal(&'static str),
 }
 
 impl Output {
@@ -437,11 +434,11 @@ impl NodeMachine {
         }
     }
 
-    /// Terminates the machine with a typed error: records it, emits
-    /// [`Output::Fatal`], and stops accepting input.
-    fn fail(&mut self, outs: &mut Vec<Output>, err: ProtocolError) {
+    /// Terminates the machine with a typed error: records it (see
+    /// [`NodeMachine::fatal_error`]) and goes `Left`, so it stops
+    /// accepting input. Embedders read both after `handle`.
+    fn fail(&mut self, err: ProtocolError) {
         self.fatal_error = Some(err);
-        outs.push(Output::Fatal(err.as_str()));
         self.phase = Phase::Left;
     }
 
@@ -486,12 +483,15 @@ impl NodeMachine {
 
     /// Whether the node has left the system (gracefully, after draining
     /// its departure announcement, or terminally on a fatal error). A
-    /// left machine ignores all further input; harnesses may reap it.
+    /// left machine ignores all further input and returns no outputs;
+    /// an embedder checks this after every `handle` and may reap it.
     pub fn has_left(&self) -> bool {
         self.phase == Phase::Left
     }
 
-    /// The typed error that terminated the machine, if it died on one.
+    /// The typed error that terminated the machine, if it died on one —
+    /// the reason behind a `has_left()` that no `Shutdown` asked for.
+    /// Set only together with `has_left()`.
     pub fn fatal_error(&self) -> Option<ProtocolError> {
         self.fatal_error
     }

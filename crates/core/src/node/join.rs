@@ -67,7 +67,7 @@ impl NodeMachine {
             // The bootstrap knew no top at all: it must be a seed node
             // itself (it would have answered with covering tops
             // otherwise). Treat the sender as our top-of-part.
-            self.fail(outs, ProtocolError::BootstrapReturnedNoTops);
+            self.fail(ProtocolError::BootstrapReturnedNoTops);
         }
     }
 
@@ -123,7 +123,7 @@ impl NodeMachine {
             .map(|p| p.target)
             .or_else(|| self.tops.choose(&[], |n| self.rand_below(n)));
         let Some(target) = target else {
-            self.fail(outs, ProtocolError::LevelReplyWithoutKnownTop);
+            self.fail(ProtocolError::LevelReplyWithoutKnownTop);
             return;
         };
         let msg = Message::Download { scope };

@@ -191,7 +191,7 @@ impl NodeMachine {
                     let kind = p.kind;
                     self.send_rpc(outs, top, p.msg, kind, 0);
                 } else {
-                    self.fail(outs, ProtocolError::NoReachableTop);
+                    self.fail(ProtocolError::NoReachableTop);
                 }
             }
             RpcKind::RaiseDownload { .. } => {

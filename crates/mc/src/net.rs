@@ -57,7 +57,8 @@ impl SweepOp {
 pub enum NetErr {
     /// A protocol invariant failed after a handled event.
     Violation(InvariantViolation),
-    /// A machine died with [`Output::Fatal`] on a *reliable* network.
+    /// A machine died on a protocol error (its
+    /// [`NodeMachine::fatal_error`]) on a *reliable* network.
     /// The checker only applies well-formed operations, so without
     /// faults any fatal is a protocol bug. (Under a fault plan a fatal
     /// is a legitimate outcome — a joiner whose bootstrap is unreachable
@@ -78,7 +79,7 @@ pub enum SlotStatus {
     Left,
     /// Silently crashed by a [`SweepOp::Crash`].
     Crashed,
-    /// Died with [`Output::Fatal`] under a fault plan.
+    /// Died on a protocol error under a fault plan.
     Fatal,
 }
 
@@ -91,14 +92,11 @@ pub struct McNet {
     table: Vec<u128>,
     /// One slot per id-table entry; `None` until spawned.
     slots: Vec<Option<NodeMachine>>,
-    /// Crashed (or fatally dead) slots silently drop all delivery.
-    dead: Vec<bool>,
     /// Slots a graceful [`SweepOp::Leave`] was issued to.
     left: Vec<bool>,
-    /// Slots killed by [`SweepOp::Crash`].
+    /// Slots killed by [`SweepOp::Crash`]. A crashed slot, and one whose
+    /// machine died on a fatal error, silently drops all delivery.
     crashed: Vec<bool>,
-    /// Slots that died with [`Output::Fatal`] (fault plans only).
-    fatal: Vec<bool>,
     /// Slots that reached the `Active` phase at least once.
     ever_active: Vec<bool>,
     /// Pending deliveries keyed by `(time, seq)` — a BTreeMap so clones
@@ -128,10 +126,8 @@ impl McNet {
         let mut net = McNet {
             table: table.to_vec(),
             slots: vec![None; n],
-            dead: vec![false; n],
             left: vec![false; n],
             crashed: vec![false; n],
-            fatal: vec![false; n],
             ever_active: vec![false; n],
             queue: BTreeMap::new(),
             seq: 0,
@@ -155,8 +151,7 @@ impl McNet {
         }
         net.slots[0] = Some(m);
         net.ever_active[0] = true;
-        // Seed start-up outputs are timers only; `Fatal` is impossible.
-        let _ = net.enqueue(0, outs);
+        net.enqueue(0, outs);
         net
     }
 
@@ -188,9 +183,21 @@ impl McNet {
     /// The live machine in `slot`, if any.
     pub fn machine(&self, slot: usize) -> Option<&NodeMachine> {
         match &self.slots[slot] {
-            Some(m) if !self.dead[slot] => Some(m),
+            Some(m) if !self.is_dead(slot) => Some(m),
             _ => None,
         }
+    }
+
+    /// Whether `slot` was crashed or its machine died on a fatal error.
+    fn is_dead(&self, slot: usize) -> bool {
+        self.crashed[slot] || self.is_fatal(slot)
+    }
+
+    /// Whether `slot`'s machine died on a fatal error.
+    fn is_fatal(&self, slot: usize) -> bool {
+        self.slots[slot]
+            .as_ref()
+            .is_some_and(|m| m.fatal_error().is_some())
     }
 
     /// Live, fully-joined machines.
@@ -200,7 +207,7 @@ impl McNet {
 
     /// The checker's view of `slot`'s lifecycle.
     pub fn status(&self, slot: usize) -> SlotStatus {
-        if self.fatal[slot] {
+        if self.is_fatal(slot) {
             return SlotStatus::Fatal;
         }
         if self.crashed[slot] {
@@ -219,7 +226,7 @@ impl McNet {
     /// A *correct* node never crashed, never left, and never died: the
     /// subjects of the no-permanent-expungement liveness property.
     pub fn is_correct(&self, slot: usize) -> bool {
-        !self.crashed[slot] && !self.left[slot] && !self.fatal[slot]
+        !self.crashed[slot] && !self.left[slot] && !self.is_fatal(slot)
     }
 
     /// Whether `slot` ever completed the join protocol.
@@ -264,7 +271,7 @@ impl McNet {
             .map(|(dest, input)| (*dest, input_tag(input)))
     }
 
-    fn enqueue(&mut self, from: usize, outs: Vec<Output>) -> Result<(), NetErr> {
+    fn enqueue(&mut self, from: usize, outs: Vec<Output>) {
         for o in outs {
             match o {
                 Output::Send { to, msg, delay_us } => {
@@ -302,23 +309,9 @@ impl McNet {
                     self.queue
                         .insert((self.now + delay_us, self.seq), (from, Input::Timer(timer)));
                 }
-                Output::Fatal(reason) => {
-                    let id = self.slots[from].as_ref().map(NodeMachine::id);
-                    if self.cond.is_some() {
-                        // Under faults a machine may legitimately give up
-                        // (e.g. a joiner whose bootstrap is unreachable).
-                        // Record the death; liveness properties decide
-                        // whether it matters.
-                        self.dead[from] = true;
-                        self.fatal[from] = true;
-                    } else {
-                        return Err(NetErr::Fatal(id.unwrap_or(NodeId(0)), reason));
-                    }
-                }
                 Output::Joined | Output::FailureDetected { .. } | Output::LevelShifted { .. } => {}
             }
         }
-        Ok(())
     }
 
     /// Drives one input into `slot`, checking local invariants afterwards.
@@ -332,7 +325,16 @@ impl McNet {
             self.ever_active[slot] = true;
         }
         self.events_checked += 1;
-        self.enqueue(slot, outs)
+        let fatal = m.fatal_error().map(|err| (m.id(), err.as_str()));
+        self.enqueue(slot, outs);
+        match fatal {
+            // Under faults a machine may legitimately give up (e.g. a
+            // joiner whose bootstrap is unreachable): its slot is dead
+            // from now on, and liveness properties decide whether that
+            // matters.
+            Some((id, reason)) if self.cond.is_none() => Err(NetErr::Fatal(id, reason)),
+            _ => Ok(()),
+        }
     }
 
     /// Delivers everything due up to `t_us`, then advances the clock.
@@ -345,7 +347,7 @@ impl McNet {
                 break;
             };
             self.now = at;
-            if self.dead[dest] {
+            if self.is_dead(dest) {
                 continue;
             }
             self.step(dest, input)?;
@@ -377,7 +379,7 @@ impl McNet {
                             m.reintroduce_gap13_false_obituary_bug();
                         }
                         self.slots[k] = Some(m);
-                        self.enqueue(k, outs)?;
+                        self.enqueue(k, outs);
                     }
                 }
             }
@@ -389,7 +391,6 @@ impl McNet {
             }
             SweepOp::Crash(k) => {
                 if self.slots[k].is_some() {
-                    self.dead[k] = true;
                     self.crashed[k] = true;
                 }
             }
@@ -559,8 +560,11 @@ mod tests {
         let mut net = McNet::new(&[A, B], &mc_protocol_config(), Some(&plan), false);
         net.run_until(10_000_000).unwrap();
         net.apply_op(SweepOp::Join(1), 30_000_000).unwrap();
-        // The joiner can never reach its bootstrap: it either still
-        // retries or died fatally; it must not be active.
-        assert_ne!(net.status(1), SlotStatus::Active);
+        // The joiner can never reach its bootstrap: its join RPC runs out
+        // of retries and the machine dies on `NoReachableTop`, read from
+        // the machine itself.
+        assert_eq!(net.status(1), SlotStatus::Fatal);
+        assert!(!net.is_correct(1));
+        assert!(net.machine(1).is_none(), "a dead slot has no live machine");
     }
 }

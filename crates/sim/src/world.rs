@@ -7,7 +7,9 @@
 //! events handed to an `emit(delay_us, event)` closure — a closure over
 //! `Scheduler::schedule` in [`crate::FullSim`], over `Outbox::send` in
 //! [`crate::ParallelFullSim`]. The engines only order events; the crate's
-//! one interpreter of [`Output`] is here.
+//! one interpreter of [`Output`] is here. A machine's fate is not an
+//! output: after each input the world reads `has_left()` (reap it) and
+//! `fatal_error()` (log why).
 //!
 //! `FullSim` drives one world, `ParallelFullSim` one per shard. What
 //! reads or configures a run (accuracy, the partition audit, fault and
@@ -75,7 +77,8 @@ pub struct FullLog {
     pub joined: Vec<u32>,
     /// `(detector slot, dead id)` failure detections.
     pub failures: Vec<(u32, NodeId)>,
-    /// Fatal errors `(slot, reason)`.
+    /// Fatal errors `(slot, reason)`, one per machine, logged on the
+    /// event that killed it (from [`NodeMachine::fatal_error`]).
     pub fatals: Vec<(u32, &'static str)>,
     /// Level shifts `(slot, from, to)`.
     pub shifts: Vec<(u32, Level, Level)>,
@@ -90,11 +93,11 @@ pub(crate) struct World<N> {
     protocol: ProtocolConfig,
     net: N,
     machines: Vec<Option<NodeMachine>>,
-    /// Slot policy, fixed at construction: whether a machine that reported
-    /// `Fatal` or finished draining its departure is taken out of its
-    /// slot. `FullSim` reaps, so `machines()` never yields a departed
-    /// node's stale state; `ParallelFullSim` leaves the machine in place
-    /// (its digest folds departed machines in).
+    /// Slot policy, fixed at construction: whether a machine that has
+    /// left (died on a fatal error or finished draining its departure) is
+    /// taken out of its slot. `FullSim` reaps, so `machines()` never
+    /// yields a departed node's stale state; `ParallelFullSim` leaves the
+    /// machine in place (its digest folds departed machines in).
     reap_departed: bool,
     /// Network fault model ("Internet asynchrony", §4.6, generalised to
     /// burst loss / jitter / duplication / partitions). `None` means a
@@ -155,9 +158,10 @@ impl<N: NetworkModel> World<N> {
     /// `emit(delay_us, event)`. Returns the id of a machine that left its
     /// slot during the step (crashed, or reaped under the slot policy).
     ///
-    /// In order: the machine handles the input → its trace buffer is
-    /// drained → its invariants are checked → its outputs are interpreted
-    /// → the slot policy applies → its snapshot is published.
+    /// In order: the machine handles the input (a fatal error is logged)
+    /// → its trace buffer is drained → its invariants are checked → its
+    /// outputs are interpreted → the slot policy reaps it if it has left
+    /// → its snapshot is published.
     pub(crate) fn handle(
         &mut self,
         now_us: u64,
@@ -227,7 +231,6 @@ impl<N: NetworkModel> World<N> {
         let (from, from_addr) = (machine.id(), machine.addr());
         #[cfg(feature = "trace")]
         let from_level = machine.level().value();
-        let mut fatal = false;
         for o in outs {
             match o {
                 Output::Send { to, msg, delay_us } => {
@@ -263,17 +266,13 @@ impl<N: NetworkModel> World<N> {
                 Output::Joined => self.log.joined.push(actor),
                 Output::FailureDetected { dead } => self.log.failures.push((actor, dead)),
                 Output::LevelShifted { from, to } => self.log.shifts.push((actor, from, to)),
-                Output::Fatal(reason) => {
-                    self.log.fatals.push((actor, reason));
-                    fatal = true;
-                }
             }
         }
         // A graceful leaver stays in its slot while it drains its
         // departure announcement (retries, redirects); once the machine
-        // reports Left the drain is over.
+        // reports Left — drained, or dead on a fatal error — it is gone.
         let slot = &mut self.machines[actor as usize];
-        if self.reap_departed && (fatal || slot.as_ref().is_some_and(NodeMachine::has_left)) {
+        if self.reap_departed && slot.as_ref().is_some_and(NodeMachine::has_left) {
             *slot = None;
             return Some(from);
         }
@@ -287,10 +286,17 @@ impl<N: NetworkModel> World<N> {
     }
 
     /// Feeds `input` to the machine in `actor`'s slot. `None` when the
-    /// slot is vacant (crashed or never started): a silent drop.
+    /// slot is vacant (crashed or never started): a silent drop. A
+    /// machine that dies on this input is logged in `fatals`, once: a
+    /// machine that has left ignores every later input.
     fn input(&mut self, now_us: u64, actor: u32, input: Input) -> Option<Vec<Output>> {
         let m = self.machines.get_mut(actor as usize)?.as_mut()?;
-        Some(m.handle(now_us, input))
+        let was_left = m.has_left();
+        let outs = m.handle(now_us, input);
+        if let (false, Some(err)) = (was_left, m.fatal_error()) {
+            self.log.fatals.push((actor, err.as_str()));
+        }
+        Some(outs)
     }
 }
 

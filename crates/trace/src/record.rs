@@ -175,7 +175,8 @@ impl JoinPhase {
 pub enum DiagCode {
     /// A frame exceeded the UDP datagram budget and was dropped.
     OversizedFrame,
-    /// The machine emitted `Output::Fatal` and the runtime is stopping.
+    /// The machine died on a protocol error (`fatal_error()`), or the
+    /// socket failed persistently; the runtime is stopping.
     Fatal,
     /// The socket returned a non-timeout error; the runtime is stopping.
     SocketError,

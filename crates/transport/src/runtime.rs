@@ -1,11 +1,22 @@
 //! A UDP runtime for the sans-IO [`NodeMachine`].
 //!
 //! One thread per node: a `UdpSocket` with a short read timeout drives the
-//! machine's inputs; a timer heap realises its `SetTimer` effects; sends
-//! with a processing delay are queued rather than slept on. A control
-//! channel lets the embedding application change the attached info or the
-//! bandwidth budget, take state snapshots, and shut the node down
-//! gracefully — the same operations the paper's upper layers need (§3).
+//! machine's inputs, and one due-queue, keyed by `(due_us, seq)`, holds
+//! everything that happens later — the machine's timers, its sends still
+//! in their processing delay, and judged frames waiting to be written
+//! (the [`crate::shim`]'s jitter and duplicate copies, and resends after
+//! a failed write). Each input runs one path: `handle`, trace drain,
+//! outputs, fatal check, snapshot publish. Each datagram runs one send
+//! path: encode, drop if oversized, judge at departure, write or queue.
+//! Every failed write is retried 3 times, 50/200/800 ms apart. The node's
+//! fate is machine state: once `has_left()` and no frame is queued the
+//! thread stops (a `fatal_error()` is logged first).
+//!
+//! A control channel lets the embedding application change the attached
+//! info or the bandwidth budget, take state snapshots, and shut the node
+//! down gracefully — the same operations the paper's upper layers need
+//! (§3). A shutdown ends when the §4.3 leave has drained and its frames
+//! are out, or after 300 ms.
 //!
 //! **Scale limitation:** the §4.3 bulk peer-list download travels as one
 //! datagram, so UDP caps it at ~64 KiB ≈ 2,300 pointers. That suits
@@ -21,8 +32,7 @@ use bytes::Bytes;
 use peerwindow_core::prelude::*;
 use peerwindow_metrics::runtime::{escape_label, render_counters};
 use peerwindow_trace::{CauseId, DiagCode, NodeTrace, TraceEventKind, TraceRecord};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender as Sender};
@@ -53,27 +63,6 @@ pub struct RuntimeStats {
 impl RuntimeStats {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    // Hooks for the shim module, which shares these counters so the
-    // application sees one coherent table per node.
-    pub(crate) fn note_datagram_out(&self) {
-        Self::bump(&self.datagrams_out);
-    }
-    pub(crate) fn note_shim_dropped(&self) {
-        Self::bump(&self.shim_dropped);
-    }
-    pub(crate) fn note_shim_duplicated(&self) {
-        Self::bump(&self.shim_duplicated);
-    }
-    pub(crate) fn note_shim_delayed(&self) {
-        Self::bump(&self.shim_delayed);
-    }
-    pub(crate) fn note_send_retry(&self) {
-        Self::bump(&self.send_retries);
-    }
-    pub(crate) fn note_backoff_exhausted(&self) {
-        Self::bump(&self.backoff_exhaustions);
     }
 
     /// Point-in-time copy of every counter.
@@ -111,11 +100,11 @@ pub struct RuntimeStatsSnapshot {
     pub shim_dropped: u64,
     /// Outbound datagrams the shim duplicated.
     pub shim_duplicated: u64,
-    /// Outbound datagrams the shim parked for delayed delivery (jitter,
-    /// or the trailing copy of a duplicate).
+    /// Copies the shim queued for delayed delivery (jitter, or the
+    /// trailing copy of a duplicate).
     pub shim_delayed: u64,
-    /// Socket send attempts that failed transiently and were rescheduled
-    /// with backoff.
+    /// Socket writes that failed transiently and were queued again with
+    /// backoff.
     pub send_retries: u64,
     /// Sends abandoned after the retry budget was exhausted.
     pub backoff_exhaustions: u64,
@@ -420,33 +409,27 @@ pub fn spawn_node(cfg: RuntimeConfig) -> Result<NodeHandle, SpawnError> {
     let (ctl_tx, ctl_rx) = bounded(64);
     let id = cfg.id;
     let diag = Arc::new(Mutex::new(Vec::new()));
-    let diag_thread = Arc::clone(&diag);
     let stats = Arc::new(RuntimeStats::default());
-    let stats_thread = Arc::clone(&stats);
+    // Bootstrap discovery above ran unjudged: a node must be able to
+    // find its bootstrap even under a plan that would condition that link
+    // (the shim models the network misbehaving *after* the operator
+    // managed to start the process).
+    let judge = cfg
+        .shim
+        .as_ref()
+        .and_then(|spec| crate::shim::Judge::new(spec, local));
+    let mut node = NodeLoop::new(machine, socket, judge, &stats, &diag);
     // Serving layer: the node thread owns the publisher; the handle (and
     // anything it hands the reader to) loads snapshots lock-free.
-    let snap_pub = SnapshotPublisher::new();
-    let snap_reader = snap_pub.reader();
-    // Bootstrap discovery above ran on the raw socket: a node must be
-    // able to find its bootstrap even under a plan that would condition
-    // that link (the shim models the network misbehaving *after* the
-    // operator managed to start the process).
-    let fsock =
-        crate::shim::FaultingSocket::new(socket, Arc::clone(&stats), cfg.shim.as_ref(), local);
+    let snap_reader = node.snap_pub.reader();
     let clock_offset_us = cfg.clock_offset_us;
     let thread = std::thread::Builder::new()
         .name(format!("pwnode-{id}"))
         .spawn(move || {
-            run_loop(
-                fsock,
-                clock_offset_us,
-                machine,
-                initial,
-                ctl_rx,
-                diag_thread,
-                stats_thread,
-                snap_pub,
-            )
+            let start = Instant::now();
+            let clock = move || clock_offset_us + start.elapsed().as_micros() as u64;
+            node.start(clock(), initial);
+            node.run(ctl_rx, clock)
         })
         .map_err(SpawnError::Io)?;
     Ok(NodeHandle {
@@ -460,24 +443,34 @@ pub fn spawn_node(cfg: RuntimeConfig) -> Result<NodeHandle, SpawnError> {
     })
 }
 
-/// Timer-or-delayed-send entries, ordered by due time.
+/// What the due-queue holds.
 enum Due {
+    /// A protocol timer.
     Timer(Timer),
+    /// A send still in its processing delay: encoded and judged when it
+    /// departs.
     Send(Target, Message),
-    /// A judged-and-admitted frame whose socket write failed transiently
-    /// (`EAGAIN`, `ECONNREFUSED`, …): retry it as-is, with backoff.
-    Resend(SocketAddrV4, Vec<u8>, u32),
+    /// An encoded frame that has been judged: a jitter or duplicate copy
+    /// (`attempt` 0), or a resend after `attempt` failed writes.
+    Frame {
+        dest: SocketAddrV4,
+        frame: Vec<u8>,
+        attempt: u32,
+    },
 }
 
+/// Largest frame the send path writes; bigger ones are dropped rather
+/// than truncated (see the module docs on UDP download limits).
+const MAX_FRAME_BYTES: usize = 65_000;
 /// First resend delay; subsequent attempts back off ×4 (50 ms, 200 ms,
 /// 800 ms — the same doubling-style policy as the protocol's §4.1 RPC
 /// backoff, compressed to socket timescales).
 const RESEND_BASE_US: u64 = 50_000;
-/// Socket write attempts per frame before giving up (the protocol's own
-/// RPC retry machinery owns recovery beyond the transport's budget).
+/// Resends per frame before giving up (the protocol's own RPC retry
+/// machinery owns recovery beyond the transport's budget).
 const RESEND_MAX_ATTEMPTS: u32 = 3;
-/// How long a shutting-down node keeps draining: long enough for the
-/// §4.3 leave multicast's first retries and any shim-delayed frames to
+/// How long a shutting-down node keeps draining at most: long enough for
+/// the §4.3 leave multicast's first retries and any delayed copies to
 /// flush, short enough that embedders' drop paths stay snappy.
 const DRAIN_US: u64 = 300_000;
 
@@ -533,334 +526,280 @@ impl Diag {
     fn drain(&self, _machine: &mut NodeMachine) {}
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_loop(
-    mut fsock: crate::shim::FaultingSocket,
-    clock_offset_us: u64,
-    mut machine: NodeMachine,
-    initial: Vec<Output>,
-    ctl: Receiver<Control>,
-    diag_log: Arc<Mutex<Vec<TraceRecord>>>,
+/// The node thread's state. Every method takes the time as an argument;
+/// only [`NodeLoop::run`] reads the clock.
+struct NodeLoop {
+    machine: NodeMachine,
+    sock: UdpSocket,
+    /// The shim's verdicts; `None` sends every datagram straight through.
+    judge: Option<crate::shim::Judge>,
+    /// Timers, delayed sends and judged frames, keyed by `(due_us, seq)`.
+    /// Popping an entry removes it.
+    queue: BTreeMap<(u64, u64), Due>,
+    seq: u64,
     stats: Arc<RuntimeStats>,
-    mut snap_pub: SnapshotPublisher,
-) {
-    let start = Instant::now();
-    let now_us = |start: &Instant| clock_offset_us + start.elapsed().as_micros() as u64;
-    let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut parked: Vec<Option<Due>> = Vec::new();
-    let mut seq = 0u64;
-    let mut buf = [0u8; 65_536];
-    let me = machine.id();
-    let my_addr = machine.addr();
-    let mut stopping = false;
-    // Once set, the loop keeps servicing timers, retries, and inbound
-    // acks until the deadline, then exits: drain-then-close, so a leave
-    // multicast (and its first retries) survives the shutdown request.
-    let mut drain_until: Option<u64> = None;
-    let mut recv_errors_in_a_row = 0u32;
-    let mut diag = Diag::new(me, diag_log);
+    diag: Diag,
+    snap_pub: SnapshotPublisher,
+}
 
-    let schedule = |heap: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-                    parked: &mut Vec<Option<Due>>,
-                    seq: &mut u64,
-                    at: u64,
-                    due: Due| {
-        *seq += 1;
-        parked.push(Some(due));
-        heap.push(Reverse((at, *seq, parked.len() - 1)));
-    };
-
-    // Judge-and-transmit one encoded frame; a transient socket failure
-    // schedules the first resend rather than losing the frame.
-    let transmit = |frame: Vec<u8>,
-                    dest: SocketAddrV4,
-                    now: u64,
-                    fsock: &mut crate::shim::FaultingSocket,
-                    heap: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-                    parked: &mut Vec<Option<Due>>,
-                    seq: &mut u64| {
-        if fsock.send_judged(now, &frame, dest).is_err() {
-            stats.note_send_retry();
-            schedule(
-                heap,
-                parked,
-                seq,
-                now + RESEND_BASE_US,
-                Due::Resend(dest, frame, 1),
-            );
+impl NodeLoop {
+    fn new(
+        machine: NodeMachine,
+        sock: UdpSocket,
+        judge: Option<crate::shim::Judge>,
+        stats: &Arc<RuntimeStats>,
+        diag_log: &Arc<Mutex<Vec<TraceRecord>>>,
+    ) -> Self {
+        NodeLoop {
+            diag: Diag::new(machine.id(), Arc::clone(diag_log)),
+            machine,
+            sock,
+            judge,
+            queue: BTreeMap::new(),
+            seq: 0,
+            stats: Arc::clone(stats),
+            snap_pub: SnapshotPublisher::new(),
         }
-    };
+    }
 
-    let process = |outs: Vec<Output>,
-                   now: u64,
-                   fsock: &mut crate::shim::FaultingSocket,
-                   heap: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-                   parked: &mut Vec<Option<Due>>,
-                   seq: &mut u64,
-                   stopping: &mut bool,
-                   diag: &mut Diag| {
+    /// Publishes the machine's state right out of the constructor as
+    /// epoch 0 — a reader resolved from the handle sees the node before
+    /// its first event — then carries out the constructor's outputs.
+    fn start(&mut self, now: u64, initial: Vec<Output>) {
+        self.publish(now);
+        self.apply(now, initial);
+    }
+
+    /// Feeds one input, in one order: `handle`, trace drain, outputs,
+    /// fatal check, snapshot publish. A machine that has left ignores
+    /// input, so this does nothing for it.
+    fn input(&mut self, now: u64, input: Input) {
+        if self.machine.has_left() {
+            return;
+        }
+        let outs = self.machine.handle(now, input);
+        self.diag.drain(&mut self.machine);
+        self.apply(now, outs);
+        if self.machine.fatal_error().is_some() {
+            self.diag.emit(now, DiagCode::Fatal);
+        }
+        self.publish(now);
+    }
+
+    fn apply(&mut self, now: u64, outs: Vec<Output>) {
         for o in outs {
             match o {
+                Output::Send {
+                    to,
+                    msg,
+                    delay_us: 0,
+                } => self.send(now, to, &msg),
                 Output::Send { to, msg, delay_us } => {
-                    if delay_us == 0 {
-                        let frame = encode(me, my_addr, &msg);
-                        if frame.len() > 65_000 {
-                            // Dropped rather than truncated — see the
-                            // module docs on UDP download limits.
-                            RuntimeStats::bump(&stats.oversized_frames);
-                            diag.emit(now, DiagCode::OversizedFrame);
-                        } else {
-                            transmit(frame, sock_of(to.addr), now, fsock, heap, parked, seq);
-                        }
-                    } else {
-                        schedule(heap, parked, seq, now + delay_us, Due::Send(to, msg));
-                    }
+                    self.schedule(now + delay_us, Due::Send(to, msg))
                 }
                 Output::SetTimer { delay_us, timer } => {
-                    schedule(heap, parked, seq, now + delay_us, Due::Timer(timer));
+                    self.schedule(now + delay_us, Due::Timer(timer))
                 }
-                Output::Fatal(_reason) => {
-                    diag.emit(now, DiagCode::Fatal);
-                    *stopping = true;
-                }
-                // Joined / FailureDetected / LevelShifted are
-                // observable through snapshots; real applications
-                // would hook them here.
+                // Joined / FailureDetected / LevelShifted are observable
+                // through snapshots; real applications would hook them
+                // here.
                 _ => {}
             }
         }
-    };
-
-    // The machine's state right out of the constructor is epoch 0: a
-    // reader resolved from the handle sees the node before its first
-    // event rather than an empty placeholder.
-    if snap_pub.maybe_publish(&machine, now_us(&start)) {
-        RuntimeStats::bump(&stats.snapshots_published);
     }
-    let mut outs = initial;
-    loop {
-        let now = now_us(&start);
-        process(
-            outs,
-            now,
-            &mut fsock,
-            &mut heap,
-            &mut parked,
-            &mut seq,
-            &mut stopping,
-            &mut diag,
-        );
-        outs = Vec::new();
-        // Serving layer: mirror any peer-list change from the events
-        // handled in the previous iteration (message input, timers,
-        // control commands) into the lock-free cell. Generation-gated —
-        // an idle pass costs one integer compare.
-        if snap_pub.maybe_publish(&machine, now) {
-            RuntimeStats::bump(&stats.snapshots_published);
-        }
-        if stopping {
-            return;
-        }
 
-        // Flush shim-delayed frames that have come due, then fire due
-        // timers and delayed sends.
-        let now = now_us(&start);
-        fsock.pump(now);
-        if let Some(deadline) = drain_until {
-            if now >= deadline || (!fsock.has_pending() && heap.is_empty()) {
-                return;
-            }
+    /// Mirrors a peer-list change into the lock-free serving cell.
+    /// Generation-gated: an unchanged list costs one integer compare.
+    fn publish(&mut self, now: u64) {
+        if self.snap_pub.maybe_publish(&self.machine, now) {
+            RuntimeStats::bump(&self.stats.snapshots_published);
         }
-        while let Some(&Reverse((at, _, idx))) = heap.peek() {
-            if at > now {
+    }
+
+    fn schedule(&mut self, at: u64, due: Due) {
+        self.seq += 1;
+        self.queue.insert((at, self.seq), due);
+    }
+
+    /// Pops and carries out every entry due by `now`, in due order.
+    fn fire_due(&mut self, now: u64) {
+        while let Some(entry) = self.queue.first_entry() {
+            if entry.key().0 > now {
                 break;
             }
-            heap.pop();
-            match parked[idx].take() {
-                Some(Due::Timer(t)) => {
-                    RuntimeStats::bump(&stats.timers_fired);
-                    let o = machine.handle(now, Input::Timer(t));
-                    diag.drain(&mut machine);
-                    process(
-                        o,
-                        now,
-                        &mut fsock,
-                        &mut heap,
-                        &mut parked,
-                        &mut seq,
-                        &mut stopping,
-                        &mut diag,
-                    );
+            match entry.remove() {
+                Due::Timer(t) => {
+                    RuntimeStats::bump(&self.stats.timers_fired);
+                    self.input(now, Input::Timer(t));
                 }
-                Some(Due::Send(to, msg)) => {
-                    let frame = encode(me, my_addr, &msg);
-                    if frame.len() > 65_000 {
-                        RuntimeStats::bump(&stats.oversized_frames);
-                        diag.emit(now, DiagCode::OversizedFrame);
-                    } else {
-                        transmit(
-                            frame,
-                            sock_of(to.addr),
-                            now,
-                            &mut fsock,
-                            &mut heap,
-                            &mut parked,
-                            &mut seq,
-                        );
-                    }
-                }
-                Some(Due::Resend(dest, frame, attempt)) => {
-                    // Already judged and admitted: retries bypass the
-                    // shim so one frame cannot be charged two verdicts.
-                    match fsock.send_raw(&frame, dest) {
-                        Ok(()) => {}
-                        Err(_) if attempt < RESEND_MAX_ATTEMPTS => {
-                            stats.note_send_retry();
-                            let wait = RESEND_BASE_US << (2 * attempt);
-                            schedule(
-                                &mut heap,
-                                &mut parked,
-                                &mut seq,
-                                now + wait,
-                                Due::Resend(dest, frame, attempt + 1),
-                            );
-                        }
-                        Err(_) => {
-                            stats.note_backoff_exhausted();
-                            diag.emit(now, DiagCode::SocketError);
-                        }
-                    }
-                }
-                None => {}
-            }
-            if stopping {
-                return;
+                Due::Send(to, msg) => self.send(now, to, &msg),
+                Due::Frame {
+                    dest,
+                    frame,
+                    attempt,
+                } => self.write(now, dest, frame, attempt),
             }
         }
+    }
 
-        // Control commands.
-        while let Ok(c) = ctl.try_recv() {
-            let now = now_us(&start);
-            match c {
-                Control::Snapshot(reply) => {
-                    let snap = Snapshot {
-                        id: machine.id(),
-                        level: machine.level(),
-                        is_active: machine.is_active(),
-                        peers: machine.peers().iter().cloned().collect(),
-                        tops: machine.tops().entries().to_vec(),
-                        stats: machine.stats(),
-                    };
+    /// The one send path: encode, drop an oversized frame, judge at
+    /// departure, then write each copy the judge lets through or queue it
+    /// for its extra delay.
+    fn send(&mut self, now: u64, to: Target, msg: &Message) {
+        let frame = encode(self.machine.id(), self.machine.addr(), msg);
+        if frame.len() > MAX_FRAME_BYTES {
+            RuntimeStats::bump(&self.stats.oversized_frames);
+            self.diag.emit(now, DiagCode::OversizedFrame);
+            return;
+        }
+        let dest = sock_of(to.addr);
+        let [dup, original] = match &mut self.judge {
+            Some(judge) => judge.delays(now, dest),
+            None => [None, Some(0)],
+        };
+        if let Some(extra) = dup {
+            RuntimeStats::bump(&self.stats.shim_duplicated);
+            self.delay(now + extra, dest, frame.clone());
+        }
+        match original {
+            None => RuntimeStats::bump(&self.stats.shim_dropped),
+            Some(0) => self.write(now, dest, frame, 0),
+            Some(extra) => self.delay(now + extra, dest, frame),
+        }
+    }
+
+    fn delay(&mut self, at: u64, dest: SocketAddrV4, frame: Vec<u8>) {
+        RuntimeStats::bump(&self.stats.shim_delayed);
+        let due = Due::Frame {
+            dest,
+            frame,
+            attempt: 0,
+        };
+        self.schedule(at, due);
+    }
+
+    /// Writes one judged frame. A failed write (`EAGAIN`, `ECONNREFUSED`,
+    /// …) goes back on the queue with backoff, never back to the judge,
+    /// so one frame is charged one verdict.
+    fn write(&mut self, now: u64, dest: SocketAddrV4, frame: Vec<u8>, attempt: u32) {
+        match self.sock.send_to(&frame, SocketAddr::V4(dest)) {
+            Ok(_) => RuntimeStats::bump(&self.stats.datagrams_out),
+            Err(_) if attempt < RESEND_MAX_ATTEMPTS => {
+                RuntimeStats::bump(&self.stats.send_retries);
+                let due = Due::Frame {
+                    dest,
+                    frame,
+                    attempt: attempt + 1,
+                };
+                self.schedule(now + (RESEND_BASE_US << (2 * attempt)), due);
+            }
+            Err(_) => {
+                RuntimeStats::bump(&self.stats.backoff_exhaustions);
+                self.diag.emit(now, DiagCode::SocketError);
+            }
+        }
+    }
+
+    /// Whether the thread is done: the machine has left (drained its
+    /// leave, or died) and every frame is out, or the shutdown drain ran
+    /// out. Timers a left machine would refuse do not hold it up.
+    fn finished(&self, now: u64, drain_until: Option<u64>) -> bool {
+        drain_until.is_some_and(|deadline| now >= deadline)
+            || (self.machine.has_left() && self.queue.values().all(|d| matches!(d, Due::Timer(_))))
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        let m = &self.machine;
+        Snapshot {
+            id: m.id(),
+            level: m.level(),
+            is_active: m.is_active(),
+            peers: m.peers().iter().cloned().collect(),
+            tops: m.tops().entries().to_vec(),
+            stats: m.stats(),
+        }
+    }
+
+    /// Serves control commands and datagrams until [`NodeLoop::finished`].
+    fn run(mut self, ctl: Receiver<Control>, clock: impl Fn() -> u64) {
+        let mut buf = [0u8; 65_536];
+        // Set by `Shutdown`: the loop keeps servicing timers, resends and
+        // inbound acks until the leave is done or the deadline passes —
+        // drain-then-close, so a leave multicast (and its first retries)
+        // survives the shutdown request.
+        let mut drain_until: Option<u64> = None;
+        let mut recv_errors_in_a_row = 0u32;
+        loop {
+            self.fire_due(clock());
+            while let Ok(c) = ctl.try_recv() {
+                let now = clock();
+                match c {
                     // Blocking send: the requester either receives the
-                    // snapshot or has dropped its receiver (in which
-                    // case this returns an error immediately). Never a
-                    // silent try_send drop.
-                    let _ = reply.send(snap);
-                }
-                Control::ChangeInfo(info) => {
-                    let o = machine.handle(now, Input::Command(Command::ChangeInfo(info)));
-                    diag.drain(&mut machine);
-                    process(
-                        o,
-                        now,
-                        &mut fsock,
-                        &mut heap,
-                        &mut parked,
-                        &mut seq,
-                        &mut stopping,
-                        &mut diag,
-                    );
-                }
-                #[cfg(feature = "trace")]
-                Control::SetTracing(on) => {
-                    machine.set_tracing(on);
-                    diag.tracing = on;
-                }
-                Control::SetThreshold(bps) => {
-                    let o = machine.handle(now, Input::Command(Command::SetThreshold(bps)));
-                    diag.drain(&mut machine);
-                    process(
-                        o,
-                        now,
-                        &mut fsock,
-                        &mut heap,
-                        &mut parked,
-                        &mut seq,
-                        &mut stopping,
-                        &mut diag,
-                    );
-                }
-                Control::Shutdown => {
-                    if drain_until.is_none() {
-                        let o = machine.handle(now, Input::Command(Command::Shutdown));
-                        diag.drain(&mut machine);
-                        // The leave announcement goes through the normal
-                        // send path (shim, retries, delayed copies); the
-                        // drain window below keeps the loop alive long
-                        // enough to flush it and service the first acks.
-                        process(
-                            o,
-                            now,
-                            &mut fsock,
-                            &mut heap,
-                            &mut parked,
-                            &mut seq,
-                            &mut stopping,
-                            &mut diag,
-                        );
+                    // snapshot or has dropped its receiver (in which case
+                    // this returns an error immediately). Never a silent
+                    // try_send drop.
+                    Control::Snapshot(reply) => {
+                        let _ = reply.send(self.snapshot());
+                    }
+                    Control::ChangeInfo(info) => {
+                        self.input(now, Input::Command(Command::ChangeInfo(info)))
+                    }
+                    Control::SetThreshold(bps) => {
+                        self.input(now, Input::Command(Command::SetThreshold(bps)))
+                    }
+                    #[cfg(feature = "trace")]
+                    Control::SetTracing(on) => {
+                        self.machine.set_tracing(on);
+                        self.diag.tracing = on;
+                    }
+                    Control::Shutdown if drain_until.is_none() => {
+                        self.input(now, Input::Command(Command::Shutdown));
                         drain_until = Some(now + DRAIN_US);
                     }
+                    Control::Shutdown => {}
                 }
             }
-        }
-        // Timer fires and control commands above mutate the list too;
-        // publish before blocking on the socket so readers never wait a
-        // read-timeout behind a change that already happened.
-        if snap_pub.maybe_publish(&machine, now_us(&start)) {
-            RuntimeStats::bump(&stats.snapshots_published);
-        }
+            if self.finished(clock(), drain_until) {
+                return;
+            }
 
-        // Network input (10 ms read timeout set at bind).
-        match fsock.recv_from(&mut buf) {
-            Ok((n, _peer)) => {
-                recv_errors_in_a_row = 0;
-                RuntimeStats::bump(&stats.datagrams_in);
-                match decode(&buf[..n]) {
-                    Ok(env) => {
-                        let now = now_us(&start);
-                        let o = machine.handle(
-                            now,
-                            Input::Message {
+            // Network input (10 ms read timeout set at bind).
+            match self.sock.recv_from(&mut buf) {
+                Ok((n, _peer)) => {
+                    recv_errors_in_a_row = 0;
+                    RuntimeStats::bump(&self.stats.datagrams_in);
+                    match decode(&buf[..n]) {
+                        Ok(env) => {
+                            let input = Input::Message {
                                 from: env.from,
                                 from_addr: env.from_addr,
                                 msg: env.msg,
-                            },
-                        );
-                        diag.drain(&mut machine);
-                        outs = o;
+                            };
+                            self.input(clock(), input);
+                        }
+                        Err(_) => RuntimeStats::bump(&self.stats.decode_errors),
                     }
-                    Err(_) => RuntimeStats::bump(&stats.decode_errors),
                 }
-            }
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                recv_errors_in_a_row = 0;
-            }
-            Err(_e) => {
-                // A recv error is usually transient (Linux queues an
-                // ICMP port-unreachable as ECONNREFUSED on the next
-                // read after a send to a dead peer — exactly what a
-                // crashed neighbour produces). Log it and keep serving;
-                // only a persistently broken socket is fatal.
-                diag.emit(now_us(&start), DiagCode::SocketError);
-                recv_errors_in_a_row += 1;
-                if recv_errors_in_a_row > 100 {
-                    diag.emit(now_us(&start), DiagCode::Fatal);
-                    return;
+                Err(ref e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    recv_errors_in_a_row = 0;
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                Err(_e) => {
+                    // A recv error is usually transient (Linux queues an
+                    // ICMP port-unreachable as ECONNREFUSED on the next
+                    // read after a send to a dead peer — exactly what a
+                    // crashed neighbour produces). Log it and keep serving;
+                    // only a persistently broken socket is fatal.
+                    self.diag.emit(clock(), DiagCode::SocketError);
+                    recv_errors_in_a_row += 1;
+                    if recv_errors_in_a_row > 100 {
+                        self.diag.emit(clock(), DiagCode::Fatal);
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
             }
         }
     }
@@ -879,12 +818,12 @@ mod tests {
         RuntimeStats::bump(&stats.decode_errors);
         RuntimeStats::bump(&stats.oversized_frames);
         RuntimeStats::bump(&stats.timers_fired);
-        stats.note_shim_dropped();
-        stats.note_shim_dropped();
-        stats.note_shim_duplicated();
-        stats.note_shim_delayed();
-        stats.note_send_retry();
-        stats.note_backoff_exhausted();
+        RuntimeStats::bump(&stats.shim_dropped);
+        RuntimeStats::bump(&stats.shim_dropped);
+        RuntimeStats::bump(&stats.shim_duplicated);
+        RuntimeStats::bump(&stats.shim_delayed);
+        RuntimeStats::bump(&stats.send_retries);
+        RuntimeStats::bump(&stats.backoff_exhaustions);
         RuntimeStats::bump(&stats.snapshots_published);
         let snap = stats.snapshot();
         assert_eq!(snap.datagrams_in, 2);
@@ -922,6 +861,43 @@ mod tests {
         assert_eq!(rows[9], ("backoff_exhaustions", 10));
         assert_eq!(rows[10], ("snapshots_published", 11));
         assert_eq!(rows.iter().map(|(_, v)| v).sum::<u64>(), 66);
+    }
+
+    /// A lone seed driven through 10 000 probe rounds on a virtual clock:
+    /// every popped entry leaves the queue, so it holds the seed's five
+    /// periodic timers and nothing more (measured maximum: 5).
+    #[test]
+    fn the_due_queue_stays_bounded_over_ten_thousand_probe_rounds() {
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("loopback bind");
+        let local = match sock.local_addr().expect("bound") {
+            SocketAddr::V4(v4) => v4,
+            SocketAddr::V6(_) => unreachable!("bound v4"),
+        };
+        let protocol = ProtocolConfig {
+            processing_delay_us: 0,
+            probe_interval_us: 300_000,
+            bandwidth_window_us: 2_000_000,
+            reconcile_interval_us: 5_000_000,
+            ..ProtocolConfig::default()
+        };
+        let id = NodeId(0x2000_0000_0000_0000_0000_0000_0000_0001);
+        let (machine, initial) =
+            NodeMachine::new_seed(protocol, id, addr_of(local), Bytes::new(), 1e9, 1);
+        let stats = Arc::new(RuntimeStats::default());
+        let mut node = NodeLoop::new(machine, sock, None, &stats, &Arc::default());
+        node.start(0, initial);
+        let rounds = 10_000;
+        let mut max_len = node.queue.len();
+        while let Some((&(now, _), _)) = node.queue.first_key_value() {
+            if now > rounds * 300_000 {
+                break;
+            }
+            node.fire_due(now);
+            max_len = max_len.max(node.queue.len());
+        }
+        assert!(stats.snapshot().timers_fired >= rounds, "too few rounds");
+        assert_eq!(max_len, 5, "the due-queue grew");
+        assert!(!node.machine.has_left());
     }
 
     #[test]

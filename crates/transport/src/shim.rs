@@ -4,12 +4,13 @@
 //! every datagram at send time from per-directed-link seeded streams, so
 //! a `FaultPlan` is reproducible from `(plan, seed)` alone. This module
 //! carries that exact machinery onto real sockets without `tc netem` or
-//! root: a [`FaultingSocket`] wraps the node's `UdpSocket` and routes
-//! every outbound datagram through a `LinkConditioner` before it reaches
-//! the kernel. Blackholes and loss swallow the write, jitter parks the
-//! frame on a delayed queue the runtime pumps, duplication queues a
-//! trailing copy — the same five conditions (and domain partitions) the
-//! sims run, unmodified.
+//! root: it is a judge, not a socket. The runtime's one send path asks
+//! the node's `Judge` — its roster index and a `LinkConditioner` — once
+//! per outbound datagram, at departure, how late each copy leaves.
+//! Blackholes and loss leave no copy, jitter delays the original,
+//! duplication adds a trailing copy; the runtime writes a copy due now
+//! and queues the rest on its one due-queue. The same five conditions
+//! (and domain partitions) the sims run, unmodified.
 //!
 //! ## The shared-spec contract
 //!
@@ -37,13 +38,10 @@
 //! lengths, duplication rate) reproducible and counters comparable
 //! across runs. See DESIGN.md §"Real-transport chaos".
 
-use crate::runtime::RuntimeStats;
 use peerwindow_faults::{text, FaultPlan, LinkConditioner, Verdict};
 use std::collections::BTreeMap;
-use std::io;
-use std::net::{SocketAddr, SocketAddrV4, UdpSocket};
+use std::net::SocketAddrV4;
 use std::path::Path;
-use std::sync::Arc;
 
 /// A cluster-wide chaos spec: the fault plan plus the roster and epoch
 /// that anchor it to real addresses and wall-clock time.
@@ -138,161 +136,43 @@ impl ShimSpec {
     }
 }
 
-/// One frame held back by a jitter/duplicate verdict (or a failed flush
-/// awaiting its retry slot).
-struct Delayed {
-    due_us: u64,
-    dst: SocketAddrV4,
-    frame: Vec<u8>,
-    attempts: u8,
-}
-
-/// Conditioner state, present only when this node is on the roster.
-struct Shim {
+/// The shim's verdicts for one node: its roster index and a
+/// `LinkConditioner` over the spec's plan. Inbound traffic is never
+/// judged — every fault is decided on the sender side, as in the sims.
+pub(crate) struct Judge {
     cond: LinkConditioner,
     me: u32,
     index: BTreeMap<SocketAddrV4, u32>,
-    pending: Vec<Delayed>,
 }
 
-/// Retry spacing for delayed frames whose socket write failed (transient
-/// `EAGAIN`/`ECONNREFUSED`); mirrors the runtime's resend backoff base.
-const PUMP_RETRY_US: u64 = 20_000;
-/// Attempts per delayed frame before it is abandoned.
-const PUMP_MAX_ATTEMPTS: u8 = 3;
-
-/// A `UdpSocket` whose outbound path runs through a fault plan.
-///
-/// With no spec (or a local address outside the roster) every call is a
-/// thin pass-through; the runtime uses one code path either way. All
-/// shim verdicts are folded into the shared [`RuntimeStats`] counters
-/// (`shim_dropped` / `shim_duplicated` / `shim_delayed`).
-pub struct FaultingSocket {
-    sock: UdpSocket,
-    stats: Arc<RuntimeStats>,
-    shim: Option<Shim>,
-}
-
-impl FaultingSocket {
-    /// Wraps `sock`. `local` is the node's bound address, used to find
-    /// its actor id in the roster; a node not on the roster sends
-    /// unconditioned.
-    pub fn new(
-        sock: UdpSocket,
-        stats: Arc<RuntimeStats>,
-        spec: Option<&ShimSpec>,
-        local: SocketAddrV4,
-    ) -> Self {
-        let shim = spec.and_then(|spec| {
-            let me = spec.index_of(local)?;
-            let index = spec
-                .roster
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (*a, i as u32))
-                .collect();
-            Some(Shim {
-                cond: LinkConditioner::new(spec.plan.clone()),
-                me,
-                index,
-                pending: Vec::new(),
-            })
-        });
-        FaultingSocket { sock, stats, shim }
-    }
-
-    /// Judges and transmits one outbound frame. Swallowed and queued
-    /// frames return `Ok(())`; only an immediate socket write can fail,
-    /// and the caller owns that retry.
-    pub fn send_judged(&mut self, now_us: u64, frame: &[u8], dst: SocketAddrV4) -> io::Result<()> {
-        let verdict = match &mut self.shim {
-            Some(shim) => match shim.index.get(&dst) {
-                Some(&dst_id) => shim.cond.judge(now_us, shim.me, dst_id),
-                None => Verdict::Deliver { extra_delay_us: 0 },
-            },
-            None => Verdict::Deliver { extra_delay_us: 0 },
-        };
-        let [dup, original] = verdict.delays();
-        if let Some(extra) = dup {
-            self.stats.note_shim_duplicated();
-            self.park(now_us + extra, dst, frame.to_vec());
-        }
-        match original {
-            None => {
-                self.stats.note_shim_dropped();
-                Ok(())
-            }
-            Some(0) => self.send_raw(frame, dst),
-            Some(extra) => {
-                self.park(now_us + extra, dst, frame.to_vec());
-                Ok(())
-            }
-        }
-    }
-
-    fn park(&mut self, due_us: u64, dst: SocketAddrV4, frame: Vec<u8>) {
-        self.stats.note_shim_delayed();
-        if let Some(shim) = &mut self.shim {
-            shim.pending.push(Delayed {
-                due_us,
-                dst,
-                frame,
-                attempts: 0,
-            });
-        }
-    }
-
-    /// Writes a frame to the socket, bypassing the conditioner (used for
-    /// retries of frames that were already judged and admitted).
-    pub fn send_raw(&self, frame: &[u8], dst: SocketAddrV4) -> io::Result<()> {
-        self.sock.send_to(frame, SocketAddr::V4(dst)).map(|_| {
-            self.stats.note_datagram_out();
+impl Judge {
+    /// The judge of the node bound at `local`; `None` when that address
+    /// is off the roster, so the node sends unconditioned.
+    pub(crate) fn new(spec: &ShimSpec, local: SocketAddrV4) -> Option<Judge> {
+        let me = spec.index_of(local)?;
+        let index = spec
+            .roster
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (*a, i as u32))
+            .collect();
+        Some(Judge {
+            cond: LinkConditioner::new(spec.plan.clone()),
+            me,
+            index,
         })
     }
 
-    /// Flushes every parked frame that has come due. Write failures are
-    /// retried on later pumps ([`PUMP_MAX_ATTEMPTS`] times, spaced
-    /// [`PUMP_RETRY_US`] apart) and then abandoned — the peer's §4.1/§4.2
-    /// retry machinery owns recovery beyond that.
-    pub fn pump(&mut self, now_us: u64) {
-        let Some(shim) = &mut self.shim else { return };
-        let mut i = 0;
-        while i < shim.pending.len() {
-            if shim.pending[i].due_us > now_us {
-                i += 1;
-                continue;
-            }
-            let d = &mut shim.pending[i];
-            match self.sock.send_to(&d.frame, SocketAddr::V4(d.dst)) {
-                Ok(_) => {
-                    self.stats.note_datagram_out();
-                    shim.pending.swap_remove(i);
-                }
-                Err(_) => {
-                    d.attempts += 1;
-                    if d.attempts >= PUMP_MAX_ATTEMPTS {
-                        self.stats.note_backoff_exhausted();
-                        shim.pending.swap_remove(i);
-                    } else {
-                        self.stats.note_send_retry();
-                        d.due_us = now_us + PUMP_RETRY_US;
-                        i += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Whether any parked frame is still awaiting its due time (the
-    /// shutdown drain waits for these).
-    pub fn has_pending(&self) -> bool {
-        self.shim.as_ref().is_some_and(|s| !s.pending.is_empty())
-    }
-
-    /// Receives one datagram (inbound traffic is never conditioned —
-    /// every fault is judged on the sender side, as in the sims).
-    pub fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
-        self.sock.recv_from(buf)
+    /// Extra delay of each copy of one datagram to `dst` leaving at
+    /// `now_us`, as `[duplicate, original]` (see `Verdict::delays`);
+    /// `None` is a copy that never leaves. Destinations off the roster
+    /// bypass the plan.
+    pub(crate) fn delays(&mut self, now_us: u64, dst: SocketAddrV4) -> [Option<u64>; 2] {
+        let verdict = match self.index.get(&dst) {
+            Some(&dst_id) => self.cond.judge(now_us, self.me, dst_id),
+            None => Verdict::Deliver { extra_delay_us: 0 },
+        };
+        verdict.delays()
     }
 }
 
@@ -300,22 +180,9 @@ impl FaultingSocket {
 mod tests {
     use super::*;
     use peerwindow_faults::{Condition, FaultRule, LinkSel, NodeSel};
-    use std::time::Duration;
 
-    fn pair() -> (UdpSocket, SocketAddrV4, UdpSocket, SocketAddrV4) {
-        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
-        b.set_read_timeout(Some(Duration::from_millis(300)))
-            .unwrap();
-        let av4 = match a.local_addr().unwrap() {
-            SocketAddr::V4(v) => v,
-            _ => unreachable!(),
-        };
-        let bv4 = match b.local_addr().unwrap() {
-            SocketAddr::V4(v) => v,
-            _ => unreachable!(),
-        };
-        (a, av4, b, bv4)
+    fn addr(port: u16) -> SocketAddrV4 {
+        SocketAddrV4::new([127, 0, 0, 1].into(), port)
     }
 
     fn spec(plan: FaultPlan, roster: Vec<SocketAddrV4>) -> ShimSpec {
@@ -345,91 +212,34 @@ mod tests {
 
     #[test]
     fn blackhole_window_swallows_and_heals() {
-        let (a, av4, b, bv4) = pair();
+        let (a, b) = (addr(7400), addr(7401));
         let plan = FaultPlan::reliable(1).with_rule(FaultRule {
             from_us: 100,
             until_us: 200,
             links: LinkSel::one_way(NodeSel::One(0), NodeSel::One(1)),
             condition: Condition::Blackhole,
         });
-        let stats = Arc::new(RuntimeStats::default());
-        let mut fs = FaultingSocket::new(
-            a,
-            Arc::clone(&stats),
-            Some(&spec(plan, vec![av4, bv4])),
-            av4,
-        );
-        let mut buf = [0u8; 64];
-        fs.send_judged(150, b"inside", bv4).unwrap();
-        assert!(b.recv_from(&mut buf).is_err(), "blackholed frame arrived");
-        fs.send_judged(250, b"after", bv4).unwrap();
-        let (n, _) = b.recv_from(&mut buf).expect("post-heal frame arrives");
-        assert_eq!(&buf[..n], b"after");
-        let snap = stats.snapshot();
-        assert_eq!(snap.shim_dropped, 1);
-        assert_eq!(snap.datagrams_out, 1);
-    }
-
-    #[test]
-    fn duplicate_verdict_sends_the_frame_twice() {
-        let (a, av4, b, bv4) = pair();
-        let plan = FaultPlan::reliable(2).with_rule(FaultRule {
-            from_us: 0,
-            until_us: u64::MAX,
-            links: LinkSel::all(),
-            condition: Condition::Duplicate { p: 1.0, gap_us: 1 },
-        });
-        let stats = Arc::new(RuntimeStats::default());
-        let mut fs = FaultingSocket::new(
-            a,
-            Arc::clone(&stats),
-            Some(&spec(plan, vec![av4, bv4])),
-            av4,
-        );
-        fs.send_judged(10, b"twin", bv4).unwrap();
-        assert!(fs.has_pending());
-        fs.pump(10_000);
-        assert!(!fs.has_pending());
-        let mut buf = [0u8; 64];
-        for _ in 0..2 {
-            let (n, _) = b.recv_from(&mut buf).expect("copy arrives");
-            assert_eq!(&buf[..n], b"twin");
-        }
-        let snap = stats.snapshot();
-        assert_eq!(snap.shim_duplicated, 1);
-        assert_eq!(snap.datagrams_out, 2);
+        let mut judge = Judge::new(&spec(plan, vec![a, b]), a).expect("a is on the roster");
+        assert_eq!(judge.delays(50, b), [None, Some(0)], "before the window");
+        assert_eq!(judge.delays(150, b), [None, None], "inside the window");
+        assert_eq!(judge.delays(250, b), [None, Some(0)], "after it heals");
     }
 
     #[test]
     fn off_roster_destinations_and_nodes_bypass_the_conditioner() {
-        let (a, av4, b, bv4) = pair();
+        let (a, b) = (addr(7400), addr(7401));
         let blackhole_all = FaultPlan::reliable(3).with_rule(FaultRule {
             from_us: 0,
             until_us: u64::MAX,
             links: LinkSel::all(),
             condition: Condition::Blackhole,
         });
-        let stats = Arc::new(RuntimeStats::default());
         // b is NOT on the roster: frames to it skip the plan entirely.
-        let mut fs = FaultingSocket::new(
-            a,
-            Arc::clone(&stats),
-            Some(&spec(blackhole_all.clone(), vec![av4])),
-            av4,
-        );
-        fs.send_judged(5, b"unlisted", bv4).unwrap();
-        let mut buf = [0u8; 64];
-        assert!(b.recv_from(&mut buf).is_ok());
-        // And a sender whose own address is off the roster is fully
-        // unconditioned even toward roster members.
-        let (c, cv4, d, dv4) = pair();
-        let mut fs2 = FaultingSocket::new(
-            c,
-            Arc::new(RuntimeStats::default()),
-            Some(&spec(blackhole_all, vec![dv4])),
-            cv4,
-        );
-        fs2.send_judged(5, b"outsider", dv4).unwrap();
-        assert!(d.recv_from(&mut buf).is_ok());
+        let mut judge = Judge::new(&spec(blackhole_all.clone(), vec![a]), a).expect("a is listed");
+        assert_eq!(judge.delays(5, b), [None, Some(0)]);
+        assert_eq!(judge.delays(5, a), [None, None], "a roster link is judged");
+        // And a sender whose own address is off the roster has no judge
+        // at all: it sends unconditioned even toward roster members.
+        assert!(Judge::new(&spec(blackhole_all, vec![b]), a).is_none());
     }
 }

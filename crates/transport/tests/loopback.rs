@@ -1,13 +1,16 @@
 //! End-to-end test over real UDP loopback sockets: five OS processes'
 //! worth of protocol state machines (in threads), joining, converging,
-//! exchanging info changes, and detecting a silent crash; plus, with the
-//! `trace` feature, the run-time tracing switch of one node among two
+//! exchanging info changes, and detecting a silent crash; duplicate and
+//! jittered copies through the runtime's due-queue with a processing
+//! delay; graceful shutdowns that end when the leave is done; plus, with
+//! the `trace` feature, the run-time tracing switch of one node among two
 //! (`cargo test -p peerwindow-transport --features trace --test loopback`).
 
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
-use peerwindow_transport::{spawn_node, Control, RuntimeConfig};
-use std::net::SocketAddrV4;
+use peerwindow_faults::{Condition, FaultPlan, FaultRule, LinkSel, NodeSel};
+use peerwindow_transport::{spawn_node, Control, RuntimeConfig, ShimSpec};
+use std::net::{SocketAddr, SocketAddrV4, UdpSocket};
 use std::time::{Duration, Instant};
 
 fn cfg(
@@ -54,6 +57,165 @@ fn wait_for(
         std::thread::sleep(Duration::from_millis(100));
     }
     false
+}
+
+/// Whether the host can bind loopback sockets at all; tests that need
+/// them skip (with a note) where it cannot.
+fn loopback_available() -> bool {
+    let ok = UdpSocket::bind("127.0.0.1:0").is_ok();
+    if !ok {
+        eprintln!("loopback sockets unavailable; skipped");
+    }
+    ok
+}
+
+/// Reserves `N` distinct loopback ports by holding all the binds before
+/// releasing any (racy in principle; in practice they stay free).
+fn free_ports<const N: usize>() -> [SocketAddrV4; N] {
+    let socks: Vec<UdpSocket> = (0..N)
+        .map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind"))
+        .collect();
+    socks
+        .iter()
+        .map(|s| match s.local_addr().expect("addr") {
+            SocketAddr::V4(v) => v,
+            _ => unreachable!(),
+        })
+        .collect::<Vec<_>>()
+        .try_into()
+        .expect("N addresses")
+}
+
+#[test]
+fn duplicate_and_jittered_copies_cross_the_runtime() {
+    if !loopback_available() {
+        return;
+    }
+    // Every datagram a sends to b is duplicated (the copy 2 ms behind)
+    // and jittered by up to 5 ms; sends also sit out a 10 ms processing
+    // delay in the due-queue before they are judged.
+    let [a_addr, b_addr] = free_ports::<2>();
+    let a_to_b = LinkSel::one_way(NodeSel::One(0), NodeSel::One(1));
+    let plan = FaultPlan::reliable(5)
+        .with_rule(FaultRule {
+            from_us: 0,
+            until_us: u64::MAX,
+            links: a_to_b.clone(),
+            condition: Condition::Duplicate {
+                p: 1.0,
+                gap_us: 2_000,
+            },
+        })
+        .with_rule(FaultRule {
+            from_us: 0,
+            until_us: u64::MAX,
+            links: a_to_b,
+            condition: Condition::Jitter {
+                max_extra_us: 5_000,
+            },
+        });
+    let spec = ShimSpec {
+        plan,
+        epoch_unix_us: 1_700_000_000_000_000,
+        roster: vec![a_addr, b_addr],
+    };
+    let mk = |id: u128, listen: SocketAddrV4, boot: Option<SocketAddrV4>| {
+        let mut c = cfg(id, &listen.to_string(), boot, b"");
+        c.protocol.processing_delay_us = 10_000;
+        c.shim = Some(spec.clone());
+        c
+    };
+    let a = spawn_node(mk(0x2000_0000_0000_0000_0000_0000_0000_0031, a_addr, None)).expect("a");
+    let b = spawn_node(mk(
+        0xA000_0000_0000_0000_0000_0000_0000_0032,
+        b_addr,
+        Some(a_addr),
+    ))
+    .expect("b");
+    assert!(
+        wait_for(&[&a, &b], Duration::from_secs(15), |s| s.is_active
+            && s.peers.len() == 1),
+        "pair did not converge through duplicates and jitter"
+    );
+    let sa = a.runtime_stats();
+    assert!(sa.shim_duplicated > 0, "no copy was duplicated: {sa:?}");
+    assert!(sa.shim_delayed > 0, "no copy was delayed: {sa:?}");
+    // Everything a sends goes to b, so every datagram leaves twice: at
+    // a moment with no copy still queued, `datagrams_out` is exactly
+    // twice the duplicated count.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut both_copies = false;
+    while !both_copies && Instant::now() < deadline {
+        let s = a.runtime_stats();
+        both_copies = s.send_retries == 0 && s.datagrams_out == 2 * s.shim_duplicated;
+        std::thread::sleep(Duration::from_millis(3));
+    }
+    assert!(both_copies, "datagrams_out does not count both copies");
+    // The other direction is unconditioned.
+    let sb = b.runtime_stats();
+    assert_eq!((sb.shim_duplicated, sb.shim_delayed), (0, 0), "{sb:?}");
+    b.shutdown();
+    a.shutdown();
+}
+
+#[test]
+fn a_lone_seed_shuts_down_as_soon_as_it_has_left() {
+    if !loopback_available() {
+        return;
+    }
+    let seed = spawn_node(cfg(
+        0x4000_0000_0000_0000_0000_0000_0000_0041,
+        "127.0.0.1:0",
+        None,
+        b"role:seed",
+    ))
+    .expect("seed starts");
+    assert!(wait_for(&[&seed], Duration::from_secs(5), |s| s.is_active));
+    // Nobody to tell: the leave is done on the `Shutdown` input itself,
+    // and the periodic timers it refuses do not hold the thread up.
+    let t = Instant::now();
+    seed.shutdown();
+    let took = t.elapsed();
+    assert!(took < Duration::from_millis(150), "shutdown took {took:?}");
+}
+
+#[test]
+fn a_leaver_shuts_down_once_its_leave_is_acknowledged() {
+    if !loopback_available() {
+        return;
+    }
+    let seed = spawn_node(cfg(
+        0x4000_0000_0000_0000_0000_0000_0000_0051,
+        "127.0.0.1:0",
+        None,
+        b"role:seed",
+    ))
+    .expect("seed starts");
+    let leaver = spawn_node(cfg(
+        0xC000_0000_0000_0000_0000_0000_0000_0052,
+        "127.0.0.1:0",
+        Some(seed.local_addr),
+        b"role:member",
+    ))
+    .expect("leaver starts");
+    assert!(
+        wait_for(&[&seed, &leaver], Duration::from_secs(15), |s| s.is_active
+            && s.peers.len() == 1),
+        "pair did not converge"
+    );
+    let leaver_id = leaver.id;
+    let t = Instant::now();
+    leaver.shutdown();
+    let took = t.elapsed();
+    assert!(took < Duration::from_millis(150), "shutdown took {took:?}");
+    assert!(
+        wait_for(&[&seed], Duration::from_secs(5), |s| s
+            .peers
+            .iter()
+            .all(|p| p.id != leaver_id)),
+        "the survivor still lists the leaver"
+    );
+    seed.shutdown();
 }
 
 #[test]
@@ -204,9 +366,7 @@ fn bootstrap_unreachable_is_reported() {
 #[test]
 fn set_tracing_routes_protocol_records_into_the_diagnostic_log() {
     use peerwindow_trace::{TraceEventKind, TraceRecord};
-    // Self-skip where the host cannot bind loopback sockets at all.
-    if std::net::UdpSocket::bind("127.0.0.1:0").is_err() {
-        eprintln!("loopback sockets unavailable; skipped");
+    if !loopback_available() {
         return;
     }
     let seed = spawn_node(cfg(

@@ -2,6 +2,9 @@
 //! sequences from arbitrary senders must never panic the machine or
 //! violate its structural invariants. (The UDP transport feeds the
 //! machine whatever decodes — a hostile peer controls these inputs.)
+//! Every input also checks the contract executors rely on to learn a
+//! machine's fate: a `fatal_error()` implies `has_left()`, and a machine
+//! that has left returns no outputs and changes nothing.
 
 use bytes::Bytes;
 use peerwindow::prelude::*;
@@ -129,6 +132,7 @@ fn arb_input() -> impl Strategy<Value = Input> {
                 .prop_map(|b| Command::ChangeInfo(Bytes::from(b))),
             any::<f64>().prop_map(Command::SetThreshold),
             arb_level().prop_map(Command::SetLevel),
+            Just(Command::Shutdown),
         ]
         .prop_map(Input::Command),
     ]
@@ -152,6 +156,27 @@ fn check_invariants(m: &NodeMachine) {
     assert!(m.tops().len() <= m.tops().capacity());
 }
 
+/// Feeds one input, checking the fate contract around it.
+fn step(m: &mut NodeMachine, now_us: u64, input: Input) -> Vec<Output> {
+    let left_before = m.has_left();
+    let before = (m.stats(), m.level(), m.peers().len());
+    let outs = m.handle(now_us, input);
+    if left_before {
+        assert!(outs.is_empty(), "a left machine returned {outs:?}");
+        assert_eq!(
+            (m.stats(), m.level(), m.peers().len()),
+            before,
+            "a left machine changed"
+        );
+    }
+    assert!(
+        m.fatal_error().is_none() || m.has_left(),
+        "fatal error {:?} on a machine that has not left",
+        m.fatal_error()
+    );
+    outs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -173,7 +198,7 @@ proptest! {
         let mut t = 0u64;
         for input in inputs {
             t += 250_000;
-            let outs = m.handle(t, input);
+            let outs = step(&mut m, t, input);
             // Outputs are structurally sane: sends go to real addresses,
             // timers have bounded delays.
             for o in &outs {
@@ -209,7 +234,7 @@ proptest! {
         let mut t = 0u64;
         for input in inputs {
             t += 250_000;
-            let _ = m.handle(t, input);
+            let _ = step(&mut m, t, input);
             check_invariants(&m);
         }
     }
@@ -230,7 +255,7 @@ proptest! {
             1,
         );
         for input in inputs {
-            let _ = m.handle(1_000_000, input);
+            let _ = step(&mut m, 1_000_000, input);
             check_invariants(&m);
         }
     }
