@@ -23,10 +23,11 @@
 //!   typed `ProtocolError`s, never a crash. Provably unreachable sites
 //!   annotate `// audit: panic-ok <why>`.
 //! * **raw-print** — `println!`/`eprintln!` (and their non-newline
-//!   forms) in library sources outside the `apps` and `bench` crates and
-//!   outside `src/bin/` entry points: protocol code reports through the
-//!   trace layer's structured records and counters, never the terminal.
-//!   Deliberate sites annotate `// audit: print-ok <why>`.
+//!   forms) in library sources outside the `bench` crate and outside
+//!   `src/bin/` entry points: protocol code reports through the trace
+//!   layer's structured records and counters, never the terminal, and
+//!   the `pw` subcommands write to the `out`/`err` writers they are
+//!   handed. Deliberate sites annotate `// audit: print-ok <why>`.
 //! * **lossy-casts** — narrowing `as` casts in the NodeId/eigenstring
 //!   algebra (`id.rs`, `level.rs`, `parts.rs`): 128-bit identifier math
 //!   silently truncated to 32 bits is the classic split-brain bug.
@@ -34,7 +35,7 @@
 //! * **fault-injection** — fault-layer types (`FaultPlan`,
 //!   `LinkConditioner`, the `peerwindow_faults` crate)
 //!   outside the harness layers (`faults` itself, `sim`, `bench`,
-//!   `apps`): the protocol and engine crates must stay free of
+//!   `cli`): the protocol and engine crates must stay free of
 //!   network-misbehaviour concepts — and of the RNG draws they imply.
 //!   Deliberate sites annotate `// audit: fault-ok <why>`.
 //! * **atomic-ordering** — every explicit atomic memory ordering
@@ -153,11 +154,10 @@ fn in_panic_scope(path: &str) -> bool {
         .any(|s| path == *s || (s.ends_with('/') && path.starts_with(s)))
 }
 
-/// Library sources of every crate except `apps` and `bench` (whose whole
-/// purpose is terminal output), and never binaries (`src/bin/…`).
+/// Library sources of every crate except `bench` (whose whole purpose
+/// is terminal output), and never binaries (`src/bin/…`).
 fn in_print_scope(path: &str) -> bool {
     path.starts_with("crates/")
-        && !path.starts_with("crates/apps/")
         && !path.starts_with("crates/bench/")
         && !path.contains("/bin/")
         && path.contains("/src/")
@@ -176,8 +176,8 @@ fn in_atomic_scope(path: &str) -> bool {
 /// Library sources that must stay free of fault-injection concepts: the
 /// protocol, the engines, and every support crate below the harness
 /// layer. The `faults` crate itself, the `sim` harnesses that interpret
-/// plans, `bench` (overhead measurement) and `apps` (the `pwchaos` and
-/// `pwcluster` drivers) are the only legitimate homes — plus the one
+/// plans, `bench` (overhead measurement) and `cli` (the `pw chaos` and
+/// `pw cluster` harnesses) are the only legitimate homes — plus the one
 /// transport file `audit.toml` allowlists, `src/shim.rs`, the userspace
 /// netem shim that applies plans to real sockets.
 fn in_fault_free_scope(path: &str) -> bool {
@@ -695,11 +695,13 @@ mod tests {
         let src = include_str!("../fixtures/raw_print.rs");
         // Binaries and the terminal-output crates are out of scope.
         assert!(scan_source("crates/transport/src/bin/pwnode.rs", src, &no_cfg()).is_empty());
-        assert!(scan_source("crates/apps/src/bin/pwtrace.rs", src, &no_cfg()).is_empty());
         assert!(scan_source("crates/bench/src/lib.rs", src, &no_cfg()).is_empty());
-        // Library sources of protocol crates are in scope.
+        // Library sources of protocol crates are in scope, and so are
+        // the application layer and the `pw` subcommands.
         assert!(!scan_source("crates/transport/src/runtime.rs", src, &no_cfg()).is_empty());
         assert!(!scan_source("crates/metrics/src/table.rs", src, &no_cfg()).is_empty());
+        assert!(!scan_source("crates/apps/src/query.rs", src, &no_cfg()).is_empty());
+        assert!(!scan_source("crates/cli/src/chaos.rs", src, &no_cfg()).is_empty());
     }
 
     #[test]
@@ -747,7 +749,7 @@ mod tests {
             "crates/faults/src/model.rs",
             "crates/sim/src/full.rs",
             "crates/bench/tests/faults_overhead.rs",
-            "crates/apps/src/bin/pwchaos.rs",
+            "crates/cli/src/chaos.rs",
         ] {
             assert!(
                 scan_source(path, src, &no_cfg()).is_empty(),

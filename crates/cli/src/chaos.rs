@@ -1,4 +1,4 @@
-//! `pwchaos` — named, seeded fault-injection scenarios with convergence
+//! `pw chaos` — named, seeded fault-injection scenarios with convergence
 //! assertions.
 //!
 //! Each scenario builds a deterministic parallel-engine world, installs a
@@ -7,15 +7,16 @@
 //! entries) once the network heals. The final state fingerprint is
 //! printed; because fault verdicts are judged at send time in the
 //! sender's shard, the same scenario + seed prints the same fingerprint
-//! at any `--shards` value — CI diffs a 1-shard against a 4-shard run.
+//! at any `--shards` value.
 //!
 //! `--profile FILE` turns the engine's wall-clock metering on for the
 //! run and writes its `RunReport` (barrier waits, handoff volume, window
-//! shapes, per-shard rows) as JSONL for `pwstat`. Metering only
+//! shapes, per-shard rows) as JSONL for `pw stat`. Metering only
 //! observes: the fingerprint is the same with and without it.
 //!
-//! Exit status: 0 when every assertion holds, 1 on an assertion failure,
-//! 2 on a usage error.
+//! Exit status: 0 when every assertion holds, 1 on an assertion failure
+//! (the missing `(actor, id)` pairs, if any, go to `err`), 2 on a usage
+//! error.
 //!
 //! Scenarios:
 //!
@@ -27,13 +28,13 @@
 //! * `flappy-link`          — a link to the bootstrap node black-holes
 //!   one-way, on and off, with duplication on every link.
 
-use bytes::Bytes;
+use crate::{base_protocol, base_world, finish, write_file, Args, Error};
 use peerwindow_core::prelude::*;
 use peerwindow_des::SimTime;
-use peerwindow_faults::{Condition, FaultPlan, FaultRule, LinkSel, NodeSel};
+use peerwindow_faults::{Condition, FaultCounters, FaultPlan, FaultRule, LinkSel, NodeSel};
 use peerwindow_sim::ParallelFullSim;
 use peerwindow_trace::jsonl;
-use std::process::exit;
+use std::io::Write;
 
 const SCENARIOS: &[&str] = &[
     "burst-loss-storm",
@@ -42,28 +43,15 @@ const SCENARIOS: &[&str] = &[
     "flappy-link",
 ];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pwchaos <scenario> [--shards N] [--nodes N] [--seed N] [--trace FILE] [--profile FILE] [--fingerprint-only]\n\
-         \n\
-         scenarios: {}\n\
-         \n\
-         pwchaos list    — print the scenario names, one per line",
-        SCENARIOS.join(", ")
-    );
-    exit(2)
-}
+const USAGE: &str = "usage: pw chaos <scenario> [--shards N] [--nodes N] [--seed N] [--trace FILE] [--profile FILE] [--fingerprint-only]
 
-fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> T {
-    let Some(v) = v else {
-        eprintln!("{flag} needs a value");
-        usage()
-    };
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse {v:?}");
-        exit(2)
-    })
-}
+scenarios: burst-loss-storm, stub-partition-heal, crash-storm, flappy-link
+
+pw chaos list    — print the scenario names, one per line";
+
+/// Missing `(actor, id)` pairs listed on a failed run, before the count
+/// of the rest.
+const MISSING_SHOWN: usize = 20;
 
 struct Opts {
     scenario: String,
@@ -75,17 +63,25 @@ struct Opts {
     fingerprint_only: bool,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(first) = args.first() else { usage() };
-    if first == "list" {
-        for s in SCENARIOS {
-            println!("{s}");
-        }
-        return;
-    }
+/// Runs `pw chaos` with `args`; returns the exit code.
+pub fn run(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> u8 {
+    let result = if args.first().is_some_and(|a| a == "list") {
+        SCENARIOS
+            .iter()
+            .try_for_each(|s| writeln!(out, "{s}"))
+            .map(|()| 0)
+            .map_err(Error::from)
+    } else {
+        parse(args).and_then(|opts| scenario(&opts, out, err))
+    };
+    finish(result, USAGE, err)
+}
+
+fn parse(args: &[String]) -> Result<Opts, Error> {
+    let mut a = Args::new(args);
+    let scenario = a.next().ok_or_else(|| Error::usage(""))?;
     let mut opts = Opts {
-        scenario: first.clone(),
+        scenario: scenario.to_string(),
         shards: 1,
         nodes: 48,
         seed: 7,
@@ -93,27 +89,27 @@ fn main() {
         profile_out: None,
         fingerprint_only: false,
     };
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--shards" => opts.shards = parse_num("--shards", it.next()),
-            "--nodes" => opts.nodes = parse_num("--nodes", it.next()),
-            "--seed" => opts.seed = parse_num("--seed", it.next()),
-            "--trace" => opts.trace_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--profile" => opts.profile_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
+    while let Some(flag) = a.next() {
+        match flag {
+            "--shards" => opts.shards = a.parse(flag)?,
+            "--nodes" => opts.nodes = a.parse(flag)?,
+            "--seed" => opts.seed = a.parse(flag)?,
+            "--trace" => opts.trace_out = Some(a.value(flag)?.to_string()),
+            "--profile" => opts.profile_out = Some(a.value(flag)?.to_string()),
             "--fingerprint-only" => opts.fingerprint_only = true,
-            _ => usage(),
+            _ => return Err(Args::unknown(flag)),
         }
     }
     if opts.shards == 0 || opts.nodes < 8 {
-        eprintln!("need --shards >= 1 and --nodes >= 8");
-        exit(2);
+        return Err(Error::usage("need --shards >= 1 and --nodes >= 8"));
     }
     if !SCENARIOS.contains(&opts.scenario.as_str()) {
-        eprintln!("unknown scenario {:?}", opts.scenario);
-        usage()
+        return Err(Error::usage(format!(
+            "unknown scenario {:?}",
+            opts.scenario
+        )));
     }
-    run(&opts)
+    Ok(opts)
 }
 
 /// Per-scenario protocol tuning on top of the shared baseline.
@@ -127,13 +123,7 @@ fn main() {
 /// computed from the purged lists): total partitions are only
 /// autonomically survivable when failure detection outlasts them.
 fn protocol_for(scenario: &str) -> ProtocolConfig {
-    let base = ProtocolConfig {
-        probe_interval_us: 2_000_000,
-        rpc_timeout_us: 400_000,
-        processing_delay_us: 10_000,
-        bandwidth_window_us: 8_000_000,
-        ..ProtocolConfig::default()
-    };
+    let base = base_protocol();
     match scenario {
         "stub-partition-heal" => ProtocolConfig {
             max_attempts: 9,
@@ -156,46 +146,6 @@ fn protocol_for(scenario: &str) -> ProtocolConfig {
         },
         _ => base,
     }
-}
-
-/// Builds the base world: one seed node, staggered joiners bootstrapping
-/// off it (the same shape as the determinism tests, so results are
-/// comparable across tools).
-fn base_world(opts: &Opts) -> ParallelFullSim {
-    let protocol = protocol_for(&opts.scenario);
-    let mut sim = ParallelFullSim::new(
-        opts.shards,
-        opts.nodes as usize,
-        protocol,
-        20_000,
-        1_000,
-        opts.seed,
-    );
-    if opts.trace_out.is_some() {
-        sim.enable_tracing(true);
-    }
-    if opts.profile_out.is_some() {
-        sim.enable_runtime_metrics(true);
-    }
-    let seed_id = NodeId(0x0123_4567_89AB_CDEF_0011_2233_4455_6677);
-    sim.start_node(SimTime::ZERO, 0, seed_id, 1e9, Bytes::new(), None);
-    let boot = Target {
-        id: seed_id,
-        addr: Addr(0),
-        level: Level::TOP,
-    };
-    for k in 1..opts.nodes {
-        let id = NodeId((k as u128).wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_0C4A_2B8E_D1A3) | 1);
-        sim.start_node(
-            SimTime::from_millis(400 * k as u64),
-            k,
-            id,
-            1e9,
-            Bytes::new(),
-            Some(boot),
-        );
-    }
-    sim
 }
 
 /// The adverse window every scenario uses: faults bite after the join
@@ -267,126 +217,130 @@ fn plan_for(scenario: &str, seed: u64) -> FaultPlan {
             }
             plan
         }
-        _ => unreachable!("scenario validated in main"),
+        _ => unreachable!("scenario validated in parse"),
     }
 }
 
-fn run(opts: &Opts) {
-    let mut sim = base_world(opts);
-    sim.set_fault_plan(&plan_for(&opts.scenario, opts.seed));
-    if opts.scenario == "crash-storm" {
+fn scenario(opts: &Opts, out: &mut dyn Write, err: &mut dyn Write) -> Result<u8, Error> {
+    let (scenario, shards, nodes, seed) = (&opts.scenario, opts.shards, opts.nodes, opts.seed);
+    let mut sim = base_world(shards, nodes, protocol_for(scenario), seed);
+    if opts.trace_out.is_some() {
+        sim.enable_tracing(true);
+    }
+    if opts.profile_out.is_some() {
+        sim.enable_runtime_metrics(true);
+    }
+    sim.set_fault_plan(&plan_for(scenario, seed));
+    if scenario == "crash-storm" {
         // Five crashes spread over the loss window; survivors must purge
         // the dead entries despite losing a quarter of their probes.
         for (i, actor) in [5u32, 9, 17, 23, 31].iter().enumerate() {
-            sim.crash(
-                SimTime::from_micros(STORM_FROM_US + 2_000_000 * (i as u64 + 1)),
-                *actor,
-            );
+            let at = SimTime::from_micros(STORM_FROM_US + 2_000_000 * (i as u64 + 1));
+            sim.crash(at, *actor);
         }
     }
     sim.run_until(SimTime::from_secs(RUN_UNTIL_S));
 
     let fp = sim.fingerprint();
-    if opts.fingerprint_only {
-        println!("{fp:016x}");
-    }
-    let c = sim.fault_counters();
+    let FaultCounters {
+        judged,
+        dropped,
+        duplicated,
+        jittered,
+    } = sim.fault_counters();
     let (correct, missing, stale) = sim.accuracy();
     let audit = sim.part_audit();
-    if !opts.fingerprint_only {
-        println!(
-            "{}: {} nodes, {} shards, seed {} → fingerprint {fp:016x}",
-            opts.scenario, opts.nodes, opts.shards, opts.seed
-        );
-        println!(
-            "faults: judged {} dropped {} duplicated {} jittered {}",
-            c.judged, c.dropped, c.duplicated, c.jittered
-        );
-        println!("accuracy: correct {correct} missing {missing} stale {stale}");
-        println!(
-            "parts audit: parts {} required {} missing {} cross_part {} stale {}",
+    let verbose = !opts.fingerprint_only;
+    if verbose {
+        writeln!(
+            out,
+            "{scenario}: {nodes} nodes, {shards} shards, seed {seed} → fingerprint {fp:016x}\n\
+             faults: judged {judged} dropped {dropped} duplicated {duplicated} jittered {jittered}\n\
+             accuracy: correct {correct} missing {missing} stale {stale}\n\
+             parts audit: parts {} required {} missing {} cross_part {} stale {}",
             audit.parts, audit.required, audit.missing, audit.cross_part, audit.stale
-        );
+        )?;
+    } else {
+        writeln!(out, "{fp:016x}")?;
     }
     if let Some(path) = &opts.trace_out {
         let log = sim.take_trace();
-        std::fs::write(path, jsonl::to_string(&log)).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            exit(1)
-        });
-        if !opts.fingerprint_only {
-            println!("{path}: {} records", log.len());
+        write_file(path, jsonl::to_string(&log))?;
+        if verbose {
+            writeln!(out, "{path}: {} records", log.len())?;
         }
     }
     if let Some(path) = &opts.profile_out {
-        let report = sim.runtime_metrics_report(&format!("{}_{}", opts.scenario, opts.shards));
-        std::fs::write(path, report.to_jsonl()).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            exit(1)
-        });
-        if !opts.fingerprint_only {
-            println!(
-                "{path}: {:.1} ms of engine wall-clock attributed",
-                report.total_time_ns() as f64 / 1e6
-            );
-        }
-    }
-
-    if std::env::var_os("PWCHAOS_DEBUG").is_some() {
-        let truth = sim.ground_truth();
-        for (actor, m) in sim.machines() {
-            if !m.is_active() {
-                continue;
-            }
-            let scope = m.eigenstring();
-            for t in &truth {
-                if t.id != m.id() && scope.contains(t.id) && !m.peers().contains(t.id) {
-                    eprintln!("debug: actor {actor} missing {}", t.id);
-                }
-            }
+        let report = sim.runtime_metrics_report(&format!("{scenario}_{shards}"));
+        write_file(path, report.to_jsonl())?;
+        if verbose {
+            let ms = report.total_time_ns() as f64 / 1e6;
+            writeln!(out, "{path}: {ms:.1} ms of engine wall-clock attributed")?;
         }
     }
 
     // Convergence assertions: one §4.6 refresh period after the last
     // fault clears, the window protocol must have fully settled.
-    let mut failed = false;
-    let mut check = |name: &str, ok: bool| {
+    let mut failed = Vec::new();
+    let mut check = |name: &'static str, ok: bool| {
         if !ok {
-            eprintln!("FAIL: {name}");
-            failed = true;
+            failed.push(name);
         }
     };
-    check("fault layer judged datagrams", c.judged > 0);
-    match opts.scenario.as_str() {
+    check("fault layer judged datagrams", judged > 0);
+    match scenario.as_str() {
         "burst-loss-storm" => {
-            check("storm dropped datagrams", c.dropped > 0);
-            check("jitter was applied", c.jittered > 0);
+            check("storm dropped datagrams", dropped > 0);
+            check("jitter was applied", jittered > 0);
         }
-        "stub-partition-heal" => check("partition dropped datagrams", c.dropped > 0),
-        "crash-storm" => check("loss dropped datagrams", c.dropped > 0),
+        "stub-partition-heal" => check("partition dropped datagrams", dropped > 0),
+        "crash-storm" => check("loss dropped datagrams", dropped > 0),
         "flappy-link" => {
-            check("flaps dropped datagrams", c.dropped > 0);
-            check("duplicates were injected", c.duplicated > 0);
+            check("flaps dropped datagrams", dropped > 0);
+            check("duplicates were injected", duplicated > 0);
         }
-        _ => unreachable!(),
+        _ => unreachable!("scenario validated in parse"),
     }
-    let expected_live = if opts.scenario == "crash-storm" {
-        opts.nodes as usize - 5
-    } else {
-        opts.nodes as usize
-    };
+    let crashed = if scenario == "crash-storm" { 5 } else { 0 };
     check(
         "every started node is live",
-        sim.live_count() == expected_live,
+        sim.live_count() == nodes as usize - crashed,
     );
     check("no peer-list entries missing", missing == 0);
     check("no stale peer-list entries", stale == 0);
     check("partition-aware settle audit", audit.is_settled());
-    if failed {
-        eprintln!("{}: NOT SETTLED", opts.scenario);
-        exit(1);
+    if failed.is_empty() {
+        if verbose {
+            writeln!(out, "{scenario}: settled ✔")?;
+        }
+        return Ok(0);
     }
-    if !opts.fingerprint_only {
-        println!("{}: settled ✔", opts.scenario);
+    for name in &failed {
+        writeln!(err, "FAIL: {name}")?;
     }
+    let pairs = missing_pairs(&sim);
+    for (actor, id) in pairs.iter().take(MISSING_SHOWN) {
+        writeln!(err, "  actor {actor} missing {id}")?;
+    }
+    if pairs.len() > MISSING_SHOWN {
+        writeln!(err, "  … and {} more", pairs.len() - MISSING_SHOWN)?;
+    }
+    writeln!(err, "{scenario}: NOT SETTLED")?;
+    Ok(1)
+}
+
+/// Every `(actor, id)` an active machine should list — a live node
+/// inside its eigenstring — but does not.
+fn missing_pairs(sim: &ParallelFullSim) -> Vec<(u32, NodeId)> {
+    let truth = sim.ground_truth();
+    let mut pairs = Vec::new();
+    for (actor, m) in sim.machines().filter(|(_, m)| m.is_active()) {
+        let scope = m.eigenstring();
+        for t in &truth {
+            if t.id != m.id() && scope.contains(t.id) && !m.peers().contains(t.id) {
+                pairs.push((actor, t.id));
+            }
+        }
+    }
+    pairs
 }

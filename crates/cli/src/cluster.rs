@@ -1,12 +1,12 @@
-//! Real-process chaos harness: launches N `pwnode` OS processes over UDP
-//! loopback, applies a seeded fault plan cluster-wide through the
-//! userspace netem shim, supervises crashes with jittered-backoff
-//! restarts, and asserts the partition-aware settle oracle against the
-//! live cluster.
+//! `pw cluster` — the real-process chaos harness: launches N `pwnode`
+//! OS processes over UDP loopback, applies a seeded fault plan
+//! cluster-wide through the userspace netem shim, supervises crashes with
+//! jittered-backoff restarts, and asserts the partition-aware settle
+//! oracle against the live cluster.
 //!
 //! ```text
-//! pwcluster --nodes 8 --base-port 17000 --plan partition-heal --kill-one \
-//!           --pwnode target/debug/pwnode --out summary.json
+//! pw cluster --nodes 8 --base-port 17000 --plan partition-heal --kill-one \
+//!            --pwnode target/debug/pwnode --out summary.json
 //! ```
 //!
 //! The run is phased:
@@ -29,19 +29,24 @@
 //! means no missing same-part pointer, no cross-part pointer, no stale
 //! pointer — the same §4.4-aware audit the simulator chaos scenarios
 //! assert. A summary JSON (shim verdict counters, send retries, restarts
-//! observed, convergence times) goes to stdout and `--out`.
+//! observed, convergence times) goes to `out` and `--out`.
 //!
 //! Exit codes: 0 settled, 1 not settled / lost nodes, 2 usage,
-//! 77 loopback sockets unavailable (CI steps treat 77 as "skip").
+//! 77 loopback sockets unavailable (callers treat 77 as "skip").
 
+use crate::{finish, Args, Error};
 use peerwindow_core::prelude::*;
 use peerwindow_faults::FaultPlan;
 use peerwindow_trace::json::{self, JVal};
 use peerwindow_transport::ShimSpec;
 use peerwindow_workload::ChurnConfig;
+use std::io::Write;
 use std::net::{Ipv4Addr, SocketAddrV4, UdpSocket};
-use std::process::{exit, Child, Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant, SystemTime};
+
+const USAGE: &str = "usage: pw cluster [--nodes N] [--base-port P] [--plan partition-heal|none] \
+                     [--kill-one] [--out FILE] [--pwnode PATH] [--seed N]";
 
 /// Sim-time (= wall-clock offset from the shared epoch) partition window.
 const PART_FROM_US: u64 = 12_000_000;
@@ -64,15 +69,12 @@ struct Opts {
     seed: u64,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pwcluster [--nodes N] [--base-port P] [--plan partition-heal|none] \
-         [--kill-one] [--out FILE] [--pwnode PATH] [--seed N]"
-    );
-    exit(2)
+/// Runs `pw cluster` with `args`; returns the exit code.
+pub fn run(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> u8 {
+    finish(parse(args).and_then(|o| cluster(&o, out, err)), USAGE, err)
 }
 
-fn parse_args() -> Opts {
+fn parse(args: &[String]) -> Result<Opts, Error> {
     let mut o = Opts {
         nodes: 8,
         base_port: 17_000,
@@ -82,36 +84,38 @@ fn parse_args() -> Opts {
         pwnode: String::new(),
         seed: 0xC1A05,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--nodes" => o.nodes = val().parse().unwrap_or_else(|_| usage()),
-            "--base-port" => o.base_port = val().parse().unwrap_or_else(|_| usage()),
-            "--plan" => o.plan = val(),
+    let mut a = Args::new(args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--nodes" => o.nodes = a.parse(flag)?,
+            "--base-port" => o.base_port = a.parse(flag)?,
+            "--plan" => o.plan = a.value(flag)?.to_string(),
             "--kill-one" => o.kill_one = true,
-            "--out" => o.out = Some(val()),
-            "--pwnode" => o.pwnode = val(),
-            "--seed" => o.seed = val().parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
+            "--out" => o.out = Some(a.value(flag)?.to_string()),
+            "--pwnode" => o.pwnode = a.value(flag)?.to_string(),
+            "--seed" => o.seed = a.parse(flag)?,
+            _ => return Err(Args::unknown(flag)),
         }
     }
     if o.nodes < 2 || !matches!(o.plan.as_str(), "partition-heal" | "none") {
-        usage()
+        return Err(Error::usage(
+            "need --nodes >= 2 and --plan partition-heal|none",
+        ));
     }
     if o.pwnode.is_empty() {
         // Default: a sibling binary of this one (both live in target/…/).
-        o.pwnode = std::env::current_exe()
-            .ok()
-            .and_then(|p| p.parent().map(|d| d.join("pwnode")))
-            .filter(|p| p.exists())
-            .and_then(|p| p.to_str().map(String::from))
-            .unwrap_or_else(|| {
-                eprintln!("cannot find a pwnode binary next to pwcluster; pass --pwnode PATH");
-                exit(2)
-            });
+        let sibling = std::env::current_exe().map(|p| p.with_file_name("pwnode"));
+        o.pwnode = match sibling {
+            Ok(p) if p.exists() => p.to_string_lossy().into_owned(),
+            _ => {
+                return Err(Error::Fail(
+                    2,
+                    "no pwnode beside pw; pass --pwnode PATH".into(),
+                ))
+            }
+        };
     }
-    o
+    Ok(o)
 }
 
 /// SplitMix64 — supervisor-side jitter stream (restart backoff), seeded
@@ -139,19 +143,25 @@ struct NodeProc {
 }
 
 /// One parsed `snap` control reply.
-#[derive(Clone)]
 struct Snap {
     id: NodeId,
     level: Level,
     active: bool,
     peers: Vec<NodeId>,
-    shim_dropped: u64,
-    shim_duplicated: u64,
-    shim_delayed: u64,
-    datagrams_out: u64,
-    send_retries: u64,
-    backoff_exhaustions: u64,
+    /// The node's [`COUNTERS`], in order.
+    counters: [u64; 6],
 }
+
+/// The runtime counters a `snap` reply carries; the summary sums each
+/// over the cluster.
+const COUNTERS: [&str; 6] = [
+    "shim_dropped",
+    "shim_duplicated",
+    "shim_delayed",
+    "datagrams_out",
+    "send_retries",
+    "backoff_exhaustions",
+];
 
 fn parse_id(s: &str) -> Option<NodeId> {
     u128::from_str_radix(s, 16).ok().map(NodeId)
@@ -172,12 +182,7 @@ fn parse_snap(text: &str) -> Option<Snap> {
                 .collect::<Option<Vec<_>>>()?,
             _ => return None,
         },
-        shim_dropped: counter("shim_dropped"),
-        shim_duplicated: counter("shim_duplicated"),
-        shim_delayed: counter("shim_delayed"),
-        datagrams_out: counter("datagrams_out"),
-        send_retries: counter("send_retries"),
-        backoff_exhaustions: counter("backoff_exhaustions"),
+        counters: COUNTERS.map(counter),
     })
 }
 
@@ -224,7 +229,7 @@ impl Cluster {
 
     /// One supervision pass: reap exited children and restart crashed
     /// ones once their jittered backoff expires.
-    fn supervise(&mut self) {
+    fn supervise(&mut self, err: &mut dyn Write) -> std::io::Result<()> {
         for i in 0..self.nodes.len() {
             let n = &mut self.nodes[i];
             if n.abandoned {
@@ -242,7 +247,7 @@ impl Cluster {
                 // exponential backoff (500 ms · 2^k, capped, ±25 %).
                 if n.restarts >= RESTART_BUDGET {
                     n.abandoned = true;
-                    eprintln!("node {i}: restart budget exhausted");
+                    writeln!(err, "node {i}: restart budget exhausted")?;
                     continue;
                 }
                 let base = (500u64 << n.restarts).min(4_000);
@@ -251,15 +256,16 @@ impl Cluster {
                 n.restarts += 1;
                 self.restarts_observed += 1;
                 n.backoff_until = Some(Instant::now() + Duration::from_millis(wait));
-                eprintln!("node {i}: down, restart #{} in {wait} ms", n.restarts);
+                writeln!(err, "node {i}: down, restart #{} in {wait} ms", n.restarts)?;
             } else if n.backoff_until.is_some_and(|t| Instant::now() >= t) {
                 n.backoff_until = None;
                 if let Err(e) = self.spawn(i) {
-                    eprintln!("node {i}: respawn failed: {e}");
+                    writeln!(err, "node {i}: respawn failed: {e}")?;
                     self.nodes[i].abandoned = true;
                 }
             }
         }
+        Ok(())
     }
 
     /// Polls every live node's control port; updates `last_snap`.
@@ -336,6 +342,13 @@ impl Cluster {
     }
 }
 
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        self.stop_all();
+        let _ = std::fs::remove_file(&self.spec_path);
+    }
+}
+
 fn summary_json(
     o: &Opts,
     c: &Cluster,
@@ -344,21 +357,32 @@ fn summary_json(
     joined_ms: Option<u64>,
     settled_ms: Option<u64>,
 ) -> String {
-    let sum = |f: fn(&Snap) -> u64| -> u64 {
-        c.nodes
-            .iter()
-            .filter_map(|n| n.last_snap.as_ref())
-            .map(f)
-            .sum()
-    };
+    let mut t = [0u64; 6];
+    for s in c.nodes.iter().filter_map(|n| n.last_snap.as_ref()) {
+        t.iter_mut().zip(s.counters).for_each(|(t, v)| *t += v);
+    }
     let audit = audit.unwrap_or_default();
-    let mut out = format!(
+    let per_node: Vec<String> = c
+        .nodes
+        .iter()
+        .map(|n| match &n.last_snap {
+            Some(s) => format!(
+                "{{\"id\":\"{}\",\"level\":{},\"peers\":{},\"restarts\":{}}}",
+                s.id,
+                s.level.value(),
+                s.peers.len(),
+                n.restarts
+            ),
+            None => format!("{{\"restarts\":{}}}", n.restarts),
+        })
+        .collect();
+    format!(
         "{{\"nodes\":{},\"plan\":\"{}\",\"seed\":{},\"kill_one\":{},\"converged\":{},\
          \"restarts_observed\":{},\"joined_ms\":{},\"settled_ms\":{},\
          \"audit\":{{\"parts\":{},\"missing\":{},\"cross_part\":{},\"stale\":{}}},\
          \"shim\":{{\"dropped\":{},\"duplicated\":{},\"delayed\":{}}},\
          \"runtime\":{{\"datagrams_out\":{},\"send_retries\":{},\"backoff_exhaustions\":{}}},\
-         \"per_node\":[",
+         \"per_node\":[{}]}}",
         o.nodes,
         o.plan,
         o.seed,
@@ -371,48 +395,27 @@ fn summary_json(
         audit.missing,
         audit.cross_part,
         audit.stale,
-        sum(|s| s.shim_dropped),
-        sum(|s| s.shim_duplicated),
-        sum(|s| s.shim_delayed),
-        sum(|s| s.datagrams_out),
-        sum(|s| s.send_retries),
-        sum(|s| s.backoff_exhaustions),
-    );
-    for (i, n) in c.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match &n.last_snap {
-            Some(s) => out.push_str(&format!(
-                "{{\"id\":\"{}\",\"level\":{},\"peers\":{},\"restarts\":{}}}",
-                s.id,
-                s.level.value(),
-                s.peers.len(),
-                n.restarts
-            )),
-            None => out.push_str(&format!("{{\"restarts\":{}}}", n.restarts)),
-        }
-    }
-    out.push_str("]}");
-    out
+        t[0],
+        t[1],
+        t[2],
+        t[3],
+        t[4],
+        t[5],
+        per_node.join(","),
+    )
 }
 
-fn main() {
-    let o = parse_args();
+fn cluster(o: &Opts, out: &mut dyn Write, err: &mut dyn Write) -> Result<u8, Error> {
     // Socket availability probe: every node port and ctl port must bind,
-    // or the environment cannot host the cluster (exit 77 = CI skip).
-    let mut probes = Vec::new();
-    for i in 0..o.nodes as u16 {
-        for port in [o.base_port + i, o.base_port + 500 + i] {
-            match UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port)) {
-                Ok(s) => probes.push(s),
-                Err(e) => {
-                    eprintln!("cannot bind 127.0.0.1:{port}: {e}; skipping");
-                    exit(77);
-                }
-            }
-        }
-    }
+    // or the environment cannot host the cluster (exit 77 = skip).
+    let probes: Vec<UdpSocket> = (0..o.nodes as u16)
+        .flat_map(|i| [o.base_port + i, o.base_port + 500 + i])
+        .map(|port| {
+            UdpSocket::bind((Ipv4Addr::LOCALHOST, port)).map_err(|e| {
+                Error::Fail(77, format!("cannot bind 127.0.0.1:{port}: {e}; skipping"))
+            })
+        })
+        .collect::<Result<_, _>>()?;
     drop(probes);
 
     // Shared shim spec: roster in index order, epoch = now, plan windows
@@ -438,11 +441,6 @@ fn main() {
         epoch_unix_us,
         roster: roster.clone(),
     };
-    let spec_path = std::env::temp_dir().join(format!("pwcluster-{}.shim", std::process::id()));
-    if let Err(e) = std::fs::write(&spec_path, spec.to_text()) {
-        eprintln!("cannot write shim spec {}: {e}", spec_path.display());
-        exit(1);
-    }
 
     // Per-node bandwidth budgets from the workload model, floored so the
     // fast-cadence control traffic never starves level 0 entirely.
@@ -453,13 +451,14 @@ fn main() {
         .map(|(spec, _)| spec.threshold_bps.max(200_000.0))
         .collect();
 
-    let poll_sock = UdpSocket::bind("127.0.0.1:0").unwrap_or_else(|e| {
-        eprintln!("cannot bind poll socket: {e}");
-        exit(77)
-    });
+    let poll_sock = UdpSocket::bind("127.0.0.1:0")
+        .map_err(|e| Error::Fail(77, format!("cannot bind poll socket: {e}")))?;
     poll_sock
         .set_read_timeout(Some(Duration::from_millis(300)))
-        .expect("read timeout");
+        .map_err(|e| Error::Fail(1, format!("cannot set the poll socket's timeout: {e}")))?;
+    // From here on, dropping `cluster` stops its processes and removes the
+    // spec file, named per process and base port so that concurrent runs
+    // never share it.
     let mut cluster = Cluster {
         nodes: (0..o.nodes as usize)
             .map(|i| NodeProc {
@@ -475,22 +474,32 @@ fn main() {
             })
             .collect(),
         pwnode: o.pwnode.clone(),
-        spec_path: spec_path.clone(),
+        spec_path: std::env::temp_dir().join(format!(
+            "pwcluster-{}-{}.shim",
+            std::process::id(),
+            o.base_port
+        )),
         seed: o.seed,
         jitter: o.seed ^ 0x5B_00F,
         poll_sock,
         restarts_observed: 0,
     };
+    std::fs::write(&cluster.spec_path, spec.to_text()).map_err(|e| {
+        Error::Fail(
+            1,
+            format!(
+                "cannot write shim spec {}: {e}",
+                cluster.spec_path.display()
+            ),
+        )
+    })?;
 
     // Join wave: seed first, then staggered joiners.
     let start = Instant::now();
     for i in 0..o.nodes as usize {
-        if let Err(e) = cluster.spawn(i) {
-            eprintln!("cannot launch pwnode: {e}");
-            cluster.stop_all();
-            let _ = std::fs::remove_file(&spec_path);
-            exit(1);
-        }
+        cluster
+            .spawn(i)
+            .map_err(|e| Error::Fail(1, format!("cannot launch pwnode: {e}")))?;
         std::thread::sleep(Duration::from_millis(if i == 0 { 400 } else { 150 }));
     }
 
@@ -501,14 +510,14 @@ fn main() {
     let deadline =
         start + Duration::from_secs(HEAL_SETTLE_S + if o.kill_one { REJOIN_SETTLE_S } else { 0 });
     while Instant::now() < deadline {
-        cluster.supervise();
+        cluster.supervise(err)?;
         cluster.poll();
         let audit = cluster.settled();
         let elapsed = start.elapsed();
         if let Some(a) = audit {
             if joined_ms.is_none() && elapsed < Duration::from_micros(PART_FROM_US) {
                 joined_ms = Some(elapsed.as_millis() as u64);
-                eprintln!("joined and settled at {} ms", elapsed.as_millis());
+                writeln!(err, "joined and settled at {} ms", elapsed.as_millis())?;
             }
             let past_faults = o.plan == "none" || elapsed > Duration::from_micros(PART_UNTIL_US);
             if past_faults && o.kill_one && !killed {
@@ -517,7 +526,7 @@ fn main() {
                 killed = true;
                 let victim = o.nodes as usize - 1;
                 if let Some(child) = &mut cluster.nodes[victim].child {
-                    eprintln!("kill -9 node {victim} at {} ms", elapsed.as_millis());
+                    writeln!(err, "kill -9 node {victim} at {} ms", elapsed.as_millis())?;
                     let _ = child.kill();
                 }
                 // Its old snapshot no longer reflects a live process.
@@ -535,16 +544,16 @@ fn main() {
 
     let converged = final_audit.is_some();
     cluster.stop_all();
-    let _ = std::fs::remove_file(&spec_path);
-    let summary = summary_json(&o, &cluster, converged, final_audit, joined_ms, settled_ms);
-    println!("{summary}");
+    let summary = summary_json(o, &cluster, converged, final_audit, joined_ms, settled_ms);
+    writeln!(out, "{summary}")?;
     if let Some(path) = &o.out {
         if let Err(e) = std::fs::write(path, &summary) {
-            eprintln!("cannot write {path}: {e}");
+            writeln!(err, "cannot write {path}: {e}")?;
         }
     }
     if !converged {
-        eprintln!("cluster did not settle");
-        exit(1);
+        writeln!(err, "cluster did not settle")?;
+        return Ok(1);
     }
+    Ok(0)
 }

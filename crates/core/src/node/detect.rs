@@ -56,26 +56,22 @@ impl NodeMachine {
         // copy lets a live target refute (DESIGN.md gap 13).
         let round = self.stats.probes_sent;
         let lonely_round = succ.is_none() || round % 2 == 1;
-        // Only a lonely round reads the list. Every invariants-enabled
-        // run still builds it each tick, as a differential test of the
-        // fast selection against its definition.
-        #[cfg(feature = "invariants")]
-        let lonely = {
-            let lonely = self.lonely_peers();
-            assert_eq!(
-                lonely,
-                self.lonely_reference(),
-                "{:?}: lonely-peer selection diverged from its reference",
-                self.me
-            );
-            lonely
-        };
-        #[cfg(not(feature = "invariants"))]
-        let lonely = if lonely_round {
+        // Only a lonely round reads the list. A debug build with
+        // invariants still builds it each tick, as a differential test of
+        // the fast selection against its quadratic definition; release
+        // builds never pay for the reference.
+        let lonely = if lonely_round || cfg!(all(feature = "invariants", debug_assertions)) {
             self.lonely_peers()
         } else {
             Vec::new()
         };
+        #[cfg(feature = "invariants")]
+        debug_assert_eq!(
+            lonely,
+            self.lonely_reference(),
+            "{:?}: lonely-peer selection diverged from its reference",
+            self.me
+        );
         let target = if lonely_round && !lonely.is_empty() {
             lonely[(round / 2) as usize % lonely.len()]
         } else {

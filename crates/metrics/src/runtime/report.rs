@@ -1,7 +1,7 @@
 //! Merged per-run reports: the aggregation target every
 //! [`ShardSlot`](super::ShardSlot) folds into, with a table
 //! renderer, a JSONL export whose parser is an exact inverse (pinned by
-//! `pwstat roundtrip` in CI), and a Prometheus text exposition.
+//! `pw stat roundtrip` in the tests), and a Prometheus text exposition.
 
 use super::prom::{escape_label, render_counters};
 use super::{Counter, SampleKind, TimeCat, GROUPS};
@@ -235,7 +235,7 @@ impl RunReport {
 
     /// Serialises the report as JSON Lines. [`parse_jsonl`] is the
     /// exact inverse: `to_jsonl ∘ parse_jsonl ∘ to_jsonl == to_jsonl`
-    /// byte for byte (checked by `pwstat roundtrip`).
+    /// byte for byte (checked by `pw stat roundtrip`).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

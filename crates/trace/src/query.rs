@@ -2,7 +2,7 @@
 //! reconstruction, log diffing, and per-class bandwidth accounting.
 //!
 //! Everything here operates on a plain `&[TraceRecord]` slice — typically
-//! a canonical log loaded back from JSONL — and powers the `pwtrace` CLI.
+//! a canonical log loaded back from JSONL — and powers `pw trace`.
 
 use crate::record::{CauseId, MsgClass, TraceEventKind, TraceRecord};
 

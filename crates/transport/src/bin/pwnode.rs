@@ -12,7 +12,7 @@
 //! (ungracefully — watch the other nodes detect it within a few probe
 //! intervals).
 //!
-//! Cluster-harness flags (used by `pwcluster`):
+//! Cluster-harness flags (used by `pw cluster`):
 //!
 //! * `--fault-plan FILE` — a shared shim-spec file (roster + epoch +
 //!   fault plan). Outbound datagrams are conditioned by the plan, and
@@ -110,7 +110,7 @@ fn parse_args() -> Opts {
     // `--fast` also stretches §4.1 give-up (6 backed-off attempts span
     // 0.25·(2⁶−1) ≈ 15.75 s) so a ~10 s partition window never falsely
     // expunges anyone and the halves re-converge on their own — the
-    // pwchaos stub-partition-heal lesson, applied to real sockets.
+    // `pw chaos stub-partition-heal` lesson, applied to real sockets.
     let (probe, rpc, window, attempts) = if fast {
         (500_000, 250_000, 2_000_000, 6)
     } else {
