@@ -17,8 +17,8 @@ use crate::{base_protocol, base_world, finish, write_file, Args, Error};
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
 use peerwindow_des::SimTime;
-use peerwindow_metrics::{bandwidth_table, counter_table, gauge_table};
-use peerwindow_trace::{chrome, jsonl, query, CauseId, CounterRegistry, TraceRecord};
+use peerwindow_metrics::{bandwidth_table, fmt_f64, Table};
+use peerwindow_trace::{chrome, jsonl, query, CauseId, TraceRecord};
 use std::io::Write;
 
 const USAGE: &str = "usage: pw trace <subcommand>
@@ -113,10 +113,17 @@ fn record(mut a: Args<'_>, out: &mut dyn Write) -> Result<u8, Error> {
         out,
         "{path}: {records} records from {nodes} nodes over {until_s}s ({shards} shards, fingerprint {fp:016x})"
     )?;
-    let mut reg = CounterRegistry::new();
-    sim.sample_metrics(&mut reg);
-    write!(out, "{}", counter_table(&reg).to_markdown())?;
-    write!(out, "{}", gauge_table(&reg).to_markdown())?;
+    let (counters, gauges) = sim.sample_metrics();
+    let mut t = Table::new(["counter", "value"]);
+    for (name, v) in counters {
+        t.row([name.to_string(), v.to_string()]);
+    }
+    write!(out, "{}", t.to_markdown())?;
+    let mut t = Table::new(["gauge", "value"]);
+    for (name, v) in gauges {
+        t.row([name.to_string(), fmt_f64(v)]);
+    }
+    write!(out, "{}", t.to_markdown())?;
     let bw = query::bandwidth_by_class(&log);
     write!(out, "{}", bandwidth_table(&bw).to_markdown())?;
     if let Some(chrome_path) = chrome_out {

@@ -313,13 +313,29 @@ fn stat_roundtrip_re_exports_byte_identically() {
     assert!(err.starts_with("roundtrip ok: 1 report(s), "), "{err}");
 }
 
+/// 60 000 `[` (they fit one UDP datagram) are a parse error, not a stack
+/// overflow, for the cluster-summary and the trace-log readers alike.
+#[test]
+fn deep_nesting_is_a_parse_error() {
+    let path = tmp_path("deep.json");
+    std::fs::write(&path, "[".repeat(60_000)).expect("write the deep file");
+    let cause = "nested deeper than 64 at byte 64";
+    let (code, out, err) = pw(&["stat", "cluster", &path]);
+    assert_eq!((code, out.as_str()), (2, ""));
+    assert_eq!(err, format!("error: {path}: trace parse error: {cause}\n"));
+    let (code, _, err) = pw(&["trace", "filter", &path]);
+    assert_eq!(code, 1);
+    assert_eq!(err, format!("{path}: trace parse error: line 1: {cause}\n"));
+}
+
 // ---------------------------------------------------------------------
 // pw trace: a traced run, recorded at 1 and 4 shards
 // ---------------------------------------------------------------------
 
-/// The 16-node, 40 s log recorded at 1 and at 4 shards.
-fn recorded() -> &'static [String; 2] {
-    static LOGS: OnceLock<[String; 2]> = OnceLock::new();
+/// The 16-node, 40 s log recorded at 1 and at 4 shards: each one's path
+/// and what `pw trace record` printed.
+fn recorded() -> &'static [(String, String); 2] {
+    static LOGS: OnceLock<[(String, String); 2]> = OnceLock::new();
     LOGS.get_or_init(|| {
         ["1", "4"].map(|shards| {
             let path = tmp_path(&format!("trace_{shards}.jsonl"));
@@ -332,14 +348,14 @@ fn recorded() -> &'static [String; 2] {
             assert!(out.starts_with(&format!(
                 "{path}: 3324 records from 16 nodes over 40s ({shards} shards, fingerprint 2f4ebda0344af54c)\n"
             )));
-            path
+            (path, out)
         })
     })
 }
 
 #[test]
 fn trace_record_is_byte_identical_across_shards() {
-    let [one, four] = recorded();
+    let [(one, _), (four, _)] = recorded();
     // The same bytes whose md5 is 22cdf956485b8e00781256515283ab2e.
     assert_eq!(fnv1a(one), 0x8372_5471_9241_62de);
     assert_eq!(fnv1a(four), 0x8372_5471_9241_62de);
@@ -348,9 +364,48 @@ fn trace_record_is_byte_identical_across_shards() {
     assert_eq!(out, "identical: 3324 records\n");
 }
 
+/// The counter, gauge and bandwidth tables `pw trace record` prints after
+/// its summary line. At 1 shard `engine.workers` is 1 on any host.
+#[test]
+fn trace_record_prints_its_metric_tables() {
+    let [(_, out), _] = recorded();
+    let (_, tables) = out.split_once('\n').expect("a summary line");
+    assert_eq!(
+        tables,
+        "\
+| counter           | value |
+|-------------------|-------|
+| engine.processed  | 2505  |
+| faults.dropped    | 0     |
+| faults.duplicated | 0     |
+| faults.jittered   | 0     |
+| faults.judged     | 0     |
+| rpc.retries       | 6     |
+| gauge          | value |
+|----------------|-------|
+| engine.pending | 58.00 |
+| engine.shards  | 1.00  |
+| engine.workers | 1.00  |
+| nodes.live     | 14.00 |
+| peers.mean     | 13.00 |
+| class             | msgs | bits   |
+|-------------------|------|--------|
+| probe             | 280  | 140000 |
+| probe_ack         | 274  | 137000 |
+| multicast         | 332  | 332208 |
+| multicast_ack     | 327  | 32700  |
+| find_top_reply    | 15   | 18428  |
+| level_query       | 15   | 1500   |
+| level_query_reply | 15   | 2460   |
+| download          | 30   | 6840   |
+| download_reply    | 30   | 95000  |
+"
+    );
+}
+
 #[test]
 fn trace_queries_read_the_recorded_log() {
-    let [log, _] = recorded();
+    let [(log, _), _] = recorded();
     let (code, out, err) = pw(&["trace", "filter", log, "--kind", "mcast_hop"]);
     assert_eq!(code, 0);
     assert_eq!(out.lines().count(), 327);
@@ -374,7 +429,7 @@ fn trace_queries_read_the_recorded_log() {
 
 #[test]
 fn trace_diff_reports_differing_logs() {
-    let [log, _] = recorded();
+    let [(log, _), _] = recorded();
     let short = tmp_path("trace_short.jsonl");
     let (code, _, err) = pw(&[
         "trace",

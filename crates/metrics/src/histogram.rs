@@ -1,64 +1,6 @@
-//! Fixed-bucket and integer histograms.
+//! Log-bucketed histograms.
 
 use serde::Serialize;
-
-/// A counting histogram over u64 categories (e.g. nodes per level).
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct CountHistogram {
-    counts: Vec<u64>,
-}
-
-impl CountHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments category `k`.
-    pub fn add(&mut self, k: usize) {
-        if self.counts.len() <= k {
-            self.counts.resize(k + 1, 0);
-        }
-        self.counts[k] += 1;
-    }
-
-    /// Decrements category `k` (saturating).
-    pub fn sub(&mut self, k: usize) {
-        if let Some(c) = self.counts.get_mut(k) {
-            *c = c.saturating_sub(1);
-        }
-    }
-
-    /// Count in category `k`.
-    pub fn get(&self, k: usize) -> u64 {
-        self.counts.get(k).copied().unwrap_or(0)
-    }
-
-    /// Total count.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Number of categories (highest seen + 1).
-    pub fn categories(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Fraction of the total in category `k` (0 when empty).
-    pub fn fraction(&self, k: usize) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.get(k) as f64 / t as f64
-        }
-    }
-
-    /// Iterates `(category, count)` pairs including zeros up to the max.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts.iter().copied().enumerate()
-    }
-}
 
 /// A histogram over logarithmically spaced value buckets, for
 /// latency/size distributions.
@@ -230,23 +172,6 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn count_histogram_add_sub() {
-        let mut h = CountHistogram::new();
-        h.add(0);
-        h.add(0);
-        h.add(3);
-        assert_eq!(h.get(0), 2);
-        assert_eq!(h.get(3), 1);
-        assert_eq!(h.get(9), 0);
-        assert_eq!(h.total(), 3);
-        assert!((h.fraction(0) - 2.0 / 3.0).abs() < 1e-12);
-        h.sub(0);
-        assert_eq!(h.get(0), 1);
-        h.sub(7); // out of range: no-op
-        assert_eq!(h.total(), 2);
-    }
 
     #[test]
     fn log_histogram_quantiles() {

@@ -288,76 +288,6 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn str_field(line: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing string field {key:?} in {line:?}"))?
-        + pat.len();
-    let bytes = line.as_bytes();
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => {
-                // The literal, both quotes included.
-                return match json::parse(&line[start - 1..=i]) {
-                    Ok(JVal::Str(s)) => Ok(s),
-                    other => Err(format!("bad string field {key:?} in {line:?}: {other:?}")),
-                };
-            }
-            _ => i += 1,
-        }
-    }
-    Err(format!("unterminated string field {key:?} in {line:?}"))
-}
-
-fn raw_num_field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let start = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing numeric field {key:?} in {line:?}"))?
-        + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    Ok(rest[..end].trim())
-}
-
-fn u64_field(line: &str, key: &str) -> Result<u64, String> {
-    raw_num_field(line, key)?
-        .parse()
-        .map_err(|e| format!("bad u64 {key:?} in {line:?}: {e}"))
-}
-
-fn f64_field(line: &str, key: &str) -> Result<f64, String> {
-    raw_num_field(line, key)?
-        .parse()
-        .map_err(|e| format!("bad f64 {key:?} in {line:?}: {e}"))
-}
-
-fn counts_field(line: &str) -> Result<Vec<u64>, String> {
-    let pat = "\"counts\":[";
-    let start = line
-        .find(pat)
-        .ok_or_else(|| format!("missing counts array in {line:?}"))?
-        + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(']')
-        .ok_or_else(|| format!("unterminated counts array in {line:?}"))?;
-    let body = &rest[..end];
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|e| format!("bad count {t:?} in {line:?}: {e}"))
-        })
-        .collect()
-}
-
 /// Parses a JSONL export produced by [`RunReport::to_jsonl`] (one or
 /// more concatenated reports). Exact inverse of the exporter; any
 /// malformed line is an error, not a skip.
@@ -369,74 +299,60 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<RunReport>, String> {
         if line.is_empty() {
             continue;
         }
-        let rec = str_field(line, "rec").map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let err = |e: String| format!("line {}: {e}", lineno + 1);
-        match rec.as_str() {
-            "run" => {
-                if cur.is_some() {
-                    return Err(err("new run before end of previous".to_string()));
-                }
-                let mut r = RunReport::new(
-                    &str_field(line, "name").map_err(err)?,
-                    u64_field(line, "shards").map_err(err)?,
-                    u64_field(line, "workers").map_err(err)?,
-                );
+        let err = |e: String| format!("line {}: {e} in {line:?}", lineno + 1);
+        let v = json::parse(line).map_err(|e| err(e.message))?;
+        let field = |key: &str| {
+            v.get(key)
+                .ok_or_else(|| err(format!("missing field {key:?}")))
+        };
+        let typed = |key: &str, want: &str| err(format!("field {key:?} is not {want}"));
+        let string = |key| field(key)?.as_str().ok_or_else(|| typed(key, "a string"));
+        let num = |key| field(key)?.as_num().ok_or_else(|| typed(key, "a u64"));
+        let float = |key| field(key)?.as_f64().ok_or_else(|| typed(key, "a number"));
+        match (string("rec")?, cur.as_mut()) {
+            ("run", None) => {
                 // Start from truly empty rows: the exporter writes every
                 // row it has, so parsing must not pre-seed defaults.
-                r.time_ns.clear();
-                r.counters.clear();
-                r.hists.clear();
-                cur = Some(r);
+                cur = Some(RunReport {
+                    name: string("name")?.to_string(),
+                    shards: num("shards")?,
+                    workers: num("workers")?,
+                    time_ns: Vec::new(),
+                    counters: Vec::new(),
+                    hists: Vec::new(),
+                    per_shard: Vec::new(),
+                })
             }
-            "time" => {
-                let r = cur
-                    .as_mut()
-                    .ok_or_else(|| err("time outside run".to_string()))?;
-                r.time_ns.push((
-                    str_field(line, "cat").map_err(err)?,
-                    u64_field(line, "ns").map_err(err)?,
-                ));
+            ("run", Some(_)) => return Err(err("new run before end of previous".to_string())),
+            ("time", Some(r)) => r.time_ns.push((string("cat")?.to_string(), num("ns")?)),
+            ("ctr", Some(r)) => r.counters.push((string("name")?.to_string(), num("v")?)),
+            ("hist", Some(r)) => {
+                let JVal::Arr(items) = field("counts")? else {
+                    return Err(typed("counts", "an array"));
+                };
+                let counts: Vec<u64> = items
+                    .iter()
+                    .map(|c| c.as_num().ok_or_else(|| typed("counts", "a u64 array")))
+                    .collect::<Result<_, _>>()?;
+                let (min, base) = (float("min")?, float("base")?);
+                if min <= 0.0 || base <= 1.0 || counts.len() > LogHistogram::MAX_BUCKETS {
+                    return Err(err("bad histogram geometry".to_string()));
+                }
+                let (under, over) = (num("underflow")?, num("overflow")?);
+                let h = LogHistogram::from_parts(min, base, counts, under, over);
+                r.hists.push((string("name")?.to_string(), h));
             }
-            "ctr" => {
-                let r = cur
-                    .as_mut()
-                    .ok_or_else(|| err("ctr outside run".to_string()))?;
-                r.counters.push((
-                    str_field(line, "name").map_err(err)?,
-                    u64_field(line, "v").map_err(err)?,
-                ));
+            ("shard", Some(r)) => r.per_shard.push(ShardReport {
+                shard: num("shard")?,
+                events: num("events")?,
+                handoff_msgs: num("handoff_msgs")?,
+                pending: num("pending")?,
+            }),
+            ("end", Some(_)) => reports.extend(cur.take()),
+            (rec @ ("time" | "ctr" | "hist" | "shard" | "end"), None) => {
+                return Err(err(format!("{rec} outside run")))
             }
-            "hist" => {
-                let r = cur
-                    .as_mut()
-                    .ok_or_else(|| err("hist outside run".to_string()))?;
-                let h = LogHistogram::from_parts(
-                    f64_field(line, "min").map_err(err)?,
-                    f64_field(line, "base").map_err(err)?,
-                    counts_field(line).map_err(err)?,
-                    u64_field(line, "underflow").map_err(err)?,
-                    u64_field(line, "overflow").map_err(err)?,
-                );
-                r.hists.push((str_field(line, "name").map_err(err)?, h));
-            }
-            "shard" => {
-                let r = cur
-                    .as_mut()
-                    .ok_or_else(|| err("shard outside run".to_string()))?;
-                r.per_shard.push(ShardReport {
-                    shard: u64_field(line, "shard").map_err(err)?,
-                    events: u64_field(line, "events").map_err(err)?,
-                    handoff_msgs: u64_field(line, "handoff_msgs").map_err(err)?,
-                    pending: u64_field(line, "pending").map_err(err)?,
-                });
-            }
-            "end" => {
-                let r = cur
-                    .take()
-                    .ok_or_else(|| err("end outside run".to_string()))?;
-                reports.push(r);
-            }
-            other => return Err(err(format!("unknown record kind {other:?}"))),
+            (other, _) => return Err(err(format!("unknown record kind {other:?}"))),
         }
     }
     if cur.is_some() {
@@ -585,13 +501,50 @@ mod tests {
         assert_eq!(parsed[1].name, "second");
     }
 
+    /// Every malformed line is an error, never a skip or a panic: a
+    /// truncated export, a missing or mistyped field, an orphan or
+    /// unknown record, bad histogram geometry.
     #[test]
     fn jsonl_truncation_and_garbage_are_errors() {
-        let r = sample_report();
-        let text = r.to_jsonl();
+        let text = sample_report().to_jsonl();
         let truncated = &text[..text.len() - "{\"rec\":\"end\"}\n".len()];
         assert!(parse_jsonl(truncated).is_err());
-        assert!(parse_jsonl("{\"rec\":\"bogus\"}\n").is_err());
+        let run = "{\"rec\":\"run\",\"name\":\"r\",\"shards\":1,\"workers\":1}\n";
+        let hist = |fields: &str| format!("{{\"rec\":\"hist\",\"name\":\"h\",{fields}}}");
+        let geometry = "\"underflow\":0,\"overflow\":0,\"counts\":[1]";
+        let bad = [
+            "{\"name\":\"c\",\"v\":1}".to_string(),
+            "{\"rec\":7}".to_string(),
+            "{\"rec\":\"bogus\"}".to_string(),
+            run.trim().to_string(),
+            "{\"rec\":\"ctr\",\"name\":\"c\"}".to_string(),
+            "{\"rec\":\"ctr\",\"name\":7,\"v\":1}".to_string(),
+            "{\"rec\":\"ctr\",\"name\":\"c\",\"v\":1.5}".to_string(),
+            "{\"rec\":\"ctr\",\"name\":\"c\",\"v\":\"1\"}".to_string(),
+            "{\"rec\":\"ctr\",\"name\":\"c\",\"v\":18446744073709551616}".to_string(),
+            "{\"rec\":\"time\",\"cat\":\"execute\",\"ns\":-1}".to_string(),
+            "{\"rec\":\"shard\",\"shard\":0,\"events\":1,\"handoff_msgs\":0}".to_string(),
+            hist("\"min\":1,\"base\":2,\"underflow\":0,\"overflow\":0"),
+            hist("\"min\":1,\"base\":2,\"underflow\":0,\"overflow\":0,\"counts\":[1,x]"),
+            hist("\"min\":1,\"base\":2,\"underflow\":0,\"overflow\":0,\"counts\":[1.5]"),
+            hist(&format!("\"min\":\"1\",\"base\":2,{geometry}")),
+            hist(&format!("\"min\":0,\"base\":2,{geometry}")),
+            hist(&format!("\"min\":1,\"base\":1,{geometry}")),
+            hist("\"min\":1,\"base\":2,\"underflow\":0.5,\"overflow\":0,\"counts\":[]"),
+        ];
+        for line in &bad {
+            let text = format!("{run}{line}\n{{\"rec\":\"end\"}}\n");
+            assert!(parse_jsonl(&text).is_err(), "accepted {line}");
+        }
+        for orphan in [
+            "{\"rec\":\"end\"}",
+            "{\"rec\":\"ctr\",\"name\":\"c\",\"v\":1}",
+        ] {
+            assert!(
+                parse_jsonl(orphan).is_err(),
+                "accepted {orphan} outside a run"
+            );
+        }
     }
 
     #[test]
@@ -626,6 +579,61 @@ mod tests {
         let r = RunReport::new("x", 1, 1);
         for c in Counter::ALL {
             assert_eq!(r.counter(c.name()), 0);
+        }
+    }
+
+    mod round_trip {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(1 + m/2^64) · 10^e`: a fractional value between 1e-9 and 2e8.
+        fn scaled(mantissa: u64, exp: i32) -> f64 {
+            (1.0 + mantissa as f64 / u64::MAX as f64) * 10f64.powi(exp)
+        }
+
+        /// Names drawn from characters the exporter has to escape.
+        const NAME: &str = "[a-z\"\\\n\t\u{1}é✓]{0,12}";
+
+        proptest! {
+            // The exporter writes `min`/`base` with `f64`'s `Display`; the
+            // reader must take every such fraction back bit for bit, and
+            // every escaped name and count unchanged.
+            #[test]
+            fn to_jsonl_parse_jsonl_to_jsonl_is_identity(
+                name in NAME,
+                shards in any::<u64>(),
+                rows in proptest::collection::vec((NAME, any::<u64>()), 0..4),
+                geometry in proptest::collection::vec(
+                    (any::<u64>(), -9i32..9, any::<u64>(), -9i32..9),
+                    0..4,
+                ),
+                counts in proptest::collection::vec(any::<u64>(), 0..=LogHistogram::MAX_BUCKETS),
+                spill in (any::<u64>(), any::<u64>()),
+                shard in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            ) {
+                let mut r = RunReport::new(&name, shards, shards / 3);
+                for (n, v) in &rows {
+                    r.time_ns.push((n.clone(), *v));
+                    r.counters.push((n.clone(), *v));
+                }
+                for (i, &(m1, e1, m2, e2)) in geometry.iter().enumerate() {
+                    let h = LogHistogram::from_parts(
+                        scaled(m1, e1),
+                        1.0 + scaled(m2, e2),
+                        counts[..counts.len() * i / geometry.len()].to_vec(),
+                        spill.0,
+                        spill.1,
+                    );
+                    let hist_name = rows.get(i).map_or_else(|| name.clone(), |(n, _)| n.clone());
+                    r.hists.push((hist_name, h));
+                }
+                let (shard, events, handoff_msgs, pending) = shard;
+                r.per_shard.push(ShardReport { shard, events, handoff_msgs, pending });
+                let text = r.to_jsonl();
+                let parsed = parse_jsonl(&text).expect("an export parses");
+                prop_assert_eq!(&parsed, &vec![r]);
+                prop_assert_eq!(parsed[0].to_jsonl(), text);
+            }
         }
     }
 }

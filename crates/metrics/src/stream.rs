@@ -1,14 +1,13 @@
-//! Streaming statistics (Welford) and per-level aggregation.
+//! Streaming statistics.
 
 use serde::Serialize;
 
-/// Count / mean / variance / min / max over a stream of samples, in O(1)
-/// memory (Welford's algorithm).
+/// Count / mean / min / max over a stream of samples, in O(1) memory
+/// (Welford's running mean).
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct StreamingStat {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -19,7 +18,6 @@ impl StreamingStat {
         StreamingStat {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -28,9 +26,7 @@ impl StreamingStat {
     /// Adds a sample.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
-        let d = x - self.mean;
-        self.mean += d / self.count as f64;
-        self.m2 += d * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -49,20 +45,6 @@ impl StreamingStat {
         }
     }
 
-    /// Population variance (0 when fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (+∞ when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -71,76 +53,6 @@ impl StreamingStat {
     /// Largest sample (−∞ when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &StreamingStat) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// One [`StreamingStat`] per PeerWindow level, growing on demand.
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct PerLevel {
-    stats: Vec<StreamingStat>,
-}
-
-impl PerLevel {
-    /// Empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample at `level`.
-    pub fn push(&mut self, level: u8, x: f64) {
-        let l = level as usize;
-        if self.stats.len() <= l {
-            self.stats.resize_with(l + 1, StreamingStat::new);
-        }
-        self.stats[l].push(x);
-    }
-
-    /// The accumulator for `level`, if any sample was recorded.
-    pub fn level(&self, level: u8) -> Option<&StreamingStat> {
-        self.stats.get(level as usize).filter(|s| s.count() > 0)
-    }
-
-    /// Number of level slots (highest level with data + 1).
-    pub fn levels(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// Iterates `(level, stat)` over levels that saw samples.
-    pub fn iter(&self) -> impl Iterator<Item = (u8, &StreamingStat)> + '_ {
-        self.stats
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.count() > 0)
-            .map(|(l, s)| (l as u8, s))
-    }
-
-    /// Grand total across levels.
-    pub fn overall(&self) -> StreamingStat {
-        let mut acc = StreamingStat::new();
-        for s in &self.stats {
-            acc.merge(s);
-        }
-        acc
     }
 }
 
@@ -157,7 +69,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -166,45 +77,6 @@ mod tests {
     fn empty_stat_is_sane() {
         let s = StreamingStat::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = StreamingStat::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = StreamingStat::new();
-        let mut b = StreamingStat::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn per_level_routes_samples() {
-        let mut p = PerLevel::new();
-        p.push(0, 1.0);
-        p.push(0, 3.0);
-        p.push(3, 10.0);
-        assert_eq!(p.level(0).unwrap().mean(), 2.0);
-        assert!(p.level(1).is_none());
-        assert_eq!(p.level(3).unwrap().count(), 1);
-        assert_eq!(p.levels(), 4);
-        let pairs: Vec<u8> = p.iter().map(|(l, _)| l).collect();
-        assert_eq!(pairs, vec![0, 3]);
-        assert_eq!(p.overall().count(), 3);
     }
 }

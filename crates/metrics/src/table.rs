@@ -1,5 +1,6 @@
 //! Table rendering and CSV emission for experiment reports.
 
+use peerwindow_trace::BandwidthRow;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -121,6 +122,21 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
+/// Renders per-message-class bandwidth rows (from
+/// [`peerwindow_trace::bandwidth_by_class`]) as a
+/// `class | msgs | bits` table.
+pub fn bandwidth_table(rows: &[BandwidthRow]) -> Table {
+    let mut t = Table::new(["class", "msgs", "bits"]);
+    for r in rows {
+        t.row([
+            r.class.name().to_string(),
+            r.msgs.to_string(),
+            r.bits.to_string(),
+        ]);
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,5 +186,16 @@ mod tests {
         assert_eq!(fmt_f64(3.21987), "3.22");
         assert_eq!(fmt_f64(0.00123), "0.00123");
         assert!(fmt_f64(0.0000012).contains('e'));
+    }
+
+    #[test]
+    fn bandwidth_table_uses_class_names() {
+        let rows = vec![BandwidthRow {
+            class: peerwindow_trace::MsgClass::Probe,
+            msgs: 7,
+            bits: 896,
+        }];
+        let md = bandwidth_table(&rows).to_markdown();
+        assert!(md.contains("probe") && md.contains("896"));
     }
 }

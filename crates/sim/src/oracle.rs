@@ -28,6 +28,7 @@ use peerwindow_topology::{
     NetworkModel, Topology, TransitStubNetwork, TransitStubParams, UniformNetwork,
 };
 use peerwindow_workload::{ChurnConfig, NodeSpec};
+use std::collections::BTreeMap;
 
 /// Which latency model backs the run.
 #[derive(Clone, Debug)]
@@ -161,8 +162,8 @@ struct OracleSim<N> {
     nodes_per_level: Vec<f64>,
     list_stats: Vec<StreamingStat>,
     sum_list_per_level: Vec<f64>,
-    /// Level-shift transition counts, `oracle.shift.{from}->{to}`.
-    shift_registry: peerwindow_trace::CounterRegistry,
+    /// Level-shift transition counts by `(from, to)` level.
+    shifts: BTreeMap<(u8, u8), u64>,
 }
 
 impl<N: NetworkModel> OracleSim<N> {
@@ -365,14 +366,14 @@ impl<N: NetworkModel> OracleSim<N> {
         for (idx, pr) in pressures {
             self.dir.slot_mut(idx).pressure = pr;
         }
-        // Shift transitions feed the counter registry instead of a debug
-        // print; the report carries them out for rendering.
+        // The report names and sorts the transitions; counting them
+        // here allocates nothing.
         for (id, nl) in &shifts {
             if let Some(sd) = self.dir.get(*id) {
-                self.shift_registry.add(
-                    &format!("oracle.shift.{}->{}", sd.level.value(), nl.value()),
-                    1,
-                );
+                *self
+                    .shifts
+                    .entry((sd.level.value(), nl.value()))
+                    .or_default() += 1;
             }
         }
         for (id, new_level) in shifts {
@@ -469,6 +470,13 @@ impl<N: NetworkModel> OracleSim<N> {
                 out_bps,
             });
         }
+        // Sorted by name, so `10->11` comes before `2->3`.
+        let mut shift_counters: Vec<(String, u64)> = self
+            .shifts
+            .iter()
+            .map(|(&(from, to), &n)| (format!("oracle.shift.{from}->{to}"), n))
+            .collect();
+        shift_counters.sort_unstable();
         let total_err: f64 = self.errsec_per_level.iter().sum();
         let total_list: f64 = self.sum_list_per_level.iter().map(|s| s / samples).sum();
         OracleReport {
@@ -490,11 +498,7 @@ impl<N: NetworkModel> OracleSim<N> {
             dropped: 0,
             duplicated: 0,
             measure_s,
-            shift_counters: self
-                .shift_registry
-                .counters()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+            shift_counters,
         }
     }
 }
@@ -562,7 +566,7 @@ fn run<N: NetworkModel>(cfg: OracleConfig, build_net: impl FnOnce() -> N + Send)
         nodes_per_level: Vec::new(),
         list_stats: Vec::new(),
         sum_list_per_level: Vec::new(),
-        shift_registry: peerwindow_trace::CounterRegistry::new(),
+        shifts: BTreeMap::new(),
         dir: Directory::new(),
         cfg,
     };

@@ -25,6 +25,9 @@ use peerwindow_topology::NetworkModel;
 
 use crate::world::{self, Event, World};
 
+/// Named values, in name order.
+type Rows<T> = Vec<(&'static str, T)>;
+
 /// Deterministic per-(src, dst) latency jitter, identical in every shard
 /// layout: base + hash(src, dst) mod 1000 µs, floored at the lookahead —
 /// so every delivery, faulted or not (jitter only adds), clears the
@@ -315,14 +318,37 @@ impl ParallelFullSim {
         world::take_trace(self.engine.logics_mut())
     }
 
-    /// Samples engine counters plus machine aggregates into a registry.
-    pub fn sample_metrics(&self, reg: &mut peerwindow_trace::CounterRegistry) {
-        reg.set("engine.processed", self.engine.processed());
-        reg.set_gauge("engine.shards", self.engine.shard_count() as f64);
-        reg.set_gauge("engine.workers", self.engine.workers() as f64);
-        reg.set_gauge("engine.pending", self.engine.pending() as f64);
-        let active = world::sample_gauges(self.machines(), self.fault_counters(), reg);
-        reg.set_gauge("nodes.live", active as f64);
+    /// Engine counters plus machine aggregates, read now: the counter
+    /// rows and the gauge rows, each in name order.
+    pub fn sample_metrics(&self) -> (Rows<u64>, Rows<f64>) {
+        let (live, peers, retries) = self
+            .machines()
+            .filter(|(_, m)| m.is_active())
+            .fold((0u64, 0u64, 0u64), |(c, p, r), (_, m)| {
+                (c + 1, p + m.peers().len() as u64, r + m.stats().rpc_retries)
+            });
+        let faults = self.fault_counters();
+        let counters = vec![
+            ("engine.processed", self.engine.processed()),
+            ("faults.dropped", faults.dropped),
+            ("faults.duplicated", faults.duplicated),
+            ("faults.jittered", faults.jittered),
+            ("faults.judged", faults.judged),
+            ("rpc.retries", retries),
+        ];
+        let peers_mean = if live > 0 {
+            peers as f64 / live as f64
+        } else {
+            0.0
+        };
+        let gauges = vec![
+            ("engine.pending", self.engine.pending() as f64),
+            ("engine.shards", self.engine.shard_count() as f64),
+            ("engine.workers", self.engine.workers() as f64),
+            ("nodes.live", live as f64),
+            ("peers.mean", peers_mean),
+        ];
+        (counters, gauges)
     }
 }
 

@@ -460,32 +460,6 @@ pub(crate) fn part_audit<'a>(machines: impl Iterator<Item = (u32, &'a NodeMachin
     audit_parts(&views)
 }
 
-/// Samples the machine aggregates (mean peer-list size, RPC retries) and
-/// the fault totals into `reg`; returns the number of active machines.
-pub(crate) fn sample_gauges<'a>(
-    machines: impl Iterator<Item = (u32, &'a NodeMachine)>,
-    faults: FaultCounters,
-    reg: &mut peerwindow_trace::CounterRegistry,
-) -> u64 {
-    let (count, peer_sum, retries) = active(machines).fold((0u64, 0u64, 0u64), |(c, p, r), m| {
-        (c + 1, p + m.peers().len() as u64, r + m.stats().rpc_retries)
-    });
-    reg.set_gauge(
-        "peers.mean",
-        if count > 0 {
-            peer_sum as f64 / count as f64
-        } else {
-            0.0
-        },
-    );
-    reg.set("rpc.retries", retries);
-    reg.set("faults.judged", faults.judged);
-    reg.set("faults.dropped", faults.dropped);
-    reg.set("faults.duplicated", faults.duplicated);
-    reg.set("faults.jittered", faults.jittered);
-    count
-}
-
 // ---- Switches and counters over the worlds of a run -----------------------
 
 /// Installs `plan` in every world (replacing any previous model, counters

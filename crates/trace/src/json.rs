@@ -1,20 +1,28 @@
 //! A minimal JSON writer and parser.
 //!
-//! The workspace has no JSON crate (this container builds offline), so
-//! the exporters — and the cluster tooling's control protocol and the
-//! runtime-metrics report export, which is why this module is public —
-//! hand-roll the subset of JSON they need: objects, arrays, strings, and
-//! unsigned integers, which is exactly what trace records serialise to.
-//! The parser is tolerant of whitespace and field order but rejects
-//! anything outside that subset loudly.
+//! The workspace has no JSON crate, so the trace exporters, the cluster
+//! tooling's control protocol and the runtime-metrics report export
+//! hand-roll the subset of JSON they need, and read it back through
+//! [`parse`]: objects, arrays, strings, unsigned integers, and decimal
+//! fractions (a histogram's geometry, written by `f64`'s `Display`, which
+//! never uses an exponent). The parser is tolerant of whitespace and
+//! field order but rejects anything outside that subset loudly, and
+//! rejects nesting deeper than 64 arrays or objects, so a hostile
+//! document cannot exhaust the stack.
 
 use crate::ParseError;
+
+/// How deep arrays and objects may nest. Every format the workspace
+/// writes nests at most 4 deep.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value (the subset the trace formats use).
 #[derive(Clone, Debug, PartialEq)]
 pub enum JVal {
     /// Unsigned integer.
     Num(u64),
+    /// Number with a fractional part.
+    Frac(f64),
     /// String.
     Str(String),
     /// Object, in source order.
@@ -32,10 +40,19 @@ impl JVal {
         }
     }
 
-    /// The value as a u64, if it is a number.
+    /// The value as a u64, if it is an integer.
     pub fn as_num(&self) -> Option<u64> {
         match self {
             JVal::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an f64, if it is a number of either kind.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JVal::Num(n) => Some(*n as f64),
+            JVal::Frac(x) => Some(*x),
             _ => None,
         }
     }
@@ -72,7 +89,7 @@ pub fn write_str(out: &mut String, s: &str) {
 pub fn parse(s: &str) -> Result<JVal, ParseError> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(ParseError::new(format!(
@@ -102,11 +119,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JVal, ParseError> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(ParseError::new(format!(
+            "nested deeper than {MAX_DEPTH} at byte {}",
+            *pos
+        ))),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(JVal::Str(parse_string(b, pos)?)),
         Some(c) if c.is_ascii_digit() => parse_num(b, pos),
         Some(c) => Err(ParseError::new(format!(
@@ -117,7 +138,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<JVal, ParseError> {
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -129,7 +150,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         fields.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -143,7 +164,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<JVal, ParseError> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -152,7 +173,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
         return Ok(JVal::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -218,15 +239,31 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
+/// Digits, then optionally `.` and more digits.
 fn parse_num(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
     let start = *pos;
-    while *pos < b.len() && b[*pos].is_ascii_digit() {
+    digits(pos);
+    let frac = b.get(*pos) == Some(&b'.');
+    if frac {
         *pos += 1;
+        if !digits(pos) {
+            return Err(ParseError::new(format!("digit expected at byte {}", *pos)));
+        }
     }
     let text = std::str::from_utf8(&b[start..*pos]).expect("digits are utf-8");
-    text.parse::<u64>()
-        .map(JVal::Num)
-        .map_err(|_| ParseError::new(format!("number out of range at byte {start}")))
+    let value = if frac {
+        text.parse().map(JVal::Frac).ok()
+    } else {
+        text.parse().map(JVal::Num).ok()
+    };
+    value.ok_or_else(|| ParseError::new(format!("number out of range at byte {start}")))
 }
 
 #[cfg(test)]
@@ -262,5 +299,32 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("-1").is_err(), "negatives are outside the subset");
+        assert!(parse("1.").is_err());
+        assert!(parse("1e5").is_err(), "exponents are outside the subset");
+        assert!(parse("18446744073709551616").is_err());
+    }
+
+    #[test]
+    fn integers_stay_exact_and_fractions_read_as_f64() {
+        let v = parse("[18446744073709551615, 2, 0.000000001234, 1.5]").unwrap();
+        let JVal::Arr(items) = v else {
+            panic!("an array");
+        };
+        assert_eq!(items[0].as_num(), Some(u64::MAX));
+        assert_eq!(items[1].as_f64(), Some(2.0));
+        assert_eq!(items[2].as_f64(), Some(1.234e-9));
+        assert_eq!(items[3], JVal::Frac(1.5));
+        assert_eq!(items[3].as_num(), None, "a fraction is not an integer");
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        let deep = "[".repeat(100_000);
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.message, "nested deeper than 64 at byte 64");
+        let ok = format!("{}{}", "[".repeat(64), "]".repeat(64));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(65), "]".repeat(65));
+        assert!(parse(&over).is_err());
     }
 }

@@ -157,33 +157,33 @@ fn num_field(obj: &JVal, key: &str) -> Result<u64, ParseError> {
         .ok_or_else(|| ParseError::new(format!("missing numeric field {key:?}")))
 }
 
-fn str_field<'a>(obj: &'a JVal, key: &str) -> Result<&'a str, ParseError> {
+fn text_field<'a>(obj: &'a JVal, key: &str) -> Result<&'a str, ParseError> {
     obj.get(key)
         .and_then(JVal::as_str)
         .ok_or_else(|| ParseError::new(format!("missing string field {key:?}")))
 }
 
 fn id_field(obj: &JVal, key: &str) -> Result<u128, ParseError> {
-    parse_id(str_field(obj, key)?)
+    parse_id(text_field(obj, key)?)
 }
 
 fn class_field(obj: &JVal) -> Result<EventClass, ParseError> {
-    let s = str_field(obj, "class")?;
+    let s = text_field(obj, "class")?;
     EventClass::parse(s).ok_or_else(|| ParseError::new(format!("unknown event class {s:?}")))
 }
 
 fn msg_class_field(obj: &JVal) -> Result<MsgClass, ParseError> {
-    let s = str_field(obj, "class")?;
+    let s = text_field(obj, "class")?;
     MsgClass::parse(s).ok_or_else(|| ParseError::new(format!("unknown message class {s:?}")))
 }
 
 /// Rebuilds a record from a parsed flat object (shared with the Chrome
 /// importer, whose `args` mirror the JSONL fields).
 pub(crate) fn record_from_obj(obj: &JVal) -> Result<TraceRecord, ParseError> {
-    let kind_name = str_field(obj, "kind")?;
+    let kind_name = text_field(obj, "kind")?;
     let kind = match kind_name {
         "join_step" => {
-            let s = str_field(obj, "phase")?;
+            let s = text_field(obj, "phase")?;
             TraceEventKind::JoinStep {
                 phase: JoinPhase::parse(s)
                     .ok_or_else(|| ParseError::new(format!("unknown join phase {s:?}")))?,
@@ -229,14 +229,14 @@ pub(crate) fn record_from_obj(obj: &JVal) -> Result<TraceRecord, ParseError> {
             bits: num_field(obj, "bits")?,
         },
         "diag" => {
-            let s = str_field(obj, "code")?;
+            let s = text_field(obj, "code")?;
             TraceEventKind::Diag {
                 code: DiagCode::parse(s)
                     .ok_or_else(|| ParseError::new(format!("unknown diag code {s:?}")))?,
             }
         }
         "net_fault" => {
-            let s = str_field(obj, "fault")?;
+            let s = text_field(obj, "fault")?;
             TraceEventKind::NetFault {
                 to: id_field(obj, "to")?,
                 fault: FaultClass::parse(s)
@@ -250,7 +250,7 @@ pub(crate) fn record_from_obj(obj: &JVal) -> Result<TraceRecord, ParseError> {
         node: id_field(obj, "node")?,
         seq: num_field(obj, "seq")?,
         level: num_field(obj, "level")? as u8,
-        cause: parse_cause(str_field(obj, "cause")?)?,
+        cause: parse_cause(text_field(obj, "cause")?)?,
         kind,
     })
 }

@@ -32,8 +32,9 @@
 //! JSON for chrome://tracing ([`chrome`]) — both round-trip (parse-back
 //! equals emitted, asserted by tests) — and a per-message-class
 //! bandwidth aggregation ([`query::bandwidth_by_class`]) matching the
-//! paper's §4 figures. The [`CounterRegistry`] is the metrics half:
-//! named counters/gauges rendered through `peerwindow-metrics` tables.
+//! paper's §4 figures. Both formats are read back through [`json`], the
+//! one JSON parser of the workspace, which the runtime-metrics reports
+//! and the cluster tooling share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,17 +44,15 @@ pub mod json;
 pub mod jsonl;
 pub mod query;
 mod record;
-mod registry;
 mod sink;
 
 pub use query::{bandwidth_by_class, reconstruct_tree, BandwidthRow, Filter, McastTree};
 pub use record::{
     CauseId, DiagCode, EventClass, FaultClass, JoinPhase, MsgClass, TraceEventKind, TraceRecord,
 };
-pub use registry::CounterRegistry;
 pub use sink::{canonical_sort, NodeTrace};
 
-/// Errors from the JSONL / Chrome parsers.
+/// Errors from the JSON, JSONL and Chrome parsers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// What went wrong, for humans.

@@ -38,7 +38,19 @@ struct Opts {
     ctl_port: Option<u16>,
 }
 
-fn parse_args() -> Opts {
+const USAGE: &str = "usage: pwnode --listen IP:PORT [--bootstrap IP:PORT] [--budget BPS] \
+                     [--info S] [--seed N] [--fault-plan FILE] [--ctl PORT] [--fast]";
+
+/// The value that follows `flag`, parsed as a `T`.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
+}
+
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Opts, String> {
     let mut listen: SocketAddrV4 = "127.0.0.1:0".parse().unwrap();
     let mut bootstrap: Option<SocketAddrV4> = None;
     let mut budget = 50_000.0;
@@ -47,38 +59,17 @@ fn parse_args() -> Opts {
     let mut fault_plan: Option<String> = None;
     let mut ctl_port = None;
     let mut fast = false;
-    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--listen" => {
-                listen = it
-                    .next()
-                    .expect("--listen ADDR")
-                    .parse()
-                    .expect("ipv4:port")
-            }
-            "--bootstrap" => {
-                bootstrap = Some(
-                    it.next()
-                        .expect("--bootstrap ADDR")
-                        .parse()
-                        .expect("ipv4:port"),
-                )
-            }
-            "--budget" => budget = it.next().expect("--budget BPS").parse().expect("number"),
-            "--info" => info = Bytes::from(it.next().expect("--info STRING")),
-            "--seed" => seed = it.next().expect("--seed N").parse().expect("number"),
-            "--fault-plan" => fault_plan = Some(it.next().expect("--fault-plan FILE")),
-            "--ctl" => ctl_port = Some(it.next().expect("--ctl PORT").parse().expect("port")),
+            "--listen" => listen = value(&mut it, &a)?,
+            "--bootstrap" => bootstrap = Some(value(&mut it, &a)?),
+            "--budget" => budget = value(&mut it, &a)?,
+            "--info" => info = Bytes::from(value::<String>(&mut it, &a)?),
+            "--seed" => seed = value(&mut it, &a)?,
+            "--fault-plan" => fault_plan = Some(value(&mut it, &a)?),
+            "--ctl" => ctl_port = Some(value(&mut it, &a)?),
             "--fast" => fast = true,
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!(
-                    "usage: pwnode --listen IP:PORT [--bootstrap IP:PORT] [--budget BPS] \
-                     [--info S] [--seed N] [--fault-plan FILE] [--ctl PORT] [--fast]"
-                );
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument {other}")),
         }
     }
     // Derive the node id from the listen address + seed (a real
@@ -100,12 +91,10 @@ fn parse_args() -> Opts {
         };
         NodeId(((mix(h) as u128) << 64) | mix(h ^ 0x6A09E667F3BCC909) as u128)
     };
-    let shim = fault_plan.map(|path| {
-        ShimSpec::load(std::path::Path::new(&path)).unwrap_or_else(|e| {
-            eprintln!("bad --fault-plan: {e}");
-            std::process::exit(2);
-        })
-    });
+    let shim = fault_plan
+        .map(|path| ShimSpec::load(std::path::Path::new(&path)))
+        .transpose()
+        .map_err(|e| format!("bad --fault-plan: {e}"))?;
     let clock_offset_us = shim.as_ref().map(|s| s.wall_offset_us()).unwrap_or(0);
     // `--fast` also stretches §4.1 give-up (6 backed-off attempts span
     // 0.25·(2⁶−1) ≈ 15.75 s) so a ~10 s partition window never falsely
@@ -116,7 +105,7 @@ fn parse_args() -> Opts {
     } else {
         (3_000_000, 1_000_000, 10_000_000, 3)
     };
-    Opts {
+    Ok(Opts {
         cfg: RuntimeConfig {
             protocol: ProtocolConfig {
                 processing_delay_us: 0,
@@ -136,7 +125,7 @@ fn parse_args() -> Opts {
             clock_offset_us,
         },
         ctl_port,
-    }
+    })
 }
 
 /// One `snap` reply: the node's state as a single JSON datagram, parsed
@@ -242,7 +231,10 @@ fn dump_diags_and_exit(handle: NodeHandle) -> ! {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let role = if opts.cfg.bootstrap.is_some() {
         "joining"
     } else {
