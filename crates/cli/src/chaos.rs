@@ -5,7 +5,7 @@
 //! [`FaultPlan`], runs it past the adverse window, and asserts the
 //! protocol recovered: peer lists settle (no missing / stale / cross-part
 //! entries) once the network heals. The final state fingerprint is
-//! printed; because fault verdicts are judged at send time in the
+//! printed; because fault verdicts are judged at departure in the
 //! sender's shard, the same scenario + seed prints the same fingerprint
 //! at any `--shards` value.
 //!

@@ -481,6 +481,12 @@ impl NodeMachine {
         self.phase == Phase::Active
     }
 
+    /// Whether the node has announced a graceful departure and is still
+    /// draining it (acks, retries, redirects of its Leave multicast).
+    pub fn is_leaving(&self) -> bool {
+        self.phase == Phase::Leaving
+    }
+
     /// Whether the node has left the system (gracefully, after draining
     /// its departure announcement, or terminally on a fatal error). A
     /// left machine ignores all further input and returns no outputs;

@@ -12,8 +12,8 @@
 //! seeded, declarative schedule of [`FaultRule`]s; each rule activates a
 //! [`Condition`] on a set of directed links ([`LinkSel`]) over a sim-time
 //! window. A [`LinkConditioner`] interprets the plan packet by packet,
-//! returning a [`Verdict`] per datagram, and both sim engines consult it
-//! through [`LinkConditioner::judge`] at **send time**.
+//! returning a [`Verdict`] per datagram, and the simulators consult it
+//! through [`LinkConditioner::judge`] at **departure**.
 //!
 //! ## Determinism contract
 //!
@@ -23,8 +23,9 @@
 //!   independent SplitMix64 stream seeded from `(plan.seed, src, dst)`.
 //!   The k-th packet on a link always sees the same random draws, no
 //!   matter what other links did in between.
-//! * **Judged at send time.** The verdict for a packet is computed when
-//!   the *sender* emits it, inside whichever shard owns the sender. A
+//! * **Judged at departure.** The verdict for a packet is computed for
+//!   the time it leaves its *sender* (the sender's handling time plus
+//!   its processing delay), inside whichever shard owns the sender. A
 //!   sender's outgoing packet sequence is part of the deterministic
 //!   event order, which the parallel engine already guarantees is
 //!   shard-count-invariant — so the same plan produces byte-identical

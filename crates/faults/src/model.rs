@@ -4,7 +4,7 @@ use crate::plan::{Condition, FaultPlan};
 use crate::rng::LinkRng;
 use std::collections::BTreeMap;
 
-/// What the network does to one datagram. Judged once, at send time, by
+/// What the network does to one datagram. Judged once, at departure, by
 /// the shard that owns the sender.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
@@ -105,7 +105,7 @@ impl LinkConditioner {
         &self.plan
     }
 
-    /// Judges one datagram from `src` to `dst` sent at `now_us`.
+    /// Judges one datagram from `src` to `dst` departing at `now_us`.
     // The fast path must inline into the engines' send loops (the
     // zero-fault overhead budget is ~1%; see
     // crates/bench/tests/faults_overhead.rs), so the ruleless return is

@@ -282,7 +282,7 @@ impl McNet {
                         None => continue,
                     };
                     let depart = self.now + delay_us;
-                    // Judged once at send time, exactly like the sims.
+                    // Judged once at departure, exactly like the sims.
                     let verdict = match &mut self.cond {
                         Some(c) => c.judge(depart, from as u32, dest as u32),
                         None => Verdict::Deliver { extra_delay_us: 0 },

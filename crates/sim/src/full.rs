@@ -8,179 +8,67 @@
 //! Memory is O(Σ peer-list sizes), so use it for populations up to a few
 //! thousand; the oracle mode covers the 100,000-node experiments.
 //!
-//! Events sit on the sequential engine's `(time, FIFO)` binary heap
-//! (`peerwindow_des::EventQueue`). The protocol step itself is
-//! [`crate::world`]'s, shared with [`crate::parallel_full`], which shards
-//! the same world across a `ParallelEngine` for multi-core runs. What is
-//! this harness's own: nodes spawn synchronously off a random live
-//! bootstrap, departed machines are reaped from their slots, and the
-//! digest is order-sensitive.
+//! [`FullSim`] is a synchronous front over a one-shard
+//! [`ParallelFullSim`] that carries the caller's [`NetworkModel`]; every
+//! read, switch and counter is the inner sim's, through `Deref`. What is
+//! this front's own: nodes spawn at once into the next slot, off a
+//! random live bootstrap; commands are scheduled relative to now; and
+//! the digest is order-sensitive.
+
+use std::ops::{Deref, DerefMut};
 
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
-use peerwindow_des::{DetRng, Engine, Scheduler, SimTime, Simulation};
-use peerwindow_faults::{FaultCounters, FaultPlan};
+use peerwindow_des::DetRng;
+use peerwindow_faults::FaultPlan;
 use peerwindow_topology::NetworkModel;
-use peerwindow_workload::NodeSpec;
-// BTreeMap, not HashMap: `spawn_joiner` picks a bootstrap by *iterating*
-// this map, so its order must be a pure function of the membership or two
-// identically-seeded runs bootstrap off different nodes and diverge.
-use std::collections::BTreeMap;
-use std::iter::once;
 
 pub use crate::world::FullLog;
-use crate::world::{self, Event, World};
+use crate::ParallelFullSim;
 
-struct FullHost {
-    world: World<Box<dyn NetworkModel>>,
-    /// Ground truth: id → slot for *live* nodes (crashed nodes removed at
-    /// crash time; gracefully-left at shutdown time).
-    live: BTreeMap<NodeId, u32>,
-    rng: DetRng,
-    /// Harness seed, kept so the `set_loss` shim can derive a plan seed.
-    seed: u64,
-}
-
-impl FullHost {
-    /// One world step plus the ground-truth bookkeeping around it.
-    fn step(&mut self, now_us: u64, event: Event, emit: impl FnMut(u64, Event)) {
-        // A graceful leaver stays in its slot to drain its departure
-        // announcement, but it leaves `live` at once: it has announced
-        // departure, so ground truth no longer counts it.
-        let leaver = match event {
-            Event::Cmd {
-                actor,
-                cmd: Command::Shutdown,
-            } => self.world.machine(actor).map(NodeMachine::id),
-            _ => None,
-        };
-        let gone = self.world.handle(now_us, event, emit);
-        for id in leaver.into_iter().chain(gone) {
-            self.live.remove(&id);
-        }
-    }
-}
-
-impl Simulation for FullHost {
-    type Event = Event;
-    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<'_, Event>) {
-        self.step(now.as_micros(), event, |delay_us, e| {
-            sched.schedule(delay_us, e)
-        });
-    }
-}
+/// One shard has no cross-shard sends, so the lookahead only sets the
+/// window width: wide enough that a `run_until` is one window.
+const ONE_WINDOW_US: u64 = 1 << 40;
 
 /// A full-fidelity simulation harness.
 pub struct FullSim {
-    engine: Engine<FullHost>,
+    sim: ParallelFullSim,
+    /// Draws each spawn's machine seed and each joiner's bootstrap.
+    rng: DetRng,
+}
+
+impl Deref for FullSim {
+    type Target = ParallelFullSim;
+    fn deref(&self) -> &ParallelFullSim {
+        &self.sim
+    }
+}
+
+impl DerefMut for FullSim {
+    fn deref_mut(&mut self) -> &mut ParallelFullSim {
+        &mut self.sim
+    }
 }
 
 impl FullSim {
     /// Creates an empty world.
     pub fn new(protocol: ProtocolConfig, net: Box<dyn NetworkModel>, seed: u64) -> Self {
         FullSim {
-            engine: Engine::new(FullHost {
-                world: World::new(protocol, net, 0, true),
-                live: BTreeMap::new(),
-                rng: DetRng::for_stream(seed, 0xF00D),
-                seed,
-            }),
+            sim: ParallelFullSim::with_models(0, protocol, vec![net], ONE_WINDOW_US, seed),
+            rng: DetRng::for_stream(seed, 0xF00D),
         }
-    }
-
-    fn world(&self) -> &World<Box<dyn NetworkModel>> {
-        &self.engine.sim().world
-    }
-
-    fn world_mut(&mut self) -> &mut World<Box<dyn NetworkModel>> {
-        &mut self.engine.sim_mut().world
-    }
-
-    /// Turns structured tracing on for every current and future machine.
-    /// Records emitted by a joiner's *constructor* (its initial FindTop)
-    /// predate the machine entering the world and are not captured.
-    #[cfg(feature = "trace")]
-    pub fn enable_tracing(&mut self, on: bool) {
-        world::enable_tracing(once(self.world_mut()), on);
-    }
-
-    /// Turns lock-free snapshot publication on for every current and
-    /// future machine (the serving layer): each machine's peer list is
-    /// mirrored into a per-slot [`Published`] cell after every handled
-    /// event, generation-gated so unchanged lists cost one integer
-    /// compare. Returns the directory observers resolve readers from.
-    ///
-    /// Publication is pure observation — the simulation outcome
-    /// (fingerprints included) is identical with snapshots on or off.
-    pub fn enable_snapshots(&mut self) -> std::sync::Arc<SnapshotDirectory> {
-        let now_us = self.engine.now().as_micros();
-        world::enable_snapshots(once(self.world_mut()), now_us)
-    }
-
-    /// A lock-free reader over `slot`'s published peer-list snapshots.
-    /// `None` until [`FullSim::enable_snapshots`] has run and the slot
-    /// has published at least once.
-    pub fn snapshot_reader(&self, slot: u32) -> Option<SnapshotReader> {
-        world::snapshot_reader(once(self.world()), slot)
-    }
-
-    /// Total snapshots published so far (0 when publication is off).
-    pub fn snapshots_published(&self) -> u64 {
-        world::snapshots_published(once(self.world()))
-    }
-
-    /// Flushes every machine's buffer and returns the collected records
-    /// in canonical `(at_us, node, seq)` order, clearing the world log.
-    #[cfg(feature = "trace")]
-    pub fn take_trace(&mut self) -> Vec<peerwindow_trace::TraceRecord> {
-        world::take_trace(once(self.world_mut()))
-    }
-
-    /// Sets a uniform per-datagram loss probability (0.0 = reliable
-    /// network). Back-compat shim: installs the degenerate uniform-loss
-    /// [`FaultPlan`], replacing any installed fault model (and resetting
-    /// its counters).
-    pub fn set_loss(&mut self, loss: f64) {
-        let seed = self.engine.sim().seed;
-        world::set_loss(once(self.world_mut()), seed, loss);
     }
 
     /// Installs a network fault plan (replacing any previous model,
     /// counters included). Install before running the scenario: the
     /// per-link random streams start fresh.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        world::set_fault_plan(once(self.world_mut()), Some(&plan));
-    }
-
-    /// Removes the fault model entirely (reliable network, zero
-    /// per-datagram overhead).
-    pub fn clear_faults(&mut self) {
-        world::set_fault_plan(once(self.world_mut()), None);
-    }
-
-    /// Fault-layer totals (zeros when no model is installed).
-    pub fn fault_counters(&self) -> FaultCounters {
-        world::fault_counters(once(self.world()))
-    }
-
-    /// Datagrams dropped by the fault layer so far.
-    pub fn dropped(&self) -> u64 {
-        self.fault_counters().dropped
-    }
-
-    /// Events processed by the underlying engine.
-    pub fn processed(&self) -> u64 {
-        self.engine.stats().processed
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.engine.now()
+        self.sim.set_fault_plan(&plan);
     }
 
     /// The event log.
     pub fn log(&self) -> &FullLog {
-        self.world().log()
+        self.sim.world().log()
     }
 
     /// Spawns the genesis node (already active at level 0). Returns its
@@ -189,23 +77,23 @@ impl FullSim {
         self.spawn(id, threshold_bps, info, None)
     }
 
-    /// Spawns a joining node bootstrapping off a random live node.
-    /// Returns its slot, or `None` if nobody is alive to bootstrap from.
+    /// Spawns a joining node bootstrapping off a random live node (the
+    /// `rng.below(n)`-th in id order). Returns its slot, or `None` if
+    /// nobody is alive to bootstrap from.
     pub fn spawn_joiner(&mut self, id: NodeId, threshold_bps: f64, info: Bytes) -> Option<u32> {
-        let host = self.engine.sim_mut();
-        let n = host.live.len();
-        if n == 0 {
+        let mut live: Vec<&NodeMachine> = self.sim.live().map(|(_, m)| m).collect();
+        if live.is_empty() {
             return None;
         }
-        let pick = host.rng.below(n as u64) as usize;
-        let boot_slot = *host.live.values().nth(pick)?;
-        let boot = host.world.machine(boot_slot)?.as_target();
+        let pick = self.rng.below(live.len() as u64) as usize;
+        let boot = live
+            .select_nth_unstable_by_key(pick, |m| m.id())
+            .1
+            .as_target();
         Some(self.spawn(id, threshold_bps, info, Some(boot)))
     }
 
-    /// Starts a machine in the next free slot, now, outside the event
-    /// queue: the world handles its `Start` at once and the follow-ups
-    /// are scheduled from the engine's current time.
+    /// Starts a machine in the next free slot, now.
     fn spawn(
         &mut self,
         id: NodeId,
@@ -213,29 +101,17 @@ impl FullSim {
         info: Bytes,
         bootstrap: Option<Target>,
     ) -> u32 {
-        let now_us = self.engine.now().as_micros();
-        let host = self.engine.sim_mut();
-        let slot = host.world.slots().len() as u32;
-        let start = Event::Start {
-            actor: slot,
-            id,
-            threshold_bps,
-            info,
-            bootstrap,
-            seed: host.rng.next_u64(),
-        };
-        host.live.insert(id, slot);
-        let mut follow_ups = Vec::new();
-        host.step(now_us, start, |delay_us, e| follow_ups.push((delay_us, e)));
-        for (delay_us, e) in follow_ups {
-            self.engine.schedule(delay_us, e);
-        }
+        let slot = self.sim.world().slots().len() as u32;
+        let seed = self.rng.next_u64();
+        self.sim
+            .start_now(slot, id, threshold_bps, info, bootstrap, seed);
         slot
     }
 
     /// Schedules a silent crash of `slot` after `delay_us`.
     pub fn crash_after(&mut self, slot: u32, delay_us: u64) {
-        self.engine.schedule(delay_us, Event::Crash { actor: slot });
+        let at = self.now() + delay_us;
+        self.sim.crash(at, slot);
     }
 
     /// Schedules a graceful departure of `slot` after `delay_us`.
@@ -260,74 +136,19 @@ impl FullSim {
     }
 
     fn command_after(&mut self, slot: u32, delay_us: u64, cmd: Command) {
-        self.engine
-            .schedule(delay_us, Event::Cmd { actor: slot, cmd });
+        let at = self.now() + delay_us;
+        self.sim.command(at, slot, cmd);
     }
 
-    /// Spawns one node per [`NodeSpec`], seeds first, then runs churn:
-    /// each node crashes (silently) at the end of its lifetime.
-    pub fn populate(&mut self, specs: &[NodeSpec]) -> Vec<u32> {
-        let mut slots = Vec::with_capacity(specs.len());
-        for (i, s) in specs.iter().enumerate() {
-            let id = NodeId(s.id_raw);
-            let slot = if i == 0 {
-                self.spawn_seed(id, s.threshold_bps, Bytes::new())
-            } else {
-                match self.spawn_joiner(id, s.threshold_bps, Bytes::new()) {
-                    Some(sl) => sl,
-                    None => continue,
-                }
-            };
-            slots.push(slot);
-        }
-        slots
-    }
-
-    /// Advances simulated time.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.engine.run_until(t);
-    }
-
-    /// Advances simulated time by `delta_us`.
+    /// Advances simulated time by `delta_us` (see
+    /// [`ParallelFullSim::run_until`] for the boundary).
     pub fn run_for(&mut self, delta_us: u64) {
-        let t = self.engine.now() + delta_us;
-        self.engine.run_until(t);
-    }
-
-    /// Live node count.
-    pub fn live_count(&self) -> usize {
-        self.engine.sim().live.len()
-    }
-
-    /// Read access to a machine.
-    pub fn machine(&self, slot: u32) -> Option<&NodeMachine> {
-        self.world().machine(slot)
-    }
-
-    /// Runs the full invariant suite right now: local checks on every
-    /// live machine plus the cross-node quiescent checks. Call at a
-    /// settled point — mid-multicast the system checks legitimately fail.
-    #[cfg(feature = "invariants")]
-    pub fn check_invariants(&self) -> Result<(), peerwindow_core::invariants::InvariantViolation> {
-        for (_, m) in self.machines() {
-            m.check_invariants()?;
-        }
-        peerwindow_core::invariants::check_system(self.machines().map(|(_, m)| m))
-    }
-
-    /// Iterates `(slot, machine)` over live machines.
-    pub fn machines(&self) -> impl Iterator<Item = (u32, &NodeMachine)> + '_ {
-        self.world().machines()
-    }
-
-    /// Ground-truth live identities (id, level) from the machines
-    /// themselves.
-    pub fn ground_truth(&self) -> Vec<NodeIdentity> {
-        world::ground_truth(self.machines())
+        let t = self.now() + delta_us;
+        self.sim.run_until(t);
     }
 
     /// A per-level summary in the same shape as the oracle's report rows
-    /// (node counts, list sizes, mean traffic), computed from the live
+    /// (node counts, list sizes, mean traffic), computed from the active
     /// machines — used to cross-validate the two fidelities.
     pub fn report(&self, elapsed_s: f64) -> crate::report::OracleReport {
         use peerwindow_metrics::StreamingStat;
@@ -369,14 +190,6 @@ impl FullSim {
         }
     }
 
-    /// Partition-aware settle check (§4.4): audits every active
-    /// machine's peer list against the part structure of the current
-    /// ground truth. After a network partition heals, a recovered system
-    /// returns to `parts == 1` with [`PartAudit::is_settled`].
-    pub fn part_audit(&self) -> PartAudit {
-        world::part_audit(self.machines())
-    }
-
     /// Order-sensitive digest of the complete simulation state: every
     /// slot's machine identity, level, activity, traffic counters, peer
     /// list (ids, levels, refresh stamps, in id order) and top list, plus
@@ -392,8 +205,8 @@ impl FullSim {
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
         };
-        mix(self.engine.now().as_micros());
-        for (slot, m) in self.world().slots().iter().enumerate() {
+        mix(self.now().as_micros());
+        for (slot, m) in self.sim.world().slots().iter().enumerate() {
             mix(slot as u64);
             let Some(m) = m else {
                 mix(u64::MAX);
@@ -429,14 +242,6 @@ impl FullSim {
         mix(c.duplicated);
         mix(c.jittered);
         h
-    }
-
-    /// Peer-list accuracy of every active machine against ground truth:
-    /// returns `(total_correct_entries, missing, stale)` summed over
-    /// machines. `missing` = live in-scope nodes absent from the list;
-    /// `stale` = listed nodes that are no longer live.
-    pub fn accuracy(&self) -> (usize, usize, usize) {
-        world::accuracy(self.machines())
     }
 }
 

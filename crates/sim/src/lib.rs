@@ -5,17 +5,18 @@
 //!
 //! * [`full`] — **full fidelity**: every node runs the real
 //!   `peerwindow_core::node::NodeMachine` over the discrete-event engine;
-//!   used for protocol validation and small-system studies.
+//!   used for protocol validation and small-system studies. A synchronous
+//!   front over a one-shard [`parallel_full`] run.
 //! * [`oracle`] — **oracle mode**: the paper's own memory trick (§5 ¶3) —
 //!   one ground-truth directory stands in for all correct peer lists, so
 //!   100,000-node runs fit in one machine's memory; multicast trees are
 //!   planned per event and accounted analytically.
-//! * [`parallel_full`] — full fidelity on the *parallel* engine: shards
-//!   of real machines under barrier-synchronised windows.
-//! * `world` (private) — the one protocol step both full-fidelity
-//!   harnesses drive: the machines, the crate's only interpreter of
-//!   `Output`, the latency → fault-verdict send path, trace draining and
-//!   snapshot publication. The engines only order events.
+//! * [`parallel_full`] — the full-fidelity harness on the *parallel*
+//!   engine: shards of real machines under barrier-synchronised windows.
+//! * `world` (private) — the protocol step each shard runs: the machines,
+//!   the crate's only interpreter of `Output`, the latency →
+//!   fault-verdict send path, trace draining and snapshot publication.
+//!   The engine only orders events.
 //! * [`directory`] — the oracle's membership structure, whose kept trie
 //!   plans each event's multicast tree; [`plan`] — the per-event planner
 //!   over an extracted audience, the reference that trie is tested

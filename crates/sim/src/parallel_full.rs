@@ -1,4 +1,5 @@
-//! Full-fidelity protocol simulation on the *parallel* engine.
+//! Full-fidelity protocol simulation: every node runs the real sans-IO
+//! [`NodeMachine`], on the *parallel* engine.
 //!
 //! The paper ran its experiments on ONSP, a parallel discrete-event
 //! platform (MPI over a 16-server cluster). This module is the
@@ -9,13 +10,16 @@
 //! outcome is identical for any shard count** (asserted by tests), so
 //! parallelism is a pure speedup, exactly ONSP's pitch.
 //!
-//! Each shard is one [`crate::world`] — the protocol step is the one
-//! [`crate::FullSim`] runs. What is this harness's own: nodes start by
-//! scheduled event, latencies are deterministically jittered per (source,
-//! destination) pair so no two deliveries tie on the clock (with unique
-//! timestamps the global delivery order is shard-count-invariant),
-//! departed machines stay in their slots, and the digest is
-//! order-insensitive.
+//! Each shard is one [`crate::world`]. This is the crate's one
+//! full-fidelity harness: [`crate::FullSim`] is a synchronous front over
+//! a one-shard `ParallelFullSim` with a latency model of its own. What
+//! [`ParallelFullSim::new`] adds: nodes start by scheduled event, and
+//! latencies are deterministically jittered per (source, destination)
+//! pair so no two deliveries tie on the clock (with unique timestamps the
+//! global delivery order is shard-count-invariant). Departed machines are
+//! reaped from their slots, and the digest is order-insensitive.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
@@ -23,7 +27,8 @@ use peerwindow_des::{Outbox, ParallelEngine, ShardLogic, SimTime};
 use peerwindow_faults::{FaultCounters, FaultPlan};
 use peerwindow_topology::NetworkModel;
 
-use crate::world::{self, Event, World};
+use crate::snaphub::SnapshotHub;
+use crate::world::{Event, World};
 
 /// Named values, in name order.
 type Rows<T> = Vec<(&'static str, T)>;
@@ -51,10 +56,6 @@ impl NetworkModel for PairJitter {
     }
 }
 
-/// One shard: the world of every actor the shard map places here. Every
-/// shard has a slot for every actor; only its own are ever occupied.
-type Shard = World<PairJitter>;
-
 /// Order-insensitive digest of one machine.
 fn machine_digest(m: &NodeMachine) -> u64 {
     let mut h = m.id().raw() as u64 ^ (m.id().raw() >> 64) as u64;
@@ -74,7 +75,9 @@ fn machine_digest(m: &NodeMachine) -> u64 {
     h ^ peers_sum
 }
 
-impl ShardLogic for Shard {
+/// One shard: the world of every actor the shard map places here. Every
+/// shard has a slot for every actor; only its own are ever occupied.
+impl ShardLogic for World {
     type Msg = Event;
 
     fn handle(&mut self, now: SimTime, actor: u32, event: Event, out: &mut Outbox<Event>) {
@@ -92,11 +95,15 @@ impl ShardLogic for Shard {
     }
 }
 
+fn identity(m: &NodeMachine) -> NodeIdentity {
+    NodeIdentity::new(m.id(), m.level())
+}
+
 /// A convenience harness: builds a `ParallelEngine` of `shards` shards
 /// able to host `capacity` actors, with the §5.1-ish uniform latency.
 /// Actors are placed `actor % shards`.
 pub struct ParallelFullSim {
-    engine: ParallelEngine<Shard>,
+    engine: ParallelEngine<World>,
     capacity: usize,
     /// Harness seed, kept so the `set_loss` shim can derive a plan seed.
     seed: u64,
@@ -113,15 +120,30 @@ impl ParallelFullSim {
         lookahead_us: u64,
         seed: u64,
     ) -> Self {
-        let logics: Vec<Shard> = (0..shards)
+        let nets = (0..shards)
             .map(|_| {
-                let net = PairJitter {
+                Box::new(PairJitter {
                     base_latency_us,
                     lookahead_us,
                     seed,
-                };
-                World::new(protocol.clone(), net, capacity, false)
+                }) as Box<dyn NetworkModel>
             })
+            .collect();
+        Self::with_models(capacity, protocol, nets, lookahead_us, seed)
+    }
+
+    /// One shard per latency model in `nets`; `lookahead_us` must
+    /// lower-bound every cross-shard latency they return.
+    pub(crate) fn with_models(
+        capacity: usize,
+        protocol: ProtocolConfig,
+        nets: Vec<Box<dyn NetworkModel>>,
+        lookahead_us: u64,
+        seed: u64,
+    ) -> Self {
+        let logics = nets
+            .into_iter()
+            .map(|net| World::new(protocol.clone(), net, capacity))
             .collect();
         ParallelFullSim {
             engine: ParallelEngine::new(logics, lookahead_us),
@@ -152,6 +174,39 @@ impl ParallelFullSim {
         self.engine.schedule(at, actor, start);
     }
 
+    /// Starts a node now, outside the event queue: its shard's world
+    /// handles the `Start` at once and the follow-ups are scheduled at
+    /// `now + delay`. `actor` may lie past the capacity, which grows.
+    pub(crate) fn start_now(
+        &mut self,
+        actor: u32,
+        id: NodeId,
+        threshold_bps: f64,
+        info: Bytes,
+        bootstrap: Option<Target>,
+        seed: u64,
+    ) {
+        self.capacity = self.capacity.max(actor as usize + 1);
+        let now = self.now();
+        let start = Event::Start {
+            actor,
+            id,
+            threshold_bps,
+            info,
+            bootstrap,
+            seed,
+        };
+        let shard = self.engine.shard_of(actor);
+        let world = self.engine.logics_mut().nth(shard).expect("a valid shard");
+        let mut follow_ups = Vec::new();
+        world.handle(now.as_micros(), start, |delay_us, e| {
+            follow_ups.push((now + delay_us, e))
+        });
+        for (at, e) in follow_ups {
+            self.engine.schedule(at, e.actor(), e);
+        }
+    }
+
     /// Schedules a silent crash.
     pub fn crash(&mut self, at: SimTime, actor: u32) {
         self.engine.schedule(at, actor, Event::Crash { actor });
@@ -162,9 +217,15 @@ impl ParallelFullSim {
         self.engine.schedule(at, actor, Event::Cmd { actor, cmd });
     }
 
-    /// Runs to `t`.
+    /// Runs every event before `t`; one due at exactly `t` runs on the
+    /// next call.
     pub fn run_until(&mut self, t: SimTime) {
         self.engine.run_until(t);
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.engine.now()
     }
 
     /// Overrides the engine's worker-thread count (default: one per core,
@@ -213,24 +274,30 @@ impl ParallelFullSim {
     /// judged only in its sender's shard, so one plan drives all shards
     /// without coordination — and without breaking shard invariance.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        world::set_fault_plan(self.engine.logics_mut(), Some(plan));
+        for w in self.engine.logics_mut() {
+            w.set_fault_plan(Some(plan));
+        }
     }
 
     /// Back-compat shim: uniform per-datagram loss as a degenerate
-    /// [`FaultPlan`] (0.0 = reliable network, no model installed).
+    /// [`FaultPlan`] (0.0 = reliable network, no model installed), seeded
+    /// from the harness seed.
     pub fn set_loss(&mut self, loss: f64) {
-        world::set_loss(self.engine.logics_mut(), self.seed, loss);
-    }
-
-    /// Removes the fault model from every shard.
-    pub fn clear_faults(&mut self) {
-        world::set_fault_plan(self.engine.logics_mut(), None);
+        let loss = loss.clamp(0.0, 1.0);
+        let plan = (loss > 0.0).then(|| FaultPlan::uniform_loss(self.seed ^ 0xFA_0175, loss));
+        for w in self.engine.logics_mut() {
+            w.set_fault_plan(plan.as_ref());
+        }
     }
 
     /// Fault-layer totals, summed over shards (zeros when no model is
     /// installed).
     pub fn fault_counters(&self) -> FaultCounters {
-        world::fault_counters(self.engine.logics())
+        let mut total = FaultCounters::default();
+        for c in self.engine.logics().filter_map(World::fault_counters) {
+            total.merge(&c);
+        }
+        total
     }
 
     /// Datagrams dropped by the fault layer so far.
@@ -246,37 +313,98 @@ impl ParallelFullSim {
     }
 
     /// Iterates `(actor, machine)` over machines in actor order
-    /// (deterministic regardless of shard layout). A crashed machine is
-    /// gone; one that left gracefully or gave up stays in its slot.
+    /// (deterministic regardless of shard layout). A machine that crashed
+    /// or has left is gone; one draining its graceful leave is still here.
     pub fn machines(&self) -> impl Iterator<Item = (u32, &NodeMachine)> + '_ {
         (0..self.capacity as u32).filter_map(move |a| self.machine(a).map(|m| (a, m)))
     }
 
-    /// Machine count across all shards.
+    /// Machines that have not announced departure, in actor order:
+    /// every machine (one that has left is already reaped) but a graceful
+    /// leaver draining its announcement.
+    pub(crate) fn live(&self) -> impl Iterator<Item = (u32, &NodeMachine)> + '_ {
+        self.machines().filter(|(_, m)| !m.is_leaving())
+    }
+
+    /// Live node count: machines that have not announced departure.
     pub fn live_count(&self) -> usize {
-        self.machines().count()
+        self.live().count()
     }
 
-    /// Ground-truth live identities (id, level) from the machines.
+    /// The world of shard 0 — all of a one-shard run.
+    pub(crate) fn world(&self) -> &World {
+        self.engine.logic(0)
+    }
+
+    /// Runs the full invariant suite right now: local checks on every
+    /// machine plus the cross-node quiescent checks. Call at a settled
+    /// point — mid-multicast the system checks legitimately fail.
+    #[cfg(feature = "invariants")]
+    pub fn check_invariants(&self) -> Result<(), peerwindow_core::invariants::InvariantViolation> {
+        for (_, m) in self.machines() {
+            m.check_invariants()?;
+        }
+        peerwindow_core::invariants::check_system(self.machines().map(|(_, m)| m))
+    }
+
+    /// Active machines (joined, not departing).
+    fn active(&self) -> impl Iterator<Item = &NodeMachine> + '_ {
+        self.machines().map(|(_, m)| m).filter(|m| m.is_active())
+    }
+
+    /// Ground-truth live identities (id, level) from the machines
+    /// themselves.
     pub fn ground_truth(&self) -> Vec<NodeIdentity> {
-        world::ground_truth(self.machines())
+        self.active().map(identity).collect()
     }
 
-    /// Peer-list accuracy against ground truth, `(correct, missing,
-    /// stale)` — same definition as [`crate::FullSim::accuracy`].
+    /// Peer-list accuracy of every active machine against ground truth:
+    /// `(total_correct_entries, missing, stale)` summed over machines.
+    /// `missing` = live in-scope nodes absent from the list; `stale` =
+    /// listed nodes that are no longer live.
     pub fn accuracy(&self) -> (usize, usize, usize) {
-        world::accuracy(self.machines())
+        let active: Vec<&NodeMachine> = self.active().collect();
+        let truth: Vec<NodeIdentity> = active.iter().map(|m| identity(m)).collect();
+        let live: std::collections::BTreeSet<NodeId> = truth.iter().map(|n| n.id).collect();
+        let mut correct = 0;
+        let mut missing = 0;
+        let mut stale = 0;
+        for m in active {
+            let scope = m.eigenstring();
+            for t in &truth {
+                if t.id != m.id() && scope.contains(t.id) {
+                    correct += 1;
+                    if !m.peers().contains(t.id) {
+                        missing += 1;
+                    }
+                }
+            }
+            for p in m.peers().iter() {
+                if !live.contains(&p.id) {
+                    stale += 1;
+                }
+            }
+        }
+        (correct, missing, stale)
     }
 
-    /// Partition-aware settle check (§4.4) over the live machines — see
-    /// [`peerwindow_core::parts::audit_parts`].
+    /// Partition-aware settle check (§4.4): audits every active machine's
+    /// peer list against the part structure of the current ground truth —
+    /// see [`peerwindow_core::parts::audit_parts`]. After a network
+    /// partition heals, a recovered system returns to `parts == 1` with
+    /// [`PartAudit::is_settled`].
     pub fn part_audit(&self) -> PartAudit {
-        world::part_audit(self.machines())
+        let views: Vec<(NodeIdentity, Vec<NodeId>)> = self
+            .active()
+            .map(|m| (identity(m), m.peers().iter().map(|p| p.id).collect()))
+            .collect();
+        audit_parts(&views)
     }
 
     /// Turns lock-free snapshot publication on in every shard: each
     /// actor's peer list is mirrored into a per-actor [`Published`] cell
-    /// after every handled event. All shards publish into one shared
+    /// after every handled event, generation-gated so unchanged lists
+    /// cost one integer compare. All shards publish into one shared
     /// directory (returned here), so observers resolve readers by actor
     /// id without knowing the shard layout. Call between windows
     /// (before `run_until`). Idempotent — a second call returns the
@@ -286,27 +414,42 @@ impl ParallelFullSim {
     /// (fingerprints included) is identical with snapshots on or off,
     /// for every shard count — asserted by the workspace
     /// `query_consistency` tests.
-    pub fn enable_snapshots(&mut self) -> std::sync::Arc<SnapshotDirectory> {
-        let now_us = self.engine.now().as_micros();
-        world::enable_snapshots(self.engine.logics_mut(), now_us)
+    pub fn enable_snapshots(&mut self) -> Arc<SnapshotDirectory> {
+        let now_us = self.now().as_micros();
+        let dir = match self.world().snapshots() {
+            Some(hub) => hub.directory(),
+            None => Arc::new(SnapshotDirectory::new()),
+        };
+        for w in self.engine.logics_mut() {
+            w.enable_snapshots(&dir, now_us);
+        }
+        dir
     }
 
     /// A lock-free reader over `actor`'s published snapshots. `None`
     /// until [`Self::enable_snapshots`] has run and the actor published.
     pub fn snapshot_reader(&self, actor: u32) -> Option<SnapshotReader> {
-        world::snapshot_reader(self.engine.logics(), actor)
+        self.world().snapshots()?.reader(actor)
     }
 
     /// Total snapshots published across all shards (0 when off).
     pub fn snapshots_published(&self) -> u64 {
-        world::snapshots_published(self.engine.logics())
+        self.engine
+            .logics()
+            .filter_map(World::snapshots)
+            .map(SnapshotHub::published)
+            .sum()
     }
 
     /// Turns structured tracing on for every current and future machine,
-    /// in every shard. Call between windows (before `run_until`).
+    /// in every shard. Call between windows (before `run_until`). Records
+    /// emitted by a joiner's *constructor* (its initial FindTop) predate
+    /// the machine entering the world and are not captured.
     #[cfg(feature = "trace")]
     pub fn enable_tracing(&mut self, on: bool) {
-        world::enable_tracing(self.engine.logics_mut(), on);
+        for w in self.engine.logics_mut() {
+            w.set_tracing(on);
+        }
     }
 
     /// Collects every shard's records into one canonically ordered log,
@@ -315,18 +458,20 @@ impl ParallelFullSim {
     /// identical for any shard count (asserted by the workspace tests).
     #[cfg(feature = "trace")]
     pub fn take_trace(&mut self) -> Vec<peerwindow_trace::TraceRecord> {
-        world::take_trace(self.engine.logics_mut())
+        let mut log = Vec::new();
+        for w in self.engine.logics_mut() {
+            w.take_trace(&mut log);
+        }
+        peerwindow_trace::canonical_sort(&mut log);
+        log
     }
 
     /// Engine counters plus machine aggregates, read now: the counter
     /// rows and the gauge rows, each in name order.
     pub fn sample_metrics(&self) -> (Rows<u64>, Rows<f64>) {
-        let (live, peers, retries) = self
-            .machines()
-            .filter(|(_, m)| m.is_active())
-            .fold((0u64, 0u64, 0u64), |(c, p, r), (_, m)| {
-                (c + 1, p + m.peers().len() as u64, r + m.stats().rpc_retries)
-            });
+        let (live, peers, retries) = self.active().fold((0u64, 0u64, 0u64), |(c, p, r), m| {
+            (c + 1, p + m.peers().len() as u64, r + m.stats().rpc_retries)
+        });
         let faults = self.fault_counters();
         let counters = vec![
             ("engine.processed", self.engine.processed()),

@@ -1,6 +1,6 @@
-//! Snapshot publication hub shared by the simulation harnesses.
+//! Snapshot publication hub of the full-fidelity harness.
 //!
-//! Both [`crate::FullSim`] and [`crate::ParallelFullSim`] can mirror each
+//! [`crate::ParallelFullSim`] (and so [`crate::FullSim`]) can mirror each
 //! machine's peer list into a lock-free
 //! [`peerwindow_core::snapshot::Published`] cell after every handled
 //! event. The hub owns one [`SnapshotPublisher`] per slot/actor, all

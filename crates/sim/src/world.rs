@@ -1,20 +1,19 @@
-//! The protocol world both simulation engines drive.
+//! The protocol step of the full-fidelity harness.
 //!
 //! A [`World`] owns everything about a set of [`NodeMachine`]s that does
 //! not depend on how events are ordered: the machines, the latency model,
 //! the network fault model, snapshot publication and the trace buffer.
 //! Its one step, [`World::handle`], turns one [`Event`] into follow-up
-//! events handed to an `emit(delay_us, event)` closure — a closure over
-//! `Scheduler::schedule` in [`crate::FullSim`], over `Outbox::send` in
-//! [`crate::ParallelFullSim`]. The engines only order events; the crate's
-//! one interpreter of [`Output`] is here. A machine's fate is not an
-//! output: after each input the world reads `has_left()` (reap it) and
+//! events handed to an `emit(delay_us, event)` closure. Each world is one
+//! shard of [`crate::ParallelFullSim`] (and [`crate::FullSim`] runs one
+//! such shard); the engine only orders events, and the crate's one
+//! interpreter of [`Output`] is here. A machine's fate is not an output:
+//! after each input the world reads `has_left()` (reap it) and
 //! `fatal_error()` (log why).
 //!
-//! `FullSim` drives one world, `ParallelFullSim` one per shard. What
-//! reads or configures a run (accuracy, the partition audit, fault and
-//! snapshot and trace switches, their counters) is written once below,
-//! over machines or over a set of worlds.
+//! What reads or configures a run across its worlds (accuracy, the
+//! partition audit, fault and snapshot and trace switches, their
+//! counters) is written once, in [`crate::ParallelFullSim`].
 
 use std::sync::Arc;
 
@@ -26,8 +25,8 @@ use peerwindow_topology::NetworkModel;
 use crate::snaphub::SnapshotHub;
 
 /// Everything that can happen to the node in slot `actor`. The actor
-/// travels inside each variant: the enum is 128 bytes either way, an
-/// `(actor, event)` pair in the sequential engine's queue would be 144.
+/// travels inside each variant (the enum is 128 bytes either way), so an
+/// emitted event names the slot it is for.
 pub(crate) enum Event {
     /// Bring the node up: no `bootstrap` = genesis node, `Some(target)` =
     /// join via it. `seed` feeds the machine's own random stream.
@@ -89,16 +88,13 @@ pub struct FullLog {
 }
 
 /// Machines in slots, and what surrounds them on every event.
-pub(crate) struct World<N> {
+pub(crate) struct World {
     protocol: ProtocolConfig,
-    net: N,
+    net: Box<dyn NetworkModel>,
+    /// A machine that has left (died on a fatal error or finished
+    /// draining its departure) is taken out of its slot, so no read ever
+    /// yields a departed node's stale state.
     machines: Vec<Option<NodeMachine>>,
-    /// Slot policy, fixed at construction: whether a machine that has
-    /// left (died on a fatal error or finished draining its departure) is
-    /// taken out of its slot. `FullSim` reaps, so `machines()` never
-    /// yields a departed node's stale state; `ParallelFullSim` leaves the
-    /// machine in place (its digest folds departed machines in).
-    reap_departed: bool,
     /// Network fault model ("Internet asynchrony", §4.6, generalised to
     /// burst loss / jitter / duplication / partitions). `None` means a
     /// perfectly reliable network with zero per-datagram overhead. Stored
@@ -129,19 +125,17 @@ pub(crate) struct World<N> {
     trace_log: Vec<peerwindow_trace::TraceRecord>,
 }
 
-impl<N: NetworkModel> World<N> {
+impl World {
     /// An empty world with `capacity` vacant slots (it grows on demand).
     pub(crate) fn new(
         protocol: ProtocolConfig,
-        net: N,
+        net: Box<dyn NetworkModel>,
         capacity: usize,
-        reap_departed: bool,
     ) -> Self {
         World {
             protocol,
             net,
             machines: (0..capacity).map(|_| None).collect(),
-            reap_departed,
             faults: None,
             snapshots: None,
             log: FullLog::default(),
@@ -155,19 +149,13 @@ impl<N: NetworkModel> World<N> {
     }
 
     /// Handles one event at `now_us`; follow-up events go to
-    /// `emit(delay_us, event)`. Returns the id of a machine that left its
-    /// slot during the step (crashed, or reaped under the slot policy).
+    /// `emit(delay_us, event)`.
     ///
     /// In order: the machine handles the input (a fatal error is logged)
     /// → its trace buffer is drained → its invariants are checked → its
-    /// outputs are interpreted → the slot policy reaps it if it has left
-    /// → its snapshot is published.
-    pub(crate) fn handle(
-        &mut self,
-        now_us: u64,
-        event: Event,
-        mut emit: impl FnMut(u64, Event),
-    ) -> Option<NodeId> {
+    /// outputs are interpreted → it is reaped if it has left, or else its
+    /// snapshot is published.
+    pub(crate) fn handle(&mut self, now_us: u64, event: Event, mut emit: impl FnMut(u64, Event)) {
         let actor = event.actor();
         let outs = match event {
             Event::Start {
@@ -195,13 +183,15 @@ impl<N: NetworkModel> World<N> {
                     self.machines.resize_with(actor as usize + 1, || None);
                 }
                 self.machines[actor as usize] = Some(m);
-                outs
+                Some(outs)
             }
             Event::Crash { .. } => {
                 #[cfg(feature = "trace")]
                 self.drain_trace(actor);
-                let slot = self.machines.get_mut(actor as usize)?;
-                return slot.take().map(|m| m.id());
+                if let Some(slot) = self.machines.get_mut(actor as usize) {
+                    *slot = None;
+                }
+                return;
             }
             Event::Net {
                 from,
@@ -214,16 +204,21 @@ impl<N: NetworkModel> World<N> {
                     from_addr,
                     msg,
                 };
-                self.input(now_us, actor, input)?
+                self.input(now_us, actor, input)
             }
-            Event::Timer { timer, .. } => self.input(now_us, actor, Input::Timer(timer))?,
-            Event::Cmd { cmd, .. } => self.input(now_us, actor, Input::Command(cmd))?,
+            Event::Timer { timer, .. } => self.input(now_us, actor, Input::Timer(timer)),
+            Event::Cmd { cmd, .. } => self.input(now_us, actor, Input::Command(cmd)),
+        };
+        let Some(outs) = outs else {
+            return;
         };
         // Drain before anything can take the machine out of its slot: the
         // records of its last handled event must survive it.
         #[cfg(feature = "trace")]
         self.drain_trace(actor);
-        let machine = self.machines[actor as usize].as_ref()?;
+        let Some(machine) = self.machines[actor as usize].as_ref() else {
+            return;
+        };
         #[cfg(feature = "invariants")]
         if let Err(v) = machine.check_invariants() {
             self.log.invariant_violations.push((actor, v.to_string()));
@@ -236,10 +231,11 @@ impl<N: NetworkModel> World<N> {
                 Output::Send { to, msg, delay_us } => {
                     let dest = to.addr.0 as u32;
                     let base = delay_us + self.net.latency_us(actor, dest);
-                    // Judged once, here, with the time the sender handled
-                    // its event — not the departure time `now + delay`.
+                    // Judged once, at departure (`now + delay`), as
+                    // `mc::net` and the UDP shim judge it. A fault record
+                    // keeps the time the sender handled its event.
                     let verdict = match self.faults.as_mut() {
-                        Some(f) => f.judge(now_us, actor, dest),
+                        Some(f) => f.judge(now_us + delay_us, actor, dest),
                         None => Verdict::Deliver { extra_delay_us: 0 },
                     };
                     #[cfg(feature = "trace")]
@@ -270,19 +266,14 @@ impl<N: NetworkModel> World<N> {
         }
         // A graceful leaver stays in its slot while it drains its
         // departure announcement (retries, redirects); once the machine
-        // reports Left — drained, or dead on a fatal error — it is gone.
+        // reports Left — drained, or dead on a fatal error — it is gone,
+        // and never publishes again: readers keep its last live epoch.
         let slot = &mut self.machines[actor as usize];
-        if self.reap_departed && slot.as_ref().is_some_and(NodeMachine::has_left) {
+        if slot.as_ref().is_some_and(NodeMachine::has_left) {
             *slot = None;
-            return Some(from);
-        }
-        // Serving layer: mirror the (possibly changed) peer list into the
-        // slot's published cell. After the reap, so a departed node never
-        // publishes again — readers keep its last live epoch.
-        if let (Some(hub), Some(m)) = (self.snapshots.as_mut(), slot.as_ref()) {
+        } else if let (Some(hub), Some(m)) = (self.snapshots.as_mut(), slot.as_ref()) {
             hub.publish(actor, m, now_us);
         }
-        None
     }
 
     /// Feeds `input` to the machine in `actor`'s slot. `None` when the
@@ -298,9 +289,7 @@ impl<N: NetworkModel> World<N> {
         }
         Some(outs)
     }
-}
 
-impl<N> World<N> {
     /// Read access to the machine in `actor`'s slot.
     pub(crate) fn machine(&self, actor: u32) -> Option<&NodeMachine> {
         self.machines.get(actor as usize)?.as_ref()
@@ -324,9 +313,55 @@ impl<N> World<N> {
         &self.log
     }
 
+    /// Installs `plan` (replacing any previous model, counters included),
+    /// or removes the model with `None`. Per-link random streams start
+    /// fresh.
+    pub(crate) fn set_fault_plan(&mut self, plan: Option<&FaultPlan>) {
+        self.faults = plan.map(|p| LinkConditioner::new(p.clone()));
+    }
+
     /// Totals of the installed fault model, `None` without one.
-    pub(crate) fn installed_fault_counters(&self) -> Option<FaultCounters> {
+    pub(crate) fn fault_counters(&self) -> Option<FaultCounters> {
         self.faults.as_ref().map(|f| f.counters())
+    }
+
+    /// The snapshot hub, once publication is on.
+    pub(crate) fn snapshots(&self) -> Option<&SnapshotHub> {
+        self.snapshots.as_ref()
+    }
+
+    /// Turns snapshot publication on, into `dir` unless a hub already
+    /// exists, and publishes every current machine (generation gating
+    /// makes a repeated call publish nothing).
+    pub(crate) fn enable_snapshots(&mut self, dir: &Arc<SnapshotDirectory>, now_us: u64) {
+        let hub = self
+            .snapshots
+            .get_or_insert_with(|| SnapshotHub::new(Arc::clone(dir)));
+        for (actor, m) in self.machines.iter().enumerate() {
+            if let Some(m) = m.as_ref() {
+                hub.publish(actor as u32, m, now_us);
+            }
+        }
+    }
+
+    /// Turns structured tracing on or off for every current and future
+    /// machine.
+    #[cfg(feature = "trace")]
+    pub(crate) fn set_tracing(&mut self, on: bool) {
+        self.tracing = on;
+        for m in self.machines.iter_mut().flatten() {
+            m.set_tracing(on);
+        }
+    }
+
+    /// Flushes every machine's buffer and moves all collected records,
+    /// unsorted, onto `log`.
+    #[cfg(feature = "trace")]
+    pub(crate) fn take_trace(&mut self, log: &mut Vec<peerwindow_trace::TraceRecord>) {
+        for actor in 0..self.machines.len() as u32 {
+            self.drain_trace(actor);
+        }
+        log.append(&mut self.trace_log);
     }
 
     /// Moves `actor`'s buffered records into the world's buffer.
@@ -341,14 +376,6 @@ impl<N> World<N> {
             .and_then(Option::as_mut)
         {
             m.take_trace(&mut self.trace_log);
-        }
-    }
-
-    /// Moves every machine's buffered records into the world's buffer.
-    #[cfg(feature = "trace")]
-    fn flush_trace(&mut self) {
-        for actor in 0..self.machines.len() as u32 {
-            self.drain_trace(actor);
         }
     }
 
@@ -395,178 +422,4 @@ impl<N> World<N> {
             },
         });
     }
-}
-
-// ---- Reads over the machines of a run -------------------------------------
-
-fn active<'a>(
-    machines: impl Iterator<Item = (u32, &'a NodeMachine)>,
-) -> impl Iterator<Item = &'a NodeMachine> {
-    machines.map(|(_, m)| m).filter(|m| m.is_active())
-}
-
-fn identity(m: &NodeMachine) -> NodeIdentity {
-    NodeIdentity::new(m.id(), m.level())
-}
-
-/// Ground-truth live identities (id, level) from the machines themselves.
-pub(crate) fn ground_truth<'a>(
-    machines: impl Iterator<Item = (u32, &'a NodeMachine)>,
-) -> Vec<NodeIdentity> {
-    active(machines).map(identity).collect()
-}
-
-/// Peer-list accuracy of every active machine against ground truth:
-/// `(total_correct_entries, missing, stale)` summed over machines.
-/// `missing` = live in-scope nodes absent from the list; `stale` = listed
-/// nodes that are no longer live.
-pub(crate) fn accuracy<'a>(
-    machines: impl Iterator<Item = (u32, &'a NodeMachine)>,
-) -> (usize, usize, usize) {
-    let active: Vec<&NodeMachine> = active(machines).collect();
-    let truth: Vec<NodeIdentity> = active.iter().map(|m| identity(m)).collect();
-    let live: std::collections::BTreeSet<NodeId> = truth.iter().map(|n| n.id).collect();
-    let mut correct = 0;
-    let mut missing = 0;
-    let mut stale = 0;
-    for m in active {
-        let scope = m.eigenstring();
-        for t in &truth {
-            if t.id != m.id() && scope.contains(t.id) {
-                correct += 1;
-                if !m.peers().contains(t.id) {
-                    missing += 1;
-                }
-            }
-        }
-        for p in m.peers().iter() {
-            if !live.contains(&p.id) {
-                stale += 1;
-            }
-        }
-    }
-    (correct, missing, stale)
-}
-
-/// Partition-aware settle check (§4.4): audits every active machine's
-/// peer list against the part structure of the current ground truth —
-/// see [`peerwindow_core::parts::audit_parts`]. After a network partition
-/// heals, a recovered system returns to `parts == 1` with
-/// [`PartAudit::is_settled`].
-pub(crate) fn part_audit<'a>(machines: impl Iterator<Item = (u32, &'a NodeMachine)>) -> PartAudit {
-    let views: Vec<(NodeIdentity, Vec<NodeId>)> = active(machines)
-        .map(|m| (identity(m), m.peers().iter().map(|p| p.id).collect()))
-        .collect();
-    audit_parts(&views)
-}
-
-// ---- Switches and counters over the worlds of a run -----------------------
-
-/// Installs `plan` in every world (replacing any previous model, counters
-/// included), or removes the model with `None`. Per-link random streams
-/// start fresh, so install before the scenario runs.
-pub(crate) fn set_fault_plan<'a, N: 'a>(
-    worlds: impl Iterator<Item = &'a mut World<N>>,
-    plan: Option<&FaultPlan>,
-) {
-    for w in worlds {
-        w.faults = plan.map(|p| LinkConditioner::new(p.clone()));
-    }
-}
-
-/// Back-compat shim: uniform per-datagram loss as the degenerate
-/// [`FaultPlan`] (0.0 = reliable network, no model installed), seeded
-/// from the harness seed.
-pub(crate) fn set_loss<'a, N: 'a>(
-    worlds: impl Iterator<Item = &'a mut World<N>>,
-    harness_seed: u64,
-    loss: f64,
-) {
-    let loss = loss.clamp(0.0, 1.0);
-    let plan = (loss > 0.0).then(|| FaultPlan::uniform_loss(harness_seed ^ 0xFA_0175, loss));
-    set_fault_plan(worlds, plan.as_ref());
-}
-
-/// Fault-layer totals summed over worlds (zeros when no model is
-/// installed).
-pub(crate) fn fault_counters<'a, N: 'a>(
-    worlds: impl Iterator<Item = &'a World<N>>,
-) -> FaultCounters {
-    let mut total = FaultCounters::default();
-    for c in worlds.filter_map(World::installed_fault_counters) {
-        total.merge(&c);
-    }
-    total
-}
-
-/// Turns snapshot publication on in every world, all publishing into one
-/// shared directory (returned), and publishes every current machine.
-/// Idempotent: generation gating makes a repeated call publish nothing.
-pub(crate) fn enable_snapshots<'a, N: 'a>(
-    worlds: impl Iterator<Item = &'a mut World<N>>,
-    now_us: u64,
-) -> Arc<SnapshotDirectory> {
-    let mut dir: Option<Arc<SnapshotDirectory>> = None;
-    for w in worlds {
-        let dir = dir.get_or_insert_with(|| match w.snapshots.as_ref() {
-            Some(hub) => hub.directory(),
-            None => Arc::new(SnapshotDirectory::new()),
-        });
-        let hub = w
-            .snapshots
-            .get_or_insert_with(|| SnapshotHub::new(Arc::clone(dir)));
-        for (actor, m) in w.machines.iter().enumerate() {
-            if let Some(m) = m.as_ref() {
-                hub.publish(actor as u32, m, now_us);
-            }
-        }
-    }
-    dir.expect("a run has at least one world")
-}
-
-/// A lock-free reader over `actor`'s published snapshots: `None` until
-/// publication is on and the actor has published. Any world answers — the
-/// directory is shared.
-pub(crate) fn snapshot_reader<'a, N: 'a>(
-    mut worlds: impl Iterator<Item = &'a World<N>>,
-    actor: u32,
-) -> Option<SnapshotReader> {
-    worlds.next()?.snapshots.as_ref()?.reader(actor)
-}
-
-/// Total snapshots published across worlds (0 when publication is off).
-pub(crate) fn snapshots_published<'a, N: 'a>(worlds: impl Iterator<Item = &'a World<N>>) -> u64 {
-    worlds
-        .filter_map(|w| w.snapshots.as_ref())
-        .map(SnapshotHub::published)
-        .sum()
-}
-
-/// Turns structured tracing on or off for every current and future
-/// machine of every world.
-#[cfg(feature = "trace")]
-pub(crate) fn enable_tracing<'a, N: 'a>(worlds: impl Iterator<Item = &'a mut World<N>>, on: bool) {
-    for w in worlds {
-        w.tracing = on;
-        for m in w.machines.iter_mut().flatten() {
-            m.set_tracing(on);
-        }
-    }
-}
-
-/// Flushes every machine's buffer and returns all collected records in
-/// canonical `(at_us, node, seq)` order, clearing the worlds' buffers.
-/// The sort key is a pure function of the protocol run, so the result is
-/// byte-for-byte identical for any shard count.
-#[cfg(feature = "trace")]
-pub(crate) fn take_trace<'a, N: 'a>(
-    worlds: impl Iterator<Item = &'a mut World<N>>,
-) -> Vec<peerwindow_trace::TraceRecord> {
-    let mut log = Vec::new();
-    for w in worlds {
-        w.flush_trace();
-        log.append(&mut w.trace_log);
-    }
-    peerwindow_trace::canonical_sort(&mut log);
-    log
 }

@@ -1,7 +1,7 @@
 //! Userspace netem shim: the sim's fault plans, applied to real UDP.
 //!
 //! The chaos layer built for the simulators (`peerwindow-faults`) judges
-//! every datagram at send time from per-directed-link seeded streams, so
+//! every datagram at departure from per-directed-link seeded streams, so
 //! a `FaultPlan` is reproducible from `(plan, seed)` alone. This module
 //! carries that exact machinery onto real sockets without `tc netem` or
 //! root: it is a judge, not a socket. The runtime's one send path asks

@@ -1,8 +1,8 @@
 //! Chaos regression: the fault-injection layer composed at full strength
 //! over the parallel engine. Three contracts are pinned here:
 //!
-//! 1. **Shard invariance under faults.** Verdicts are judged at send
-//!    time in the sender's shard from per-link random streams, so an
+//! 1. **Shard invariance under faults.** Verdicts are judged at
+//!    departure in the sender's shard from per-link random streams, so an
 //!    identical `FaultPlan` + seed must yield byte-identical state
 //!    fingerprints at 1 and 4 shards — even with burst loss, jitter
 //!    reordering, duplication, and a partition all active at once.

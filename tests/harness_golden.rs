@@ -1,4 +1,4 @@
-//! Golden digests of the two full-fidelity harnesses.
+//! Golden digests of the full-fidelity harness and its synchronous front.
 //!
 //! `tests/determinism.rs` compares runs with each other, so a change that
 //! shifts both sides equally goes unseen. This suite pins *absolute*
@@ -7,7 +7,7 @@
 //! are blackholed so it ends `Fatal` — under a `FaultPlan` with a `Loss`
 //! rule, a `Duplicate` rule with a positive gap and a `Blackhole` window
 //! that opens mid-run, through `FullSim` and through `ParallelFullSim` at
-//! 1 and 3 shards. A refactor of the harnesses must leave every constant
+//! 1 and 3 shards. A refactor of the harness must leave every constant
 //! below untouched; a protocol change that moves them re-records them on
 //! purpose, in the same commit.
 
@@ -95,25 +95,40 @@ fn counters(judged: u64, dropped: u64, duplicated: u64, jittered: u64) -> FaultC
     }
 }
 
-/// Everything the sequential harness exposes about the finished run.
+/// Everything both harnesses expose about the finished run. Both reap a
+/// machine that has left, so the leaver, the doomed joiner and the
+/// crashed node are gone from their slots.
 #[derive(Debug, PartialEq)]
-struct FullGolden {
+struct Golden {
     fingerprint: u64,
     processed: u64,
     accuracy: (usize, usize, usize),
     live_count: usize,
     faults: FaultCounters,
-    joined: usize,
-    failures: usize,
-    fatals: usize,
-    shifts: usize,
-    invariant_violations: usize,
     leaver_reaped: bool,
     doomed_reaped: bool,
+    crashed_reaped: bool,
     trace: (usize, u64),
 }
 
-fn full_sim_run() -> FullGolden {
+/// Reads a finished run; `fingerprint` is the harness's own digest.
+fn golden(sim: &mut ParallelFullSim, fingerprint: u64) -> Golden {
+    Golden {
+        fingerprint,
+        processed: sim.processed(),
+        accuracy: sim.accuracy(),
+        live_count: sim.live_count(),
+        faults: sim.fault_counters(),
+        leaver_reaped: sim.machine(LEAVER).is_none(),
+        doomed_reaped: sim.machine(DOOMED).is_none(),
+        crashed_reaped: sim.machine(6).is_none(),
+        trace: trace_hash(&sim.take_trace()),
+    }
+}
+
+/// The sequential harness's run, and its log's lengths: joined,
+/// failures, fatals, shifts, invariant violations.
+fn full_sim_run() -> (Golden, [usize; 5]) {
     let mut sim = FullSim::new(
         protocol(),
         Box::new(UniformNetwork { latency_us: 25_000 }),
@@ -141,63 +156,34 @@ fn full_sim_run() -> FullGolden {
     assert_eq!(doomed, Some(DOOMED));
     sim.run_until(SimTime::from_secs(70));
     let log = sim.log();
-    FullGolden {
-        fingerprint: sim.fingerprint(),
-        processed: sim.processed(),
-        accuracy: sim.accuracy(),
-        live_count: sim.live_count(),
-        faults: sim.fault_counters(),
-        joined: log.joined.len(),
-        failures: log.failures.len(),
-        fatals: log.fatals.len(),
-        shifts: log.shifts.len(),
-        invariant_violations: log.invariant_violations.len(),
-        leaver_reaped: sim.machine(LEAVER).is_none(),
-        doomed_reaped: sim.machine(DOOMED).is_none(),
-        trace: trace_hash(&sim.take_trace()),
-    }
+    let lengths = [
+        log.joined.len(),
+        log.failures.len(),
+        log.fatals.len(),
+        log.shifts.len(),
+        log.invariant_violations.len(),
+    ];
+    let fingerprint = sim.fingerprint();
+    (golden(&mut sim, fingerprint), lengths)
 }
 
 #[test]
 fn full_sim_matches_its_recorded_digests() {
-    let want = FullGolden {
+    let want = Golden {
         fingerprint: 761545754145094060,
         processed: 5759,
         accuracy: (410, 2, 0),
         live_count: 21,
         faults: counters(3306, 87, 117, 0),
-        joined: 22,
-        failures: 3,
-        fatals: 1,
-        shifts: 1,
-        invariant_violations: 0,
         leaver_reaped: true,
         doomed_reaped: true,
+        crashed_reaped: true,
         trace: (8429, 6993667187438358033),
     };
-    assert_eq!(full_sim_run(), want);
+    assert_eq!(full_sim_run(), (want, [22, 3, 1, 1, 0]));
 }
 
-/// Everything the sharded harness exposes about the finished run.
-#[derive(Debug, PartialEq)]
-struct ParallelGolden {
-    fingerprint: u64,
-    processed: u64,
-    accuracy: (usize, usize, usize),
-    live_count: usize,
-    faults: FaultCounters,
-    /// The sharded harness keeps departed machines in their slots (its
-    /// digest folds them in, `live_count()` counts them). Known drift
-    /// from `FullSim`, pinned here on purpose.
-    leaver_in_slot: bool,
-    leaver_has_left: bool,
-    doomed_in_slot: bool,
-    doomed_is_fatal: bool,
-    crashed_in_slot: bool,
-    trace: (usize, u64),
-}
-
-fn parallel_run(shards: usize) -> ParallelGolden {
+fn parallel_run(shards: usize) -> Golden {
     let n = DOOMED + 1;
     let mut sim = ParallelFullSim::new(shards, n as usize, protocol(), 20_000, 1_000, 15);
     sim.set_fault_plan(&plan());
@@ -237,35 +223,20 @@ fn parallel_run(shards: usize) -> ParallelGolden {
         Some(boot),
     );
     sim.run_until(SimTime::from_secs(70));
-    ParallelGolden {
-        fingerprint: sim.fingerprint(),
-        processed: sim.processed(),
-        accuracy: sim.accuracy(),
-        live_count: sim.live_count(),
-        faults: sim.fault_counters(),
-        leaver_in_slot: sim.machine(LEAVER).is_some(),
-        leaver_has_left: sim.machine(LEAVER).is_some_and(NodeMachine::has_left),
-        doomed_in_slot: sim.machine(DOOMED).is_some(),
-        doomed_is_fatal: sim
-            .machine(DOOMED)
-            .is_some_and(|m| m.fatal_error().is_some()),
-        crashed_in_slot: sim.machine(6).is_some(),
-        trace: trace_hash(&sim.take_trace()),
-    }
+    let fingerprint = sim.fingerprint();
+    golden(&mut sim, fingerprint)
 }
 
-fn parallel_want() -> ParallelGolden {
-    ParallelGolden {
-        fingerprint: 17733099375841957296,
+fn parallel_want() -> Golden {
+    Golden {
+        fingerprint: 2962812572013458917,
         processed: 6096,
         accuracy: (410, 6, 0),
-        live_count: 23,
+        live_count: 21,
         faults: counters(3512, 98, 125, 0),
-        leaver_in_slot: true,
-        leaver_has_left: true,
-        doomed_in_slot: true,
-        doomed_is_fatal: true,
-        crashed_in_slot: false,
+        leaver_reaped: true,
+        doomed_reaped: true,
+        crashed_reaped: true,
         trace: (8948, 9445207231844667596),
     }
 }
