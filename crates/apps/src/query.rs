@@ -12,8 +12,8 @@
 //!
 //! * [`PreparedSnapshot`] — one snapshot plus its decoded infos and
 //!   indexes: sorted numeric columns, a string-equality index, the
-//!   level order, the undecodable set, and the bloom filters packed by
-//!   shape.
+//!   level order, the undecodable set, and the bloom filters stored
+//!   column-major by shape.
 //! * [`QueryPlan`] — a reusable, snapshot-independent compiled query:
 //!   holders plans precompute their [`BloomProbe`] once and reuse it
 //!   across every snapshot and every pointer's filter.
@@ -48,12 +48,17 @@
 //! answers. The diff is against whatever is being served, so an engine
 //! that skips epochs needs nothing special.
 //!
-//! **Holders sweeps packed rows.** A filter's probe positions depend
-//! only on the probe and the filter's shape `(k, m)`, so bloom-bearing
-//! pointers are grouped by shape with their filter bytes packed
-//! row-major. A holders query computes the `k` `(byte, mask)` positions
-//! once per group — the only divisions it does — and tests them row by
-//! contiguous row; a pointer is not read before it is a hit.
+//! **Holders reads only the probed columns.** A filter's probe positions
+//! depend only on the probe and the filter's shape `(k, m)`, so
+//! bloom-bearing pointers are grouped by shape, and each group stores
+//! its filter bytes column-major: byte `j` of every filter in the group
+//! is one contiguous column. A holders query computes the `k` `(byte,
+//! mask)` positions once per group — the only divisions it does — and
+//! ANDs the `k` column tests into one flag per row, so it reads at
+//! most `k` of the group's `m` columns and no pointer before it is a
+//! hit. A refresh builds the next columns in one pass: a segment of
+//! consecutive carried rows is `m` slice copies, a fresh filter `m`
+//! byte stores at the column stride.
 //!
 //! Every query here is *result-identical* to its [`select`](crate::select)
 //! counterpart on the same list content — pinned by the differential
@@ -127,28 +132,29 @@ type RunInfos = Arc<[Option<Arc<InfoMap>>]>;
 type Shape = (u32, usize);
 
 /// The filters of one `(k, m)` population — `k` probes over `m` bytes,
-/// the [`BloomView::parse`] reading of the attachment — packed for the
-/// holders sweep.
+/// the [`BloomView::parse`] reading of the attachment — stored
+/// column-major for the holders sweep.
 #[derive(Debug, Default, PartialEq)]
 struct BloomRows {
-    /// Entries, ascending.
+    /// Entries, ascending; row `r` is the filter of `idxs[r]`.
     idxs: Vec<u32>,
-    /// `idxs.len()` filters of `m` bytes each, row-major, index-parallel
-    /// with `idxs`.
-    rows: Vec<u8>,
+    /// `m` columns of `n = idxs.len()` bytes: byte `j` of row `r` is
+    /// `cols[j * n + r]`.
+    cols: Vec<u8>,
 }
 
-impl BloomRows {
-    fn push(&mut self, idx: u32, bits: &[u8]) {
-        self.idxs.push(idx);
-        self.rows.extend_from_slice(bits);
-    }
+/// One step of a `(k, m)` group's next rows, in entry order.
+enum Piece<'a> {
+    /// `len` consecutive rows of the served group, from row `row`.
+    Carried { row: usize, len: usize },
+    /// A fresh filter's `m` bytes.
+    Fresh(&'a [u8]),
 }
 
 /// A snapshot with all per-pointer work done up front: infos decoded,
 /// numeric columns sorted, string values indexed, level order
-/// materialized, bloom filters packed. Queries against a prepared
-/// snapshot are allocation-light index walks.
+/// materialized, bloom filters stored column-major. Queries against a
+/// prepared snapshot are allocation-light index walks.
 ///
 /// Index entries name a pointer by run and offset in `snap.runs()`,
 /// packed into a `u32`; runs and offsets are in id order, so
@@ -177,7 +183,7 @@ pub struct PreparedSnapshot {
     /// Every pointer whose info parses as a serialized bloom filter (the
     /// [`BloomView::parse`] acceptance rule — identical to what
     /// [`select::probable_holders`] would consider), grouped by the
-    /// filter's `(k, m)`.
+    /// filter's `(k, m)`, each group's bytes column-major.
     blooms: BTreeMap<Shape, BloomRows>,
 }
 
@@ -266,29 +272,60 @@ fn patch_list<T: Copy>(
     (!next.is_empty()).then_some(next)
 }
 
-/// [`patch_list`] for a `(k, m)` group: the rows of carried pointers are
-/// copied over, the fresh ones copied in from their attachments.
+/// [`patch_list`] for a `(k, m)` group. One walk lists the next rows as
+/// maximal segments of consecutive carried rows, with the fresh filters
+/// merged in by entry; one pass over that list then fills the columns: a
+/// segment is `m` slice copies, a fresh filter `m` stores at the column
+/// stride, so each attachment is read once.
 fn patch_rows(
     m: usize,
     was: &BloomRows,
     run: Vec<(u32, &[u8])>,
     carry: impl Fn(u32) -> Option<u32>,
 ) -> Option<BloomRows> {
-    let mut next = BloomRows::default();
-    next.idxs.reserve(was.idxs.len() + run.len());
-    next.rows.reserve((was.idxs.len() + run.len()) * m);
+    let mut idxs = Vec::with_capacity(was.idxs.len() + run.len());
+    let mut pieces = Vec::new();
     let mut run = run.into_iter().peekable();
-    for (bits, &i) in was.rows.chunks_exact(m).zip(&was.idxs) {
+    for (row, &i) in was.idxs.iter().enumerate() {
         let Some(idx) = carry(i) else { continue };
-        while let Some((fresh, fresh_bits)) = run.next_if(|&(fresh, _)| fresh < idx) {
-            next.push(fresh, fresh_bits);
+        while let Some((fresh, bits)) = run.next_if(|&(fresh, _)| fresh < idx) {
+            idxs.push(fresh);
+            pieces.push(Piece::Fresh(bits));
         }
-        next.push(idx, bits);
+        idxs.push(idx);
+        match pieces.last_mut() {
+            Some(Piece::Carried { row: from, len }) if *from + *len == row => *len += 1,
+            _ => pieces.push(Piece::Carried { row, len: 1 }),
+        }
     }
-    for (fresh, fresh_bits) in run {
-        next.push(fresh, fresh_bits);
+    for (fresh, bits) in run {
+        idxs.push(fresh);
+        pieces.push(Piece::Fresh(bits));
     }
-    (!next.idxs.is_empty()).then_some(next)
+    if idxs.is_empty() {
+        return None;
+    }
+    let n = idxs.len();
+    let mut cols = vec![0; n * m];
+    let mut at = 0;
+    for piece in pieces {
+        match piece {
+            Piece::Carried { row, len } => {
+                let from = was.cols.chunks_exact(was.idxs.len());
+                for (to, from) in cols.chunks_exact_mut(n).zip(from) {
+                    to[at..at + len].copy_from_slice(&from[row..row + len]);
+                }
+                at += len;
+            }
+            Piece::Fresh(bits) => {
+                for (to, &byte) in cols.chunks_exact_mut(n).zip(bits) {
+                    to[at] = byte;
+                }
+                at += 1;
+            }
+        }
+    }
+    Some(BloomRows { idxs, cols })
 }
 
 /// The next epoch of a keyed family of index parts. `patch(key, was,
@@ -597,20 +634,29 @@ impl PreparedSnapshot {
     /// Pointers that *probably* hold the probed document, in id order:
     /// the batched bloom path. Per `(k, m)` group the probe's `k`
     /// `(byte, mask)` positions are computed once — the only divisions
-    /// of the query — and tested against the group's packed filters,
-    /// one contiguous row after another; no pointer is read before it
-    /// is a hit.
+    /// of the query — and each names one contiguous column of the
+    /// group, whose test is ANDed into one flag per row; no other
+    /// column is read, and no pointer is read before it is a hit.
     pub fn probable_holders_probe(&self, probe: BloomProbe) -> Vec<&Pointer> {
         let mut hits: Vec<u32> = Vec::new();
-        let mut positions: Vec<(usize, u8)> = Vec::new();
+        let mut alive: Vec<u8> = Vec::new();
         for (&(k, m), group) in &self.blooms {
-            positions.clear();
-            positions.extend(probe_positions(probe, k, m));
-            for (bits, &i) in group.rows.chunks_exact(m).zip(&group.idxs) {
-                if positions.iter().all(|&(byte, mask)| bits[byte] & mask != 0) {
-                    hits.push(i);
+            let n = group.idxs.len();
+            alive.clear();
+            alive.resize(n, 1);
+            for (byte, mask) in probe_positions(probe, k, m) {
+                let col = &group.cols[byte * n..(byte + 1) * n];
+                for (a, &bits) in alive.iter_mut().zip(col) {
+                    *a &= (bits & mask != 0) as u8;
                 }
             }
+            hits.extend(
+                alive
+                    .iter()
+                    .zip(&group.idxs)
+                    .filter(|&(&a, _)| a != 0)
+                    .map(|(_, &i)| i),
+            );
         }
         // Each group's hits ascend; across groups they interleave.
         hits.sort_unstable();
@@ -800,17 +846,18 @@ mod tests {
         let mut undecodable = Vec::new();
         let mut f64_cols: BTreeMap<String, Column> = BTreeMap::new();
         let mut str_index: StrIndex = BTreeMap::new();
-        let mut blooms: BTreeMap<Shape, BloomRows> = BTreeMap::new();
+        // Each group row-major first — entries and their filter bytes —
+        // transposed once at the end.
+        let mut rows: BTreeMap<Shape, (Vec<u32>, Vec<u8>)> = BTreeMap::new();
         for (r, run) in snap.runs().iter().enumerate() {
             let mut run_infos = Vec::with_capacity(run.len());
             for (off, p) in run.iter().enumerate() {
                 let idx = pack(r, off);
                 entries.push(idx);
                 if let Some(v) = BloomView::parse(&p.info) {
-                    blooms
-                        .entry((v.k(), p.info.len() - 1))
-                        .or_default()
-                        .push(idx, &p.info[1..]);
+                    let (idxs, bytes) = rows.entry((v.k(), p.info.len() - 1)).or_default();
+                    idxs.push(idx);
+                    bytes.extend_from_slice(&p.info[1..]);
                 }
                 let info = match select::try_info_of(p) {
                     Ok(m) => m,
@@ -846,6 +893,14 @@ mod tests {
             // scan.
             col.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         }
+        let blooms = rows
+            .into_iter()
+            .map(|((k, m), (idxs, bytes))| {
+                let n = idxs.len();
+                let cols = (0..n * m).map(|c| bytes[(c % n) * m + c / n]).collect();
+                ((k, m), BloomRows { idxs, cols })
+            })
+            .collect();
         let mut by_level = entries;
         by_level.sort_by_key(|&e| {
             let p = at(&snap, e);
@@ -896,7 +951,7 @@ mod tests {
             blooms: ps
                 .blooms
                 .iter()
-                .map(|(&key, g)| (key, g.idxs.clone(), g.rows.clone()))
+                .map(|(&key, g)| (key, g.idxs.clone(), g.cols.clone()))
                 .collect(),
         }
     }
@@ -1271,6 +1326,143 @@ mod tests {
             .iter()
             .map(|plan| plan.execute(ps).iter().map(|p| p.id).collect())
             .collect()
+    }
+
+    /// The column patch at each segment boundary: the first and last
+    /// rows of a group leave, a middle row leaves with nothing fresh in
+    /// its place, fresh rows land between carried segments and at either
+    /// end, a group empties and its shape key goes while a new shape
+    /// opens, and a one-row group is carried, replaced and dropped.
+    /// Every epoch's indexes equal the reference build's and its holders
+    /// answers equal `select`'s.
+    #[test]
+    fn column_patch_edges_equal_the_reference() {
+        const A: Shape = (3, 8);
+        const B: Shape = (7, 39);
+        const C: Shape = (2, 4);
+        const D: Shape = (5, 16);
+        let filter = |(k, m): Shape, id: u16, doc: &str| {
+            filter_of(m, k, &["doc-all", &format!("doc-{id}"), doc])
+        };
+        let put = |list: &mut PeerList, id: u16, shape: Shape| {
+            let p = Pointer::with_info(node(id), Addr(0), Level::new(0), filter(shape, id, ""));
+            list.insert(p);
+        };
+        let me = NodeIdentity::new(NodeId(u128::MAX), Level::new(0));
+        let mut list = PeerList::new(Prefix::EMPTY);
+        for id in (10..=100).step_by(10) {
+            put(&mut list, id, A);
+        }
+        put(&mut list, 55, B);
+        put(&mut list, 57, B);
+        put(&mut list, 15, C);
+        let mut publisher = SnapshotPublisher::new();
+        let docs: [&[u8]; 5] = [b"doc-all", b"doc-45", b"doc-15", b"doc-new", b"absent"];
+        let mut served = PreparedSnapshot::empty();
+        let mut first = None;
+        let mut epoch = |list: &PeerList, now: u64, groups: &[(Shape, usize)]| {
+            publisher.maybe_publish_list(me, Addr(0), list, now);
+            served = served.advance(publisher.reader().load());
+            assert_eq!(
+                indexes(&served),
+                indexes(&prepare_reference(served.snap.clone()))
+            );
+            for doc in docs {
+                let got: Vec<NodeId> = served.probable_holders(doc).iter().map(|p| p.id).collect();
+                let want: Vec<NodeId> = select::probable_holders(list, doc)
+                    .iter()
+                    .map(|p| p.id)
+                    .collect();
+                assert_eq!(got, want, "holders of {doc:?} at epoch {now}");
+            }
+            let shapes: Vec<(Shape, usize)> = served
+                .blooms
+                .iter()
+                .map(|(&s, g)| (s, g.idxs.len()))
+                .collect();
+            assert_eq!(shapes, groups, "groups at epoch {now}");
+            first.get_or_insert_with(|| publisher.reader().load());
+        };
+        epoch(&list, 1, &[(C, 1), (A, 10), (B, 2)]);
+
+        // A loses its first and last rows and row 70, which splits the
+        // carried rows into segments; fresh rows land inside one and
+        // between two of them, and row 30 is replaced in place. B
+        // empties and its key goes; D opens; C's one row is carried.
+        for id in [10, 100, 70, 55, 57] {
+            list.remove(node(id));
+        }
+        put(&mut list, 45, A);
+        put(&mut list, 75, A);
+        list.update_info(node(30), filter(A, 30, "doc-new"), 2);
+        put(&mut list, 65, D);
+        epoch(&list, 2, &[(C, 1), (A, 9), (D, 1)]);
+
+        // A fresh row before every carried one and after the last; row
+        // 50 leaves with nothing fresh in its place, so the carried rows
+        // on either side of it are two segments that meet; C's one row
+        // is replaced; row 20 moves from A to D.
+        put(&mut list, 5, A);
+        put(&mut list, 200, A);
+        list.remove(node(50));
+        list.update_info(node(15), filter(C, 15, "doc-new"), 3);
+        list.update_info(node(20), filter(D, 20, "doc-new"), 3);
+        epoch(&list, 3, &[(C, 1), (A, 9), (D, 2)]);
+
+        // The one-row group goes; so does D's carried first row.
+        list.remove(node(15));
+        list.remove(node(20));
+        epoch(&list, 4, &[(A, 9), (D, 1)]);
+
+        // And from nothing, then across skipped epochs.
+        let from_nothing = PreparedSnapshot::prepare(publisher.reader().load());
+        assert_eq!(indexes(&from_nothing), indexes(&served));
+        let skipped = PreparedSnapshot::prepare(first.take().expect("epoch 1 ran"))
+            .advance(publisher.reader().load());
+        assert_eq!(indexes(&skipped), indexes(&served));
+    }
+
+    /// Today's acceptance rule: an attachment that parses as a filter is
+    /// one, even when it is also an `InfoMap`. A map whose encoding
+    /// passes every probe of a document is a probable holder for
+    /// `select` and for the served plan alike.
+    #[test]
+    fn a_map_whose_encoding_passes_every_probe_is_a_holder() {
+        // `[1, b'a', 0, 0xFF × 8, …]`: one probe over bytes that are
+        // three quarters set bits.
+        let mut map = InfoMap::new();
+        map.set_u64("a", u64::MAX)
+            .set_u64("b", u64::MAX)
+            .set_u64("c", u64::MAX);
+        let map = map.encode().unwrap();
+        let doc = (0..64)
+            .map(|i| format!("doc-{i}"))
+            .find(|doc| {
+                let probe = Bloom::probe(doc.as_bytes());
+                probe_positions(probe, 1, map.len() - 1)
+                    .all(|(byte, mask)| map[1 + byte] & mask != 0)
+            })
+            .expect("a document whose one probe lands on a set bit");
+        let holder = filter_of(8, 3, &[&doc]);
+        let mut list = PeerList::new(Prefix::EMPTY);
+        for (id, att) in [(1, map.clone()), (2, holder), (3, filter_of(8, 3, &[]))] {
+            list.insert(Pointer::with_info(node(id), Addr(0), Level::new(0), att));
+        }
+        let engine = QueryEngine::new(publish(&list));
+        assert_eq!(engine.prepared().info(0).get_u64("a"), Some(u64::MAX));
+        assert_eq!(engine.prepared().decode_errors(), 0);
+
+        let want: Vec<NodeId> = select::probable_holders(&list, doc.as_bytes())
+            .iter()
+            .map(|p| p.id)
+            .collect();
+        let served: Vec<NodeId> = engine
+            .execute(&QueryPlan::holders(doc.as_bytes()))
+            .iter()
+            .map(|p| p.id)
+            .collect();
+        assert_eq!(want, [node(1), node(2)]);
+        assert_eq!(served, want);
     }
 
     proptest! {

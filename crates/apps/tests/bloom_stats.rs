@@ -111,8 +111,8 @@ enum Attachment {
     Filter { docs: Vec<u8>, fp_millis: u8 },
     /// A filter of one of three fixed `(k, m)` shapes, so that a list
     /// holds several filters per shape, interleaved in id order with the
-    /// other shapes (the batched path sweeps one packed group per shape
-    /// and has to put the hits back in id order).
+    /// other shapes (the batched path sweeps one column-major group per
+    /// shape and has to put the hits back in id order).
     Shaped { docs: Vec<u8>, shape: u8 },
     /// Undecodable bytes (foreign attachment rot).
     Garbage(Vec<u8>),
