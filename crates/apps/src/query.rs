@@ -10,10 +10,11 @@
 //! steady-state queries are index lookups and a refresh costs what
 //! changed.
 //!
-//! * [`PreparedSnapshot`] — one snapshot plus its decoded infos and
-//!   indexes: sorted numeric columns, a string-equality index, the
-//!   level order, the undecodable set, and the bloom filters stored
-//!   column-major by shape.
+//! * [`PreparedSnapshot`] — one snapshot plus its indexes: sorted
+//!   numeric columns, a string-equality index, the level order, the
+//!   undecodable set, and the bloom filters stored column-major by
+//!   shape. No decoded info is kept: a pointer's map is decoded once,
+//!   when it enters, to file its entries, and then dropped.
 //! * [`QueryPlan`] — a reusable, snapshot-independent compiled query:
 //!   holders plans precompute their [`BloomProbe`] once and reuse it
 //!   across every snapshot and every pointer's filter.
@@ -28,13 +29,12 @@
 //! pointers in shared runs (`peerwindow_core::snapshot`), and an index
 //! entry names a pointer by run and offset, packed into a `u32`. A new
 //! run that *is* a run of the served snapshot (`Arc::ptr_eq`) is carried
-//! whole: its decoded infos by one `Arc::clone`, its entries renumbered
-//! by run index. The remaining runs take one merge walk against the
-//! served pointers, which finds those both hold with the same `(id,
-//! level, info bytes)`; those are *carried* too: they share their
-//! decoded [`InfoMap`] (an `Arc`) and keep every index entry, renumbered
-//! from old position to new. Only the rest — joiners, and pointers whose
-//! level or info changed — are decoded and sorted, and each index is
+//! whole: its entries renumbered by run index. The remaining runs take
+//! one merge walk against the served pointers, which finds those both
+//! hold with the same `(id, level, info bytes)`; those are *carried*
+//! too: they keep every index entry, renumbered from old position to
+//! new. Only the rest — joiners, and pointers whose level or info
+//! changed — are decoded and sorted, and each index is
 //! rebuilt by one linear pass that renumbers the carried entries and
 //! merges the small sorted run of fresh ones in. The order survives the
 //! renumbering because it is monotone (runs and offsets are in id order,
@@ -68,12 +68,13 @@
 //! from list-querying to snapshot-serving without behavioral drift.
 //!
 //! Decode failures are not swallowed: each prepared snapshot counts
-//! pointers whose non-empty info decodes as neither an [`InfoMap`] nor a
+//! pointers whose non-empty info decodes as neither an
+//! [`InfoMap`](crate::info::InfoMap) nor a
 //! bloom attachment, and the engine surfaces the total plus a
 //! `DiagCode::InfoDecodeError` trace record per affected refresh.
 
 use crate::bloom::{probe_positions, Bloom, BloomProbe, BloomView};
-use crate::info::{InfoMap, Value};
+use crate::info::Value;
 use crate::select;
 use peerwindow_core::id::NodeId;
 use peerwindow_core::pointer::Pointer;
@@ -83,10 +84,6 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// What [`PreparedSnapshot::info`] answers for a pointer whose attachment
-/// is empty or decodes as no [`InfoMap`].
-static NO_INFO: InfoMap = InfoMap::new();
 
 /// Remap entry of an old pointer the next epoch does not carry.
 const GONE: u32 = u32::MAX;
@@ -125,9 +122,6 @@ type Column = Vec<(f64, u32)>;
 /// The exact-match string index: key → value → entries, ascending.
 type StrIndex = BTreeMap<String, BTreeMap<String, Vec<u32>>>;
 
-/// Decoded infos of one run, offset-parallel with it.
-type RunInfos = Arc<[Option<Arc<InfoMap>>]>;
-
 /// A filter's shape `(k, m)`: `k` probes over `m` bytes.
 type Shape = (u32, usize);
 
@@ -151,9 +145,9 @@ enum Piece<'a> {
     Fresh(&'a [u8]),
 }
 
-/// A snapshot with all per-pointer work done up front: infos decoded,
-/// numeric columns sorted, string values indexed, level order
-/// materialized, bloom filters stored column-major. Queries against a
+/// A snapshot with all per-pointer work done up front: numeric columns
+/// sorted, string values indexed, level order materialized, bloom
+/// filters stored column-major. Queries against a
 /// prepared snapshot are allocation-light index walks.
 ///
 /// Index entries name a pointer by run and offset in `snap.runs()`,
@@ -162,12 +156,6 @@ enum Piece<'a> {
 #[derive(Debug)]
 pub struct PreparedSnapshot {
     snap: Arc<PeerSnapshot>,
-    /// Decoded info per pointer, one slice per run of `snap`; a shared
-    /// run's slice is shared with every epoch that carries the run whole,
-    /// and a pointer's map with every epoch that carries the pointer.
-    /// `None` where the attachment is empty or not an `InfoMap` (served
-    /// as the empty map, mirroring [`select::info_of`]).
-    infos: Vec<RunInfos>,
     /// Entries of pointers whose non-empty info decoded as neither an
     /// `InfoMap` nor a bloom attachment — foreign-attachment rot,
     /// surfaced not hidden. Ascending.
@@ -365,9 +353,9 @@ struct Fresh<'a> {
 }
 
 impl<'a> Fresh<'a> {
-    /// Decodes pointer `idx` and files its index entries; returns what
-    /// `infos[idx]` holds. Called in ascending `idx` order.
-    fn index(&mut self, idx: u32, p: &'a Pointer) -> Option<Arc<InfoMap>> {
+    /// Decodes pointer `idx` and files its index entries; the decoded
+    /// map is dropped here. Called in ascending `idx` order.
+    fn index(&mut self, idx: u32, p: &'a Pointer) {
         self.idxs.push(idx);
         // Bloom candidacy is independent of InfoMap decodability so the
         // batched holders path accepts exactly the filters the
@@ -385,7 +373,7 @@ impl<'a> Fresh<'a> {
                 if view.is_none() {
                     self.undecodable.push(idx);
                 }
-                return None;
+                return;
             }
         };
         for (key, value) in map.iter() {
@@ -407,7 +395,6 @@ impl<'a> Fresh<'a> {
                 },
             }
         }
-        (!map.is_empty()).then(|| Arc::new(map))
     }
 }
 
@@ -423,7 +410,6 @@ impl PreparedSnapshot {
     pub fn empty() -> Self {
         PreparedSnapshot {
             snap: Arc::new(PeerSnapshot::empty()),
-            infos: Vec::new(),
             undecodable: Vec::new(),
             by_level: Vec::new(),
             f64_cols: BTreeMap::new(),
@@ -438,18 +424,17 @@ impl PreparedSnapshot {
     /// their epoch's answers.
     ///
     /// A run of `snap` that is a run of `self.snap` (`Arc::ptr_eq`) is
-    /// carried whole: its infos by one `Arc::clone`, its entries
-    /// renumbered by run index. In the other runs a pointer is *carried*
-    /// when its `(id, level, info bytes)` are in both snapshots (`addr`
-    /// and the refresh stamps feed no index), and *fresh* otherwise.
-    /// Carried pointers keep their decoded info and their index entries,
-    /// renumbered; only fresh ones are decoded and sorted. Entries ascend
-    /// in id order in both snapshots, so the old → new renumbering of
-    /// carried pointers is strictly increasing, and every index order —
-    /// id, `(level, id)`, `(value, id)` — is an order on fields a carried
-    /// pointer keeps: a renumbered list is still sorted, and merging the
-    /// sorted fresh entries in gives the list a from-scratch build
-    /// would. Cost: one pass over the runs, over the pointers of the
+    /// carried whole: its entries renumbered by run index. In the other
+    /// runs a pointer is *carried* when its `(id, level, info bytes)` are
+    /// in both snapshots (`addr` and the refresh stamps feed no index),
+    /// and *fresh* otherwise. Carried pointers keep their index entries,
+    /// renumbered; only fresh ones are decoded, filed and sorted, and no
+    /// decoded map outlives its filing. Entries ascend in id order in
+    /// both snapshots, so the old → new renumbering of carried pointers
+    /// is strictly increasing, and every index order — id, `(level,
+    /// id)`, `(value, id)` — is an order on fields a carried pointer
+    /// keeps: a renumbered list is still sorted, and merging the sorted
+    /// fresh entries in gives the list a from-scratch build would. Cost: one pass over the runs, over the pointers of the
     /// runs not shared and over each index, plus decode and sort of the
     /// fresh ones.
     fn advance(&self, snap: Arc<PeerSnapshot>) -> Self {
@@ -461,17 +446,14 @@ impl PreparedSnapshot {
         );
         let mut moved = vec![Moved::Gone; old.len()];
         let mut each: Vec<u32> = Vec::new();
-        let mut infos = Vec::with_capacity(new.len());
         let mut fresh = Fresh::default();
         let mut o = Cursor::default();
         for (r, run) in new.iter().enumerate() {
             o.seek(old, run[0].id);
             if o.off == 0 && old.get(o.run).is_some_and(|was| Arc::ptr_eq(was, run)) {
                 moved[o.run] = Moved::Whole(r as u32);
-                infos.push(Arc::clone(&self.infos[o.run]));
                 continue;
             }
-            let mut run_infos = Vec::with_capacity(run.len());
             for (off, p) in run.iter().enumerate() {
                 let idx = pack(r, off);
                 o.seek(old, p.id);
@@ -487,12 +469,10 @@ impl PreparedSnapshot {
                             }
                         };
                         each[base as usize + o.off] = idx;
-                        run_infos.push(self.infos[o.run][o.off].clone());
                     }
-                    _ => run_infos.push(fresh.index(idx, p)),
+                    _ => fresh.index(idx, p),
                 }
             }
-            infos.push(run_infos.into());
         }
         let carry = |entry: u32| {
             let (r, off) = unpack(entry);
@@ -529,7 +509,6 @@ impl PreparedSnapshot {
 
         PreparedSnapshot {
             snap,
-            infos,
             undecodable,
             by_level,
             f64_cols,
@@ -569,13 +548,6 @@ impl PreparedSnapshot {
         self.undecodable.len() as u64
     }
 
-    /// The decoded info of the pointer at position `i` in id order
-    /// (empty map on decode failure, like [`select::info_of`]).
-    pub fn info(&self, i: usize) -> &InfoMap {
-        let (run, off) = self.snap.locate(i);
-        self.infos[run][off].as_deref().unwrap_or(&NO_INFO)
-    }
-
     /// The pointers `entries` name, in order; the run table is read
     /// once, not per entry.
     fn resolve(&self, entries: impl Iterator<Item = u32>) -> Vec<&Pointer> {
@@ -585,18 +557,6 @@ impl PreparedSnapshot {
                 let (run, off) = unpack(e);
                 &runs[run][off]
             })
-            .collect()
-    }
-
-    /// All pointers whose decoded info satisfies `pred` — the
-    /// full-scan partner query, with decoding already paid.
-    pub fn find_partners(&self, mut pred: impl FnMut(&Pointer, &InfoMap) -> bool) -> Vec<&Pointer> {
-        self.snap
-            .pointers()
-            .iter()
-            .zip(self.infos.iter().flat_map(|run| run.iter()))
-            .filter(|(p, m)| pred(p, m.as_deref().unwrap_or(&NO_INFO)))
-            .map(|(p, _)| p)
             .collect()
     }
 
@@ -831,6 +791,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::info::InfoMap;
     use bytes::Bytes;
     use peerwindow_core::peer_list::PeerList;
     use peerwindow_core::prelude::*;
@@ -841,7 +802,6 @@ mod tests {
     /// replaced — decode every pointer, push every entry, sort every
     /// index — kept as the reference the patched build is compared with.
     fn prepare_reference(snap: Arc<PeerSnapshot>) -> PreparedSnapshot {
-        let mut infos = Vec::with_capacity(snap.runs().len());
         let mut entries = Vec::with_capacity(snap.len());
         let mut undecodable = Vec::new();
         let mut f64_cols: BTreeMap<String, Column> = BTreeMap::new();
@@ -850,7 +810,6 @@ mod tests {
         // transposed once at the end.
         let mut rows: BTreeMap<Shape, (Vec<u32>, Vec<u8>)> = BTreeMap::new();
         for (r, run) in snap.runs().iter().enumerate() {
-            let mut run_infos = Vec::with_capacity(run.len());
             for (off, p) in run.iter().enumerate() {
                 let idx = pack(r, off);
                 entries.push(idx);
@@ -883,9 +842,7 @@ mod tests {
                             .push(idx),
                     }
                 }
-                run_infos.push((!info.is_empty()).then(|| Arc::new(info)));
             }
-            infos.push(run_infos.into());
         }
         for col in f64_cols.values_mut() {
             // Stable by-value sort: ties keep pointer-id order, exactly
@@ -908,7 +865,6 @@ mod tests {
         });
         PreparedSnapshot {
             snap,
-            infos,
             undecodable,
             by_level,
             f64_cols,
@@ -918,11 +874,10 @@ mod tests {
     }
 
     /// Everything a prepared snapshot derives from its pointers, in a
-    /// form `==` can judge (floats by bit pattern, infos by `Debug`: a
-    /// NaN field must compare equal to itself).
+    /// form `==` can judge (floats by bit pattern: a NaN must compare
+    /// equal to itself).
     #[derive(Debug, PartialEq)]
     struct Indexes {
-        infos: Vec<String>,
         decode_errors: u64,
         undecodable: Vec<u32>,
         by_level: Vec<u32>,
@@ -933,7 +888,6 @@ mod tests {
 
     fn indexes(ps: &PreparedSnapshot) -> Indexes {
         Indexes {
-            infos: (0..ps.len()).map(|i| format!("{:?}", ps.info(i))).collect(),
             decode_errors: ps.decode_errors(),
             undecodable: ps.undecodable.clone(),
             by_level: ps.by_level.clone(),
@@ -1016,9 +970,13 @@ mod tests {
             .map(|p| p.id.raw())
             .collect();
         assert_eq!(limited, sel[..1]);
+        // The snapshot holds what the list holds: the same scan over its
+        // pointers finds the same partners.
         let scan: Vec<u128> = ps
-            .find_partners(|_, i| i.get_str("os") == Some("linux"))
+            .snapshot()
+            .pointers()
             .iter()
+            .filter(|p| select::info_of(p).get_str("os") == Some("linux"))
             .map(|p| p.id.raw())
             .collect();
         assert_eq!(sel, scan);
@@ -1144,7 +1102,8 @@ mod tests {
         assert_eq!(got.len(), 59);
         assert_eq!(got[..2], [20, 21]);
         assert_eq!(got, ids(select::k_smallest_by(&list, "load", 100)));
-        assert_eq!(first.info(6).get_f64("load").map(f64::is_nan), Some(true));
+        let nan = select::info_of(&first.snapshot().pointers()[6]).get_f64("load");
+        assert_eq!(nan.map(f64::is_nan), Some(true));
 
         // And when the NaN arrives in a later epoch, as the one fresh
         // entry of a column that is otherwise carried.
@@ -1449,7 +1408,8 @@ mod tests {
             list.insert(Pointer::with_info(node(id), Addr(0), Level::new(0), att));
         }
         let engine = QueryEngine::new(publish(&list));
-        assert_eq!(engine.prepared().info(0).get_u64("a"), Some(u64::MAX));
+        let first = select::info_of(&engine.prepared().snapshot().pointers()[0]);
+        assert_eq!(first.get_u64("a"), Some(u64::MAX));
         assert_eq!(engine.prepared().decode_errors(), 0);
 
         let want: Vec<NodeId> = select::probable_holders(&list, doc.as_bytes())

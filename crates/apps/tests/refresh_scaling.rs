@@ -14,6 +14,13 @@
 //!   every pointer, as one without shared runs does, reads 0.91–1.13;
 //!   one that shares reads 0.40–0.53 (5 runs each on a 2-core host).
 //!   The walk over the whole list is most of what is left;
+//! * and, without that walk, under a third of a capture. The publisher
+//!   reads from the list's change log which ids changed, and re-reads
+//!   only the ranges of the runs that hold one. A publisher that walks
+//!   the whole list beside the previous runs, sharing what is
+//!   unchanged, reads 0.36–0.42 and fails 4 of 5 runs (one round read
+//!   0.29 beside the other gates); one that follows the log reads
+//!   0.22–0.27 (10 runs, 2-core host);
 //! * a batched holders query over the prepared snapshot must cost less
 //!   than a fifth of a per-pointer `BloomView::parse(..)
 //!   .contains_probe(..)` scan of the same snapshot, with equal hits.
@@ -212,9 +219,9 @@ fn refreshing_a_small_change_costs_under_a_quarter_of_a_prepare() {
     });
 }
 
-#[test]
-#[ignore = "timing ratio needs the release profile; CI's Query smoke passes --include-ignored"]
-fn publishing_a_small_change_costs_under_two_thirds_of_a_capture() {
+/// Publishing each epoch's changes must cost under `bar` times a capture
+/// from nothing of the same list; `failing` says what a miss means.
+fn publish_gate(bar: f64, failing: &str) {
     let mut served = Served::new();
 
     // One epoch: the publish, and a capture from nothing of the same
@@ -244,14 +251,29 @@ fn publishing_a_small_change_costs_under_two_thirds_of_a_capture() {
             publish * 1e3,
             capture * 1e3
         );
-        if ratio < 2.0 / 3.0 {
+        if ratio < bar {
             return Ok(());
         }
         Err(format!(
             "publishing {CHANGES} changes over {POINTERS} pointers cost {ratio:.2}x a capture \
-             from nothing (want < 0.67x) — the publisher is copying what it could share"
+             from nothing (want < {bar:.2}x) — {failing}"
         ))
     });
+}
+
+#[test]
+#[ignore = "timing ratio needs the release profile; CI's Query smoke passes --include-ignored"]
+fn publishing_a_small_change_costs_under_two_thirds_of_a_capture() {
+    publish_gate(2.0 / 3.0, "the publisher is copying what it could share");
+}
+
+#[test]
+#[ignore = "timing ratio needs the release profile; CI's Query smoke passes --include-ignored"]
+fn publishing_a_small_change_costs_under_a_third_of_a_capture() {
+    publish_gate(
+        1.0 / 3.0,
+        "the publisher is reading more of the list than changed",
+    );
 }
 
 #[test]

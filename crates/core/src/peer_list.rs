@@ -10,7 +10,9 @@ use crate::id::{NodeId, Prefix, ID_BITS};
 use crate::level::{Level, NodeIdentity};
 use crate::multicast::{Forward, Target};
 use crate::pointer::Pointer;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::RangeBounds;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A node's peer list: all known pointers within its eigenstring scope.
 ///
@@ -37,6 +39,9 @@ pub struct PeerList {
     /// since the last capture?" into one integer compare. Not part of the
     /// protocol state: never serialized, never hashed into fingerprints.
     generation: u64,
+    /// Which ids the latest bumps of `generation` touched, so a capture
+    /// re-reads only those. Not protocol state either.
+    changes: ChangeLog,
     /// Like `generation`, but only for changes a serving-layer query can
     /// observe: membership, levels, info, scope. Refresh-stamp touches
     /// (§4.6 probe acks — the steady-state hot path) bump `generation`
@@ -53,6 +58,7 @@ impl PeerList {
             entries: BTreeMap::new(),
             by_level: Vec::new(),
             generation: 0,
+            changes: ChangeLog::default(),
             content_generation: 0,
         }
     }
@@ -73,6 +79,31 @@ impl PeerList {
         self.generation
     }
 
+    /// Identity of this list instance, unique in the process: a new
+    /// list and every clone get their own. With [`Self::generation`] it
+    /// names one state of one list, so a snapshot publisher can tell a
+    /// replaced list (a join's download swaps one in, counters restarted)
+    /// from an unchanged one.
+    #[inline]
+    pub(crate) fn instance(&self) -> u64 {
+        self.changes.instance
+    }
+
+    /// The ids the mutations since `generation` of this instance touched,
+    /// oldest first, one per [`Self::generation`] bump (so repeats are
+    /// possible); `None` once the change log no longer reaches back that
+    /// far. The log keeps the latest [`log_cap`] ids; a re-scope
+    /// restarts it.
+    pub(crate) fn changed_since(
+        &self,
+        generation: u64,
+    ) -> Option<impl Iterator<Item = NodeId> + '_> {
+        let since = usize::try_from(self.generation.checked_sub(generation)?).ok()?;
+        let ids = &self.changes.ids;
+        let from = ids.len().checked_sub(since)?;
+        Some(ids.range(from..).copied())
+    }
+
     /// Content-mutation counter: increases only when membership, a
     /// level, attached info, or the scope changes — everything a
     /// serving-layer query can observe. Pure refresh-stamp touches do
@@ -88,7 +119,10 @@ impl PeerList {
     /// widening, the caller is responsible for downloading the missing
     /// pointers from a stronger node.
     pub fn set_scope(&mut self, scope: Prefix) {
+        // Not one id: the log restarts here, and every pointer dropped
+        // below is logged by its removal.
         self.generation += 1;
+        self.changes.ids.clear();
         self.content_generation += 1;
         self.scope = scope;
         if !scope.is_empty() {
@@ -136,7 +170,7 @@ impl PeerList {
         let level = ptr.level;
         let addr = ptr.addr;
         let info = ptr.info.clone(); // refcount bump, not a copy
-        self.generation += 1;
+        self.bump(id);
         let prev = self.entries.insert(id, ptr);
         // Re-inserting an observably identical pointer (the common case:
         // window exchanges redeliver known peers with fresher stamps) is
@@ -163,7 +197,7 @@ impl PeerList {
     pub fn remove(&mut self, id: NodeId) -> Option<Pointer> {
         let prev = self.entries.remove(&id);
         if let Some(ref p) = prev {
-            self.generation += 1;
+            self.bump(id);
             self.content_generation += 1;
             self.unindex(id, p.level);
         }
@@ -179,7 +213,7 @@ impl PeerList {
             None => return false,
         };
         if old != level {
-            self.generation += 1;
+            self.bump(id);
             self.content_generation += 1;
             self.unindex(id, old);
             self.index(id, level);
@@ -201,7 +235,7 @@ impl PeerList {
                 }
                 p.info = info;
                 p.last_refresh_us = now_us;
-                self.generation += 1;
+                self.bump(id);
                 true
             }
             None => false,
@@ -213,7 +247,7 @@ impl PeerList {
         match self.entries.get_mut(&id) {
             Some(p) => {
                 p.last_refresh_us = now_us;
-                self.generation += 1;
+                self.bump(id);
                 true
             }
             None => false,
@@ -225,9 +259,18 @@ impl PeerList {
         self.entries.values()
     }
 
+    /// Iterates over the pointers whose ids fall in `range`, in nodeId
+    /// order.
+    pub(crate) fn range(
+        &self,
+        range: impl RangeBounds<NodeId>,
+    ) -> impl Iterator<Item = &Pointer> + '_ {
+        self.entries.range(range).map(|(_, p)| p)
+    }
+
     /// Iterates over all pointers within `prefix`, in nodeId order.
     pub fn iter_prefix(&self, prefix: Prefix) -> impl Iterator<Item = &Pointer> + '_ {
-        self.entries.range(prefix.id_range()).map(|(_, p)| p)
+        self.range(prefix.id_range())
     }
 
     /// Number of pointers within `prefix`.
@@ -466,7 +509,7 @@ impl PeerList {
         p.info = info;
         p.last_refresh_us = now_us;
         if old != level {
-            self.generation += 1;
+            self.bump(id);
             self.content_generation += 1;
             self.unindex(id, old);
             self.index(id, level);
@@ -474,7 +517,7 @@ impl PeerList {
         if info_changed {
             self.content_generation += 1;
         }
-        self.generation += 1;
+        self.bump(id);
         true
     }
 
@@ -523,6 +566,18 @@ impl PeerList {
         }) && cursors.iter_mut().all(|c| c.next().is_none())
     }
 
+    /// One `generation` bump, logging `id` as what it touched and
+    /// dropping the oldest id past [`log_cap`].
+    fn bump(&mut self, id: NodeId) {
+        self.generation += 1;
+        let ids = &mut self.changes.ids;
+        let cap = log_cap(self.entries.len());
+        while ids.len() >= cap {
+            ids.pop_front();
+        }
+        ids.push_back(id);
+    }
+
     fn index(&mut self, id: NodeId, level: Level) {
         let l = level.value() as usize;
         if self.by_level.len() <= l {
@@ -538,6 +593,56 @@ impl PeerList {
         while matches!(self.by_level.last(), Some(s) if s.is_empty()) {
             self.by_level.pop();
         }
+    }
+}
+
+/// The most ids the change log of a `len`-pointer list keeps: `len / 32`
+/// rounded up to a power of two (the capacity a `VecDeque` grows to
+/// anyway), and never fewer than 32. At 16 B per id that is under 1 B
+/// per pointer past the first 1 024, a small share of a pointer's own
+/// footprint; at 50 000 pointers it is 2 048 ids, far more than the 256
+/// changes of a `query_serve` epoch.
+pub(crate) fn log_cap(len: usize) -> usize {
+    (len / 32).next_power_of_two().max(32)
+}
+
+/// A [`PeerList`]'s change log and instance identity. Cloning it starts
+/// a new instance with an empty log: the clone's later mutations are not
+/// the original's. `Debug` shows only the log's length, so a list's
+/// `Debug` output stays the same from run to run.
+struct ChangeLog {
+    instance: u64,
+    /// One id per `generation` bump since the log last restarted, oldest
+    /// first, at most [`log_cap`] of them: the last id is the bump to the
+    /// current generation.
+    ids: VecDeque<NodeId>,
+}
+
+/// The next [`PeerList::instance`] to hand out.
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
+
+impl Default for ChangeLog {
+    fn default() -> Self {
+        ChangeLog {
+            // audit: ordering — Relaxed: the counter only hands out
+            // distinct values; nothing else is published through it.
+            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            ids: VecDeque::new(),
+        }
+    }
+}
+
+impl Clone for ChangeLog {
+    fn clone(&self) -> Self {
+        ChangeLog::default()
+    }
+}
+
+impl std::fmt::Debug for ChangeLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChangeLog")
+            .field("len", &self.ids.len())
+            .finish()
     }
 }
 
@@ -786,6 +891,67 @@ mod tests {
             assert_eq!(one.level_histogram(), two.level_histogram());
             assert!(one.index_is_consistent());
         }
+    }
+
+    #[test]
+    fn change_log_names_every_bump_and_stays_bounded() {
+        let mut list = figure1_list();
+        let g = list.generation();
+        assert_eq!(list.changed_since(g).map(Iterator::count), Some(0));
+        assert!(list.changed_since(g + 1).is_none(), "ahead of the list");
+        list.touch(nid("0010"), 5);
+        // A level and an info change at once: two bumps, two entries.
+        list.update(
+            nid("1011"),
+            Level::new(3),
+            bytes::Bytes::from_static(b"x"),
+            6,
+        );
+        assert!(list.remove(nid("1000")).is_some());
+        assert!(list.remove(nid("1000")).is_none()); // no bump, no entry
+        let ids: Vec<NodeId> = list.changed_since(g).unwrap().collect();
+        assert_eq!(ids, [nid("0010"), nid("1011"), nid("1011"), nid("1000")]);
+        assert_eq!(list.generation(), g + 4);
+        // The ten inserts that built the list are still in the log.
+        assert_eq!(list.changed_since(0).map(Iterator::count), Some(14));
+
+        // 10 × len() touches: the log never grows past its cap, and then
+        // no longer reaches back to before them.
+        let mut big = PeerList::new(Prefix::EMPTY);
+        let id = |i: usize| NodeId((i as u128 + 1) << 100);
+        for i in 0..2_000 {
+            big.insert(Pointer::new(id(i), Addr(0), Level::TOP));
+        }
+        let cap = log_cap(big.len());
+        assert_eq!(cap, 64);
+        let g = big.generation();
+        for t in 0..10 * big.len() {
+            big.touch(id(t % 2_000), t as u64);
+            assert!(big.changes.ids.len() <= cap);
+        }
+        assert!(big.changed_since(g).is_none());
+        let back = big.generation() - cap as u64;
+        assert_eq!(big.changed_since(back).map(Iterator::count), Some(cap));
+        assert!(big.changed_since(back - 1).is_none());
+
+        // A re-scope restarts the log; the removals it makes are logged.
+        let outsiders: Vec<NodeId> = (0..5).map(|i| NodeId(1 << 127 | i)).collect();
+        for &o in &outsiders {
+            big.insert(Pointer::new(o, Addr(0), Level::TOP));
+        }
+        let g = big.generation();
+        big.set_scope(Prefix::from_bits_str("0").unwrap());
+        assert_eq!(big.len(), 2_000);
+        assert!(big.changed_since(g).is_none());
+        let dropped: Vec<NodeId> = big.changed_since(g + 1).unwrap().collect();
+        assert_eq!(dropped, outsiders);
+
+        // A clone is another instance: same counters, a log of its own.
+        let copy = big.clone();
+        assert_ne!(copy.instance(), big.instance());
+        assert_eq!(copy.generation(), big.generation());
+        assert!(copy.changed_since(copy.generation() - 1).is_none());
+        assert_eq!(format!("{copy:?}"), format!("{:?}", big.clone()));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! The contract here is *publication*: the protocol side captures an
 //! immutable [`PeerSnapshot`] whenever the list changed (detected through
-//! [`PeerList::generation`]) and publishes it through a [`Published`]
+//! [`PeerList::content_generation`]) and publishes it through a [`Published`]
 //! cell. Readers [`Published::load`] an `Arc` of the latest snapshot —
 //! never the write lock, never a half-updated list — and hold it for as
 //! long as the query runs; the protocol keeps mutating and publishing
@@ -51,12 +51,17 @@
 //!
 //! A snapshot keeps its pointers as id-ordered runs of at most
 //! [`RUN_LEN`], each an `Arc<[Pointer]>`. [`SnapshotPublisher`] captures
-//! against the snapshot its cell last published: one walk over the list
-//! beside the previous runs reuses, by `Arc::clone`, every run whose id
-//! range holds exactly the same pointers, and copies only the ranges
-//! that changed. A capture, and freeing an evicted epoch, then touch one
-//! refcount per run plus the pointers of the changed runs, not one per
-//! pointer; `apps::query` carries a shared run's prepared state whole.
+//! against the snapshot its cell last published, reading which ids
+//! changed since from the list's bounded change log
+//! (`PeerList::changed_since`): every run whose id range holds no
+//! changed id is reused by `Arc::clone`, and only the other ranges are
+//! read from the list (`PeerList::range`) and cut into new runs. The
+//! list itself is not walked. When the log no longer reaches back that
+//! far, or the list is another instance (`PeerList::instance`: a join
+//! swapped in a downloaded list), every run is cut fresh. A capture, and
+//! freeing an evicted epoch, then touch one refcount per run plus the
+//! pointers of the changed runs, not one per pointer; `apps::query`
+//! carries a shared run's prepared state whole.
 
 use crate::id::{NodeId, Prefix};
 use crate::level::{Level, NodeIdentity};
@@ -64,7 +69,7 @@ use crate::node::NodeMachine;
 use crate::peer_list::PeerList;
 use crate::pointer::{Addr, Pointer};
 use std::collections::BTreeMap;
-use std::ops::Index;
+use std::ops::{Bound, Index};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -100,8 +105,9 @@ pub struct PeerSnapshot {
     pub addr: Addr,
     /// The eigenstring scope the list covers.
     pub scope: Prefix,
-    /// [`PeerList::generation`] at capture time (diagnostic: lets an
-    /// embedder correlate a snapshot with the mutation counter).
+    /// [`PeerList::generation`] at capture time: the next capture from
+    /// the same list reads the list's change log from here, and an
+    /// embedder can correlate a snapshot with the mutation counter.
     pub generation: u64,
     /// All pointers, sorted by [`NodeId`], as runs: none empty, none
     /// longer than [`RUN_LEN`], ordered within and across runs.
@@ -167,54 +173,47 @@ impl PeerSnapshot {
         Self::from_runs(epoch, at_us, me, addr, list, runs)
     }
 
-    /// Captures `list` against `self`: one walk over the list in id
-    /// order beside `self`'s runs. A run whose id range — from its first
-    /// id up to the next run's — holds exactly the same pointers, every
-    /// field compared, is shared; the entries of every other range are
-    /// copied into rebuilt runs, cut to at most [`RUN_LEN`], a rebuild
-    /// shorter than a quarter of that merging into a neighbour.
-    fn recapture(
+    /// Captures `list` against `self`, a capture of an earlier state of
+    /// the same list instance, given the ids `changed` between the two
+    /// (`PeerList::changed_since`). A run of `self` whose id range —
+    /// from its first id (the first run's: from the lowest id) up to the
+    /// next run's first — holds no changed id is shared; the entries of
+    /// every other range are re-read from the list into rebuilt runs, cut
+    /// to at most [`RUN_LEN`], a rebuild shorter than a quarter of that
+    /// merging into a neighbour.
+    fn patch(
         &self,
         epoch: u64,
         at_us: u64,
         me: NodeIdentity,
         addr: Addr,
         list: &PeerList,
+        changed: impl Iterator<Item = NodeId>,
     ) -> Self {
         if self.runs.is_empty() {
             return Self::capture(epoch, at_us, me, addr, list);
         }
+        let mut changed: Vec<NodeId> = changed.collect();
+        changed.sort_unstable();
+        changed.dedup();
+        let mut changed = changed.into_iter().peekable();
         let mut next = Recut::default();
         next.runs.reserve(self.runs.len() + 1);
-        // `ahead` is the first list entry not yet placed; every entry
-        // below the current run's first id is placed.
-        let mut entries = list.iter();
-        let mut ahead = entries.next();
         for (r, run) in self.runs.iter().enumerate() {
             let end = self.runs.get(r + 1).map(|next| next[0].id);
-            let in_range = |p: &&Pointer| end.is_none_or(|end| p.id < end);
-            let mark = (entries.clone(), ahead);
-            // An entry equal to a run member has that member's id, so it
-            // lies in the run's range.
-            let mut same = true;
-            for q in run.iter() {
-                match ahead {
-                    Some(p) if unchanged(p, q) => ahead = entries.next(),
-                    _ => {
-                        same = false;
-                        break;
-                    }
-                }
-            }
-            if same && !ahead.is_some_and(|p| in_range(&p)) {
+            let in_range = |id: &NodeId| end.is_none_or(|end| *id < end);
+            let touched = changed.peek().is_some_and(in_range);
+            while changed.next_if(in_range).is_some() {}
+            if !touched {
                 next.share(run);
-            } else {
-                (entries, ahead) = mark;
-                while let Some(p) = ahead.filter(in_range) {
-                    next.pending.push(p.clone());
-                    ahead = entries.next();
-                }
+                continue;
             }
+            let from = match r {
+                0 => Bound::Unbounded,
+                _ => Bound::Included(run[0].id),
+            };
+            let to = end.map_or(Bound::Unbounded, Bound::Excluded);
+            next.pending.extend(list.range((from, to)).cloned());
         }
         next.flush();
         Self::from_runs(epoch, at_us, me, addr, list, next.runs)
@@ -325,17 +324,6 @@ impl PeerSnapshot {
         let sorted = ids.clone().zip(ids.skip(1)).all(|(a, b)| a < b);
         runs_ok && starts_ok && sorted && self.get(self.me.id).is_none()
     }
-}
-
-/// Whether `p` equals `q` in every field, `info` by buffer identity
-/// first.
-fn unchanged(p: &Pointer, q: &Pointer) -> bool {
-    p.id == q.id
-        && p.addr == q.addr
-        && p.level == q.level
-        && p.last_refresh_us == q.last_refresh_us
-        && p.first_seen_us == q.first_seen_us
-        && p.same_info(q)
 }
 
 /// Appends `len` pointers from `items` to `runs`, cut into the fewest
@@ -565,14 +553,15 @@ impl SnapshotReader {
 #[derive(Debug)]
 pub struct SnapshotPublisher {
     cell: Arc<Published<PeerSnapshot>>,
-    /// [`PeerList::content_generation`] at the last publication;
-    /// `u64::MAX` forces the first `maybe_publish` to publish. Gating on
-    /// the *content* counter keeps the steady-state hot path free: §4.6
+    /// `PeerList::instance` and [`PeerList::content_generation`] of
+    /// the last publication; `None` before the first. Gating on the
+    /// *content* counter keeps the steady-state hot path free: §4.6
     /// probe acks only touch refresh stamps, which no serving-layer
-    /// query observes, so they cost one integer compare instead of an
-    /// O(n) capture. (A published pointer's `last_refresh_us` may
-    /// therefore trail the live list's by up to one content change.)
-    last_generation: u64,
+    /// query observes, so they cost one compare instead of a capture.
+    /// (A published pointer's `last_refresh_us` may therefore trail the
+    /// live list's by up to one content change.) The instance makes a
+    /// replaced list, whose counters restart, publish.
+    last: Option<(u64, u64)>,
     epoch: u64,
 }
 
@@ -587,7 +576,7 @@ impl SnapshotPublisher {
     pub fn new() -> Self {
         SnapshotPublisher {
             cell: Arc::new(Published::new(Arc::new(PeerSnapshot::empty()))),
-            last_generation: u64::MAX,
+            last: None,
             epoch: 0,
         }
     }
@@ -607,7 +596,8 @@ impl SnapshotPublisher {
 
     /// Captures and publishes the machine's current list if its content
     /// generation moved since the last publication (membership, level,
-    /// info, or scope changes — refresh-stamp touches don't count).
+    /// info, or scope changes — refresh-stamp touches don't count), or
+    /// the list was replaced.
     /// Returns `true` when a snapshot was published. Pure observation:
     /// never mutates the machine, so enabling publication cannot change
     /// a simulation's fingerprint.
@@ -617,9 +607,11 @@ impl SnapshotPublisher {
     }
 
     /// Captures and publishes from explicit parts (harnesses driving a
-    /// bare [`PeerList`]). Generation-gated like [`Self::maybe_publish`].
-    /// The capture is against the snapshot this cell last published, so
-    /// it shares every run whose range did not change.
+    /// bare [`PeerList`]). Gated like [`Self::maybe_publish`]. When the
+    /// list is the instance this cell last published and its change log
+    /// reaches back to that capture, the capture is against it: every
+    /// run whose range holds no changed id is shared, and only the other
+    /// ranges are read from the list. Otherwise every run is cut fresh.
     pub fn maybe_publish_list(
         &mut self,
         me: NodeIdentity,
@@ -627,16 +619,21 @@ impl SnapshotPublisher {
         list: &PeerList,
         now_us: u64,
     ) -> bool {
-        let content = list.content_generation();
-        if content == self.last_generation {
+        let at = (list.instance(), list.content_generation());
+        if self.last == Some(at) {
             return false;
         }
         self.epoch += 1;
-        let snap = self
-            .cell
-            .load()
-            .recapture(self.epoch, now_us, me, addr, list);
-        self.last_generation = content;
+        let last = self.cell.load();
+        let changed = self
+            .last
+            .filter(|&(instance, _)| instance == at.0)
+            .and_then(|_| list.changed_since(last.generation));
+        let snap = match changed {
+            Some(ids) => last.patch(self.epoch, now_us, me, addr, list, ids),
+            None => PeerSnapshot::capture(self.epoch, now_us, me, addr, list),
+        };
+        self.last = Some(at);
         debug_assert!(snap.is_well_formed());
         self.cell.publish(Arc::new(snap));
         true
@@ -772,6 +769,28 @@ mod tests {
         assert!(list.update_level(NodeId(1), Level::new(3)));
         assert!(publisher.maybe_publish_list(me, Addr(7), &list, 60));
         assert_eq!(reader.load().epoch, 3);
+    }
+
+    #[test]
+    fn a_replaced_list_publishes_at_an_equal_generation() {
+        // A join swaps in a downloaded list whose counters restart: its
+        // content generation can equal the one last published.
+        let me = NodeIdentity::new(NodeId(7), Level::new(0));
+        let mut a = PeerList::new(Prefix::EMPTY);
+        a.insert(ptr(1, 0));
+        let mut b = PeerList::new(Prefix::EMPTY);
+        b.insert(ptr(2, 0));
+        assert_eq!(a.content_generation(), b.content_generation());
+        let mut publisher = SnapshotPublisher::new();
+        let reader = publisher.reader();
+        assert!(publisher.maybe_publish_list(me, Addr(7), &a, 1));
+        assert!(publisher.maybe_publish_list(me, Addr(7), &b, 2));
+        let snap = reader.load();
+        assert_eq!(snap.epoch, 2);
+        assert!(snap.pointers().iter().eq(b.iter()));
+        // The gate still holds for the new list.
+        assert!(!publisher.maybe_publish_list(me, Addr(7), &b, 3));
+        assert_eq!(reader.load().epoch, 2);
     }
 
     #[test]
@@ -920,7 +939,12 @@ mod tests {
     /// One list operation of the runs proptest, over a universe of
     /// [`UNIVERSE`] ids spread across the id space. The span operations
     /// insert or remove up to 80 neighbours at once, so rebuilt runs
-    /// split, and shrink until they merge.
+    /// split, and shrink until they merge, and the changes between two
+    /// publishes often outrun the list's change log (at most 64 ids for
+    /// this universe). `TouchAll` refreshes every member: more bumps than
+    /// the log keeps, none of them content, so the publish after it is
+    /// skipped and the next one cuts fresh runs. `Replace` swaps in a
+    /// clone: another instance, at the same content generation.
     #[derive(Clone, Debug)]
     enum Op {
         Insert { id: u16, level: u8, info: u8 },
@@ -930,6 +954,8 @@ mod tests {
         Level { id: u16, level: u8 },
         Info { id: u16, info: u8 },
         Touch { id: u16 },
+        TouchAll,
+        Replace,
         Publish,
     }
 
@@ -950,6 +976,9 @@ mod tests {
             (id(), any::<u8>()).prop_map(|(id, info)| Op::Info { id, info }),
             id().prop_map(|id| Op::Touch { id }),
             id().prop_map(|id| Op::Touch { id }),
+            Just(Op::TouchAll),
+            Just(Op::Replace),
+            Just(Op::Publish),
             Just(Op::Publish),
             Just(Op::Publish),
         ]
@@ -985,8 +1014,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Capture against the previous epoch publishes exactly the
-        /// list: after each publish the flattened snapshot equals
-        /// `list.iter()` field for field, the runs keep their
+        /// list, whether the change log reaches back to it or not: after
+        /// each publish the flattened snapshot equals `list.iter()` field
+        /// for field (refresh stamps included), the runs keep their
         /// invariants, every shared run holds what it held in the epoch
         /// it came from, and that epoch, still held, is intact.
         #[test]
@@ -1025,8 +1055,17 @@ mod tests {
                     Op::Touch { id } => {
                         list.touch(member(id), now);
                     }
+                    Op::TouchAll => {
+                        for id in 0..UNIVERSE {
+                            list.touch(member(id), now);
+                        }
+                    }
+                    Op::Replace => {
+                        list = list.clone();
+                    }
                     Op::Publish => {
                         if !publisher.maybe_publish_list(me, Addr(1), &list, now) {
+                            prop_assert_eq!(reader.load().epoch, publisher.epoch());
                             continue;
                         }
                         let snap = reader.load();
