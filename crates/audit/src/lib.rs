@@ -12,7 +12,10 @@
 //!   different iteration order, so any iteration (`iter`, `values`,
 //!   `keys`, `retain`, …) is a nondeterminism hazard. Sites that only
 //!   ever do key lookups annotate `// audit: ordered <why>`; everything
-//!   else uses `BTreeMap`/`BTreeSet`.
+//!   else uses `BTreeMap`/`BTreeSet`. `core::idmap::IdMap` is seedless,
+//!   but its slot order follows the operation history, not the ids: its
+//!   one walk in that order, `iter_unordered`, is matched too, and each
+//!   call site says why the order cannot reach an output.
 //! * **wall-clock** — `Instant::now`, `SystemTime::now`, `thread_rng`
 //!   outside the `transport` and `bench` crates and the metrics
 //!   runtime's clock module (`crates/metrics/src/runtime/clock.rs`, the
@@ -197,7 +200,7 @@ fn in_fault_free_scope(path: &str) -> bool {
 const RULES: &[TokenRule] = &[
     TokenRule {
         name: "hash-collections",
-        tokens: &["HashMap", "HashSet"],
+        tokens: &["HashMap", "HashSet", "iter_unordered"],
         annotation: "audit: ordered",
         applies: in_protocol_crates,
     },
@@ -596,6 +599,19 @@ mod tests {
         let src = include_str!("../fixtures/hash_annotated.rs");
         let f = scan_source("crates/sim/src/annotated.rs", src, &no_cfg());
         assert!(f.is_empty(), "annotated sites must not fire: {f:?}");
+    }
+
+    #[test]
+    fn hash_collections_fires_on_an_unordered_walk() {
+        let src = include_str!("../fixtures/slot_order.rs");
+        let f = scan_source("crates/core/src/bad.rs", src, &no_cfg());
+        let lines: Vec<usize> = f
+            .iter()
+            .filter(|f| f.rule == "hash-collections")
+            .map(|f| f.line)
+            .collect();
+        // The bare walk fires; the annotated one and the test tail don't.
+        assert_eq!(lines, [7], "{f:?}");
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod config;
 pub mod error;
 pub mod event;
 pub mod id;
+pub(crate) mod idmap;
 #[cfg(any(test, feature = "invariants"))]
 pub mod invariants;
 pub mod level;

@@ -278,7 +278,7 @@ impl NodeMachine {
         let mut n = Self::bare(cfg, me, addr, info, threshold_bps, seed);
         n.phase = Phase::Active;
         n.level = Level::TOP;
-        n.peers = PeerList::new(Prefix::EMPTY);
+        n.peers = n.empty_list(Prefix::EMPTY);
         let mut outs = n.startup_timers();
         // Joiners arm the reconcile chain post-join; a seed must arm it
         // here or it never participates in §4.5 anti-entropy — and a
@@ -319,24 +319,25 @@ impl NodeMachine {
     ) -> Self {
         let window = cfg.bandwidth_window_us;
         let t = cfg.top_list_size;
+        let rng = seed | 1;
         NodeMachine {
             cfg,
             me,
             addr,
             info,
             level: Level::MAX,
-            peers: PeerList::new(Prefix::EMPTY),
+            peers: PeerList::keyed(Prefix::EMPTY, rng),
             tops: TopList::new(t),
             threshold_bps,
             phase: Phase::FindingTop,
             seq: 0,
-            dedup: Dedup::default(),
+            dedup: Dedup::keyed(rng),
             pending: BTreeMap::new(),
             next_token: 1,
             meter: BandwidthMeter::new(window),
             lifetimes: LifetimeStats::default(),
             stats: NodeStats::default(),
-            rng: seed | 1,
+            rng,
             report_dead: Vec::new(),
             parked_report: None,
             last_self_refresh_us: 0,
@@ -348,6 +349,12 @@ impl NodeMachine {
             #[cfg(feature = "trace")]
             trace: NodeTrace::new(me.0),
         }
+    }
+
+    /// An empty peer list scoped to `scope`, its id lookups keyed by
+    /// this machine's seed (as `Dedup`'s horizon is).
+    fn empty_list(&self, scope: Prefix) -> PeerList {
+        PeerList::keyed(scope, self.rng)
     }
 
     /// The periodic timers an active node runs (armed once, on becoming

@@ -6,18 +6,22 @@ use super::rpc::RpcKind;
 use super::{NodeMachine, Output, Phase, LEAVE_SEQ};
 use crate::event::{EventKind, StateEvent};
 use crate::id::NodeId;
+use crate::idmap::IdMap;
 use crate::messages::Message;
 use crate::multicast::{forward_steps, Target};
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 #[cfg(feature = "trace")]
 use peerwindow_trace::{CauseId, TraceEventKind};
 
 /// What the node remembers of events it has already handled: the
-/// per-subject dedup horizon and the report cycle guard. Neither map
-/// shrinks yet (ROADMAP "Where PeerWindow stops converging").
-#[derive(Clone, Debug, Default)]
+/// per-subject dedup horizon and the report cycle guard. The horizon is
+/// hashed (an [`IdMap`] keyed by the node's seed: every multicast
+/// delivery looks its subject up here); neither map shrinks yet
+/// (ROADMAP direction 4, "`Dedup` bounded and hashed": the pruning half
+/// is open).
+#[derive(Clone, Debug)]
 pub(super) struct Dedup {
     /// Per-subject dedup horizon: highest `(seq, origin_us)` applied,
     /// plus whether the freshest admitted event was a removal. An event
@@ -27,15 +31,26 @@ pub(super) struct Dedup {
     /// top-list admission: a stale piggybacked top list must not re-seed
     /// a node we know departed, because the leave event that purged it
     /// is already inside the horizon and can never fire again.
-    seen: BTreeMap<NodeId, (u64, u64, bool)>,
+    seen: IdMap<(u64, u64, bool)>,
     /// Event keys whose reports we already forwarded (cycle guard).
     forwarded_reports: BTreeSet<(NodeId, u64)>,
 }
 
 impl Dedup {
+    /// An empty memory whose horizon hashes under a key mixed from
+    /// `seed`.
+    pub(super) fn keyed(seed: u64) -> Self {
+        Dedup {
+            seen: IdMap::with_key(seed),
+            forwarded_reports: BTreeSet::new(),
+        }
+    }
+
     /// Whether `event` is fresh w.r.t. the dedup horizon, updating it.
     fn admit(&mut self, event: &StateEvent) -> bool {
-        let e = self.seen.entry(event.subject).or_insert((0, 0, false));
+        let e = self
+            .seen
+            .get_or_insert_with(event.subject, || (0, 0, false));
         // Removals carry the sentinel seq, so ordering falls entirely to
         // the origin timestamp: a removal that originated no later than
         // the subject's newest known announcement is stale information —
@@ -60,7 +75,7 @@ impl Dedup {
     /// Whether the freshest event we applied for `id` was a removal —
     /// i.e. the node departed and nothing newer has overridden that.
     pub(super) fn known_departed(&self, id: NodeId) -> bool {
-        self.seen.get(&id).is_some_and(|e| e.2)
+        self.seen.get(id).is_some_and(|e| e.2)
     }
 
     /// Records that we forward the report keyed `key`; `false` when we
@@ -307,7 +322,11 @@ impl NodeMachine {
             // then answers FindTop with itself and roots joins below
             // step 0, so part of the id space never hears them. Found by
             // the invariants sweep: [Join, Shift(seed, 1), Join].
-            self.refresh_tops([Target {
+            // `refresh_tops`'s filter holds already: the subject is not
+            // us (returned above), and `admit` has just recorded this
+            // non-removal as its freshest event, so it is not known
+            // departed.
+            self.tops.refresh([Target {
                 id: subject,
                 addr: event.addr,
                 level: event.level,

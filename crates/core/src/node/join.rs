@@ -13,7 +13,6 @@ use crate::level::Level;
 use crate::messages::Message;
 use crate::model::ModelParams;
 use crate::multicast::Target;
-use crate::peer_list::PeerList;
 use crate::pointer::Pointer;
 
 #[cfg(feature = "trace")]
@@ -174,7 +173,7 @@ impl NodeMachine {
                     return; // stale reply for a different scope
                 }
                 self.take_rpc(|p| matches!(p.kind, RpcKind::JoinDownload));
-                self.peers = PeerList::new(scope);
+                self.peers = self.empty_list(scope);
                 for p in pointers {
                     self.install_downloaded(p, now_us);
                 }

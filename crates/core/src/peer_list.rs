@@ -7,10 +7,11 @@
 //! highest level from all possible nodes" in `O(levels · log n)`.
 
 use crate::id::{NodeId, Prefix, ID_BITS};
+use crate::idmap::IdMap;
 use crate::level::{Level, NodeIdentity};
 use crate::multicast::{Forward, Target};
 use crate::pointer::Pointer;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,8 +31,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct PeerList {
     /// The scope this list is supposed to cover (the owner's eigenstring).
     scope: Prefix,
-    /// All entries, ordered by nodeId (the probing circle).
-    entries: BTreeMap<NodeId, Pointer>,
+    /// All entries, by id: the delivery path's lookups (§4.2) hash.
+    entries: IdMap<Pointer>,
+    /// The ids of `entries` in order (the probing circle): every walk
+    /// in id order — rings, ranges, [`PeerList::iter`] — goes here.
+    ids: BTreeSet<NodeId>,
     /// Secondary index: ids of entries at each level.
     by_level: Vec<BTreeSet<NodeId>>,
     /// Mutation counter: bumped by every state-changing call so snapshot
@@ -53,9 +57,19 @@ pub struct PeerList {
 impl PeerList {
     /// Creates an empty list scoped to `scope`.
     pub fn new(scope: Prefix) -> Self {
+        Self::keyed(scope, 0)
+    }
+
+    /// Creates an empty list scoped to `scope` whose id lookups hash
+    /// under a key mixed from `seed` ([`IdMap::with_key`]). A node keys
+    /// its list from its own seed, so ids a sender crafts to collide in
+    /// one node's index need that node's seed. The key changes no
+    /// result, only where entries sit in the index.
+    pub(crate) fn keyed(scope: Prefix, seed: u64) -> Self {
         PeerList {
             scope,
-            entries: BTreeMap::new(),
+            entries: IdMap::with_key(seed),
+            ids: BTreeSet::new(),
             by_level: Vec::new(),
             generation: 0,
             changes: ChangeLog::default(),
@@ -127,8 +141,8 @@ impl PeerList {
         self.scope = scope;
         if !scope.is_empty() {
             let out_of_scope: Vec<NodeId> = self
-                .entries
-                .keys()
+                .ids
+                .iter()
                 .copied()
                 .filter(|id| !scope.contains(*id))
                 .collect();
@@ -153,13 +167,13 @@ impl PeerList {
     /// Looks up a pointer by id.
     #[inline]
     pub fn get(&self, id: NodeId) -> Option<&Pointer> {
-        self.entries.get(&id)
+        self.entries.get(id)
     }
 
     /// Whether the list contains `id`.
     #[inline]
     pub fn contains(&self, id: NodeId) -> bool {
-        self.entries.contains_key(&id)
+        self.entries.contains_key(id)
     }
 
     /// Inserts or replaces a pointer. Out-of-scope pointers are accepted
@@ -172,6 +186,9 @@ impl PeerList {
         let info = ptr.info.clone(); // refcount bump, not a copy
         self.bump(id);
         let prev = self.entries.insert(id, ptr);
+        if prev.is_none() {
+            self.ids.insert(id);
+        }
         // Re-inserting an observably identical pointer (the common case:
         // window exchanges redeliver known peers with fresher stamps) is
         // not a *content* change — gating it out keeps snapshot
@@ -195,8 +212,9 @@ impl PeerList {
 
     /// Removes a pointer, returning it if present.
     pub fn remove(&mut self, id: NodeId) -> Option<Pointer> {
-        let prev = self.entries.remove(&id);
+        let prev = self.entries.remove(id);
         if let Some(ref p) = prev {
+            self.ids.remove(&id);
             self.bump(id);
             self.content_generation += 1;
             self.unindex(id, p.level);
@@ -208,7 +226,7 @@ impl PeerList {
     /// `false` if the id is unknown.
     pub fn update_level(&mut self, id: NodeId, level: Level) -> bool {
         // Take the old level out first to appease the borrow checker.
-        let old = match self.entries.get(&id) {
+        let old = match self.entries.get(id) {
             Some(p) => p.level,
             None => return false,
         };
@@ -217,7 +235,7 @@ impl PeerList {
             self.content_generation += 1;
             self.unindex(id, old);
             self.index(id, level);
-            if let Some(p) = self.entries.get_mut(&id) {
+            if let Some(p) = self.entries.get_mut(id) {
                 p.level = level;
             }
         }
@@ -226,7 +244,7 @@ impl PeerList {
 
     /// Updates the attached info and refresh stamp of `id`.
     pub fn update_info(&mut self, id: NodeId, info: bytes::Bytes, now_us: u64) -> bool {
-        match self.entries.get_mut(&id) {
+        match self.entries.get_mut(id) {
             Some(p) => {
                 // §4.6 refresh reports re-deliver the info a node already
                 // advertises; only a genuine change is serving-observable.
@@ -244,7 +262,7 @@ impl PeerList {
 
     /// Marks `id` as refreshed at `now_us` (§4.6).
     pub fn touch(&mut self, id: NodeId, now_us: u64) -> bool {
-        match self.entries.get_mut(&id) {
+        match self.entries.get_mut(id) {
             Some(p) => {
                 p.last_refresh_us = now_us;
                 self.bump(id);
@@ -256,7 +274,7 @@ impl PeerList {
 
     /// Iterates over all pointers in nodeId order.
     pub fn iter(&self) -> impl Iterator<Item = &Pointer> + Clone + '_ {
-        self.entries.values()
+        self.ids.iter().filter_map(|&id| self.entries.get(id))
     }
 
     /// Iterates over the pointers whose ids fall in `range`, in nodeId
@@ -265,7 +283,7 @@ impl PeerList {
         &self,
         range: impl RangeBounds<NodeId>,
     ) -> impl Iterator<Item = &Pointer> + '_ {
-        self.entries.range(range).map(|(_, p)| p)
+        self.ids.range(range).filter_map(|&id| self.entries.get(id))
     }
 
     /// Iterates over all pointers within `prefix`, in nodeId order.
@@ -275,7 +293,7 @@ impl PeerList {
 
     /// Number of pointers within `prefix`.
     pub fn count_prefix(&self, prefix: Prefix) -> usize {
-        self.entries.range(prefix.id_range()).count()
+        self.ids.range(prefix.id_range()).count()
     }
 
     /// The pointers a node re-scoping to `prefix` would download from us
@@ -316,7 +334,7 @@ impl PeerList {
         if id == me {
             return None;
         }
-        self.entries.get(&id)
+        self.entries.get(id)
     }
 
     /// Number of held entries at `level` whose id falls inside `group` —
@@ -367,12 +385,12 @@ impl PeerList {
     /// (the probe fallback for a node alone in its group): the entry with
     /// the smallest id strictly greater than `me`, wrapping around.
     pub fn ring_successor(&self, me: NodeId) -> Option<&Pointer> {
-        self.entries
+        let id = self
+            .ids
             .range((std::ops::Bound::Excluded(me), std::ops::Bound::Unbounded))
             .next()
-            .or_else(|| self.entries.iter().next())
-            .map(|(_, p)| p)
-            .filter(|p| p.id != me)
+            .or_else(|| self.ids.first())?;
+        self.entries.get(*id).filter(|p| p.id != me)
     }
 
     /// Highest level value present in the index.
@@ -428,7 +446,7 @@ impl PeerList {
                 .range(query.id_range())
                 .find(|&&id| id != exclude && id != changing);
             if let Some(&id) = found {
-                return self.entries.get(&id);
+                return self.entries.get(id);
             }
         }
         None
@@ -475,7 +493,7 @@ impl PeerList {
                 let slot = 1u128 << s;
                 if filled & slot == 0 {
                     filled |= slot;
-                    if let Some(p) = self.entries.get(&id) {
+                    if let Some(p) = self.entries.get(id) {
                         out.push(Forward {
                             next_step: s + 1,
                             target: Target::from(p),
@@ -499,7 +517,7 @@ impl PeerList {
     /// [`PeerList::update_info`], counters included. Returns `false` if
     /// the id is unknown.
     pub fn update(&mut self, id: NodeId, level: Level, info: bytes::Bytes, now_us: u64) -> bool {
-        let Some(p) = self.entries.get_mut(&id) else {
+        let Some(p) = self.entries.get_mut(id) else {
             return false;
         };
         let old = std::mem::replace(&mut p.level, level);
@@ -521,11 +539,10 @@ impl PeerList {
         true
     }
 
-    /// All audience-set members of `changing` present in this list (test
-    /// and oracle helper).
+    /// All audience-set members of `changing` present in this list, in
+    /// id order (test and oracle helper).
     pub fn audience_members(&self, changing: NodeId) -> Vec<NodeIdentity> {
-        self.entries
-            .values()
+        self.iter()
             .filter(|p| p.identity().covers(changing))
             .map(|p| p.identity())
             .collect()
@@ -539,31 +556,36 @@ impl PeerList {
     /// Drops every pointer whose `last_refresh_us` is older than
     /// `deadline_for(level)` (§4.6 expiry: an `m`-level pointer unrefreshed
     /// for `3 · LT_m` is removed without explicit probing). Returns the
-    /// removed ids.
+    /// removed ids, ascending.
     pub fn expire(&mut self, mut deadline_for: impl FnMut(Level) -> u64) -> Vec<NodeId> {
-        let stale: Vec<NodeId> = self
-            .entries
-            .values()
-            .filter(|p| p.last_refresh_us < deadline_for(p.level))
-            .map(|p| p.id)
+        // audit: ordered — the stale ids are sorted before any is removed.
+        let all = self.entries.iter_unordered();
+        let mut stale: Vec<NodeId> = all
+            .filter(|(_, p)| p.last_refresh_us < deadline_for(p.level))
+            .map(|&(id, _)| id)
             .collect();
+        stale.sort_unstable();
         for &id in &stale {
             self.remove(id);
         }
         stale
     }
 
-    /// Whether the level index mirrors the entries exactly: walking the
-    /// entries in id order, each one is the next id of its own level's
-    /// set, and no set holds anything more. [`PeerList::group_singletons`]
-    /// reads groups off the index alone, so it leans on this.
+    /// Whether the id and level indexes mirror the entries exactly: the
+    /// ordered ids name exactly the entries, and walking them in order,
+    /// each entry is the next id of its own level's set, and no set
+    /// holds anything more. [`PeerList::group_singletons`] reads groups
+    /// off the level index alone, so it leans on this.
     #[cfg(any(test, feature = "invariants"))]
     pub(crate) fn index_is_consistent(&self) -> bool {
         let mut cursors: Vec<_> = self.by_level.iter().map(BTreeSet::iter).collect();
-        self.entries.values().all(|p| {
-            let cursor = cursors.get_mut(usize::from(p.level.value()));
-            cursor.and_then(Iterator::next) == Some(&p.id)
-        }) && cursors.iter_mut().all(|c| c.next().is_none())
+        self.ids.len() == self.entries.len()
+            && self.iter().count() == self.entries.len()
+            && self.iter().all(|p| {
+                let cursor = cursors.get_mut(usize::from(p.level.value()));
+                cursor.and_then(Iterator::next) == Some(&p.id)
+            })
+            && cursors.iter_mut().all(|c| c.next().is_none())
     }
 
     /// One `generation` bump, logging `id` as what it touched and
@@ -647,9 +669,15 @@ impl std::fmt::Debug for ChangeLog {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::ReferenceList;
     use super::*;
     use crate::pointer::Addr;
+    use proptest::prelude::*;
+    use std::ops::Bound;
 
     fn p(bits: &str, level: u8) -> Pointer {
         let id = Prefix::from_bits_str(bits).unwrap().range_start();
@@ -952,6 +980,154 @@ mod tests {
         assert_eq!(copy.generation(), big.generation());
         assert!(copy.changed_since(copy.generation() - 1).is_none());
         assert_eq!(format!("{copy:?}"), format!("{:?}", big.clone()));
+    }
+
+    /// One mutation of the differential proptest, on ids drawn by
+    /// [`pool`].
+    #[derive(Clone, Debug)]
+    enum Op {
+        Insert { id: u8, level: u8, info: u8 },
+        Remove { id: u8 },
+        Level { id: u8, level: u8 },
+        Info { id: u8, info: u8 },
+        Touch { id: u8 },
+        Update { id: u8, level: u8, info: u8 },
+        Scope { bits: u8 },
+        Expire { age: u8 },
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let id = || any::<u8>();
+        let level = || 0u8..6;
+        prop_oneof![
+            (id(), level(), any::<u8>()).prop_map(|(id, level, info)| Op::Insert {
+                id,
+                level,
+                info
+            }),
+            (id(), level(), any::<u8>()).prop_map(|(id, level, info)| Op::Insert {
+                id,
+                level,
+                info
+            }),
+            id().prop_map(|id| Op::Remove { id }),
+            (id(), level()).prop_map(|(id, level)| Op::Level { id, level }),
+            (id(), any::<u8>()).prop_map(|(id, info)| Op::Info { id, info }),
+            id().prop_map(|id| Op::Touch { id }),
+            (id(), level(), any::<u8>()).prop_map(|(id, level, info)| Op::Update {
+                id,
+                level,
+                info
+            }),
+            any::<u8>().prop_map(|bits| Op::Scope { bits }),
+            any::<u8>().prop_map(|age| Op::Expire { age }),
+        ]
+    }
+
+    /// 48 ids whose first six bits count up, so every prefix up to six
+    /// bits long holds a few of them, with distinct scrambled tails.
+    fn pool(pick: u8) -> NodeId {
+        let k = u128::from(pick % 48);
+        let tail = k.wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835) >> 6;
+        NodeId(k << 122 | tail)
+    }
+
+    fn attachment(info: u8) -> bytes::Bytes {
+        match info % 3 {
+            0 => bytes::Bytes::new(),
+            _ => bytes::Bytes::from(vec![info % 5]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The hashed list answers as the `BTreeMap` list it replaced
+        /// (kept in `reference.rs`): every mutation returns the same and
+        /// moves both counters alike, and after each one the id-order
+        /// walk, ranges, forwards, both ring successors, the audience
+        /// members, the singleton groups and the level histogram agree,
+        /// under any hash key.
+        #[test]
+        fn agrees_with_the_btree_list(
+            key in any::<u64>(),
+            ops in proptest::collection::vec((arb_op(), any::<u8>(), any::<u8>()), 1..120),
+        ) {
+            let mut list = PeerList::keyed(Prefix::EMPTY, key);
+            let mut model = ReferenceList::default();
+            for (now, (op, a, b)) in ops.into_iter().enumerate() {
+                let now = now as u64 + 1;
+                match op {
+                    Op::Insert { id, level, info } => {
+                        let mut p = Pointer::with_info(
+                            pool(id), Addr(u64::from(info % 2)), Level::new(level), attachment(info),
+                        );
+                        p.last_refresh_us = now;
+                        prop_assert_eq!(list.insert(p.clone()), model.insert(p));
+                    }
+                    Op::Remove { id } => {
+                        prop_assert_eq!(list.remove(pool(id)), model.remove(pool(id)));
+                    }
+                    Op::Level { id, level } => {
+                        let level = Level::new(level);
+                        prop_assert_eq!(list.update_level(pool(id), level), model.update_level(pool(id), level));
+                    }
+                    Op::Info { id, info } => {
+                        prop_assert_eq!(
+                            list.update_info(pool(id), attachment(info), now),
+                            model.update_info(pool(id), attachment(info), now)
+                        );
+                    }
+                    Op::Touch { id } => {
+                        prop_assert_eq!(list.touch(pool(id), now), model.touch(pool(id), now));
+                    }
+                    Op::Update { id, level, info } => {
+                        let level = Level::new(level);
+                        prop_assert_eq!(
+                            list.update(pool(id), level, attachment(info), now),
+                            model.update(pool(id), level, attachment(info), now)
+                        );
+                    }
+                    Op::Scope { bits } => {
+                        let scope = pool(bits).prefix(bits % 4);
+                        list.set_scope(scope);
+                        model.set_scope(scope);
+                    }
+                    Op::Expire { age } => {
+                        let deadline = |l: Level| now.saturating_sub(u64::from(age % 16) + u64::from(l.value()));
+                        prop_assert_eq!(list.expire(deadline), model.expire(deadline));
+                    }
+                }
+                prop_assert_eq!(list.len(), model.len());
+                prop_assert_eq!(list.generation(), model.generation);
+                prop_assert_eq!(list.content_generation(), model.content_generation);
+                prop_assert!(list.index_is_consistent());
+                prop_assert!(list.iter().eq(model.iter()));
+                prop_assert_eq!(list.level_histogram(), model.level_histogram());
+                prop_assert_eq!(list.group_singletons(), model.group_singletons());
+                let (x, y) = (pool(a), pool(b));
+                prop_assert_eq!(list.get(x), model.get(x));
+                for bounds in [
+                    (Bound::Included(x.min(y)), Bound::Excluded(x.max(y))),
+                    (Bound::Excluded(x), Bound::Unbounded),
+                    (Bound::Unbounded, Bound::Included(y)),
+                ] {
+                    prop_assert!(list.range(bounds).eq(model.range(bounds)));
+                }
+                prop_assert_eq!(list.ring_successor(x), model.ring_successor(x));
+                prop_assert_eq!(list.audience_members(y), model.audience_members(y));
+                for l in 0..5 {
+                    let (group, level) = (x.prefix(l), Level::new(l));
+                    prop_assert_eq!(
+                        list.ring_successor_in_group(x, group, level),
+                        model.ring_successor_in_group(x, group, level)
+                    );
+                }
+                for step in [0, 1, 3, a % 8, ID_BITS] {
+                    prop_assert_eq!(list.forwards(x, step, y), model.forwards(x, step, y));
+                }
+            }
+        }
     }
 
     #[test]

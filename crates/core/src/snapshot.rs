@@ -54,9 +54,10 @@
 //! against the snapshot its cell last published, reading which ids
 //! changed since from the list's bounded change log
 //! (`PeerList::changed_since`): every run whose id range holds no
-//! changed id is reused by `Arc::clone`, and only the other ranges are
-//! read from the list (`PeerList::range`) and cut into new runs. The
-//! list itself is not walked. When the log no longer reaches back that
+//! changed id is reused by `Arc::clone`, and only the other runs are
+//! rebuilt: their pointers merged with the list's entry for each changed
+//! id (`PeerList::get`), then cut into new runs. The list itself is not
+//! walked. When the log no longer reaches back that
 //! far, or the list is another instance (`PeerList::instance`: a join
 //! swapped in a downloaded list), every run is cut fresh. A capture, and
 //! freeing an evicted epoch, then touch one refcount per run plus the
@@ -69,7 +70,7 @@ use crate::node::NodeMachine;
 use crate::peer_list::PeerList;
 use crate::pointer::{Addr, Pointer};
 use std::collections::BTreeMap;
-use std::ops::{Bound, Index};
+use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -169,7 +170,13 @@ impl PeerSnapshot {
     /// fresh.
     pub fn capture(epoch: u64, at_us: u64, me: NodeIdentity, addr: Addr, list: &PeerList) -> Self {
         let mut runs = Vec::with_capacity(list.len().div_ceil(RUN_LEN));
-        cut(&mut runs, list.len(), list.iter().cloned());
+        // Find every entry before cloning any: a clone's reference-count
+        // increment is an atomic that keeps the next id's lookup from
+        // overlapping this one's cache misses (a first publish of
+        // `query_serve`'s 50 000 pointers: median 17.5 ms in one pass,
+        // 12.4 ms in two, on a 2-core host).
+        let found: Vec<&Pointer> = list.iter().collect();
+        cut(&mut runs, list.len(), found.into_iter().cloned());
         Self::from_runs(epoch, at_us, me, addr, list, runs)
     }
 
@@ -177,10 +184,12 @@ impl PeerSnapshot {
     /// the same list instance, given the ids `changed` between the two
     /// (`PeerList::changed_since`). A run of `self` whose id range —
     /// from its first id (the first run's: from the lowest id) up to the
-    /// next run's first — holds no changed id is shared; the entries of
-    /// every other range are re-read from the list into rebuilt runs, cut
-    /// to at most [`RUN_LEN`], a rebuild shorter than a quarter of that
-    /// merging into a neighbour.
+    /// next run's first — holds no changed id is shared. Every other run
+    /// is rebuilt by merging its pointers with the list's entry for each
+    /// changed id in its range (none: removed); an id the log does not
+    /// name is as the run holds it. Rebuilds are cut to at most
+    /// [`RUN_LEN`], one shorter than a quarter of that merging into a
+    /// neighbour.
     fn patch(
         &self,
         epoch: u64,
@@ -202,18 +211,19 @@ impl PeerSnapshot {
         for (r, run) in self.runs.iter().enumerate() {
             let end = self.runs.get(r + 1).map(|next| next[0].id);
             let in_range = |id: &NodeId| end.is_none_or(|end| *id < end);
-            let touched = changed.peek().is_some_and(in_range);
-            while changed.next_if(in_range).is_some() {}
-            if !touched {
+            if !changed.peek().is_some_and(in_range) {
                 next.share(run);
                 continue;
             }
-            let from = match r {
-                0 => Bound::Unbounded,
-                _ => Bound::Included(run[0].id),
-            };
-            let to = end.map_or(Bound::Unbounded, Bound::Excluded);
-            next.pending.extend(list.range((from, to)).cloned());
+            let mut kept = run.iter().peekable();
+            while let Some(id) = changed.next_if(in_range) {
+                while let Some(p) = kept.next_if(|p| p.id < id) {
+                    next.pending.push(p.clone());
+                }
+                kept.next_if(|p| p.id == id);
+                next.pending.extend(list.get(id).cloned());
+            }
+            next.pending.extend(kept.cloned());
         }
         next.flush();
         Self::from_runs(epoch, at_us, me, addr, list, next.runs)

@@ -52,8 +52,8 @@ impl TopList {
     }
 
     /// Merges freshly learned top-node pointers (piggybacked on a report
-    /// response, §4.5). New entries go to the front; duplicates are
-    /// refreshed in place; the list is truncated to capacity.
+    /// response, §4.5). Each goes to the front, replacing any entry with
+    /// its id; the list is truncated to capacity.
     pub fn refresh(&mut self, fresh: impl IntoIterator<Item = Target>) {
         for t in fresh {
             self.entries.retain(|e| e.id != t.id);
@@ -110,6 +110,7 @@ mod tests {
     use super::*;
     use crate::level::Level;
     use crate::pointer::Addr;
+    use proptest::prelude::*;
 
     fn t(i: u128) -> Target {
         Target {
@@ -160,6 +161,40 @@ mod tests {
         let ids: Vec<u128> = pb.iter().map(|e| e.id.0).collect();
         assert_eq!(ids, vec![3, 1]);
         assert!(pb.len() <= 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `refresh` equals its definition: for each fresh entry, drop
+        /// every entry with its id, then put it in front; truncate at the
+        /// end. Lists are built by earlier refreshes (ids distinct, as
+        /// every list the protocol holds), over few ids so fresh entries
+        /// often lead or repeat, with levels that tell a rewrite apart.
+        #[test]
+        fn refresh_is_retain_then_insert(
+            capacity in 0usize..6,
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u8..6, 0u8..4), 0..5),
+                1..8,
+            ),
+        ) {
+            let mut list = TopList::new(capacity);
+            let mut model: Vec<Target> = Vec::new();
+            for batch in batches {
+                let fresh: Vec<Target> = batch
+                    .iter()
+                    .map(|&(id, level)| Target { level: Level::new(level), ..t(u128::from(id)) })
+                    .collect();
+                for &f in &fresh {
+                    model.retain(|e| e.id != f.id);
+                    model.insert(0, f);
+                }
+                model.truncate(capacity);
+                list.refresh(fresh);
+                prop_assert_eq!(list.entries(), &model[..]);
+            }
+        }
     }
 
     #[test]

@@ -20,12 +20,16 @@
 //! order itself depends on the labeling.)
 //!
 //! Refinement may fail to split genuinely distinct slots that are
-//! locally indistinguishable — that is fine for soundness: it can only
-//! merge *more* states than strict permutation-equivalence, and the
-//! visited set compares full word sequences on every hash hit, so a
-//! hash collision is detected rather than silently pruning a distinct
-//! state. What dedup prunes is re-*expansion*; every transition that is
-//! executed at all is still invariant-checked.
+//! locally indistinguishable, and the projection leaves some state out
+//! (`NodeMachine::project` keeps no `Dedup` horizon, lifetime estimate
+//! or pointer age). Either way two distinct states can share a
+//! canonical form, and the second is then never expanded. That costs
+//! *completeness*, not soundness: a violation reachable only through
+//! the pruned state goes unseen, but every reported violation is real,
+//! since every transition that is executed at all is still
+//! invariant-checked. (The visited set compares full word sequences on
+//! every hash hit, so a mere hash collision prunes nothing.)
+//! ROADMAP direction 3(b) makes the projection complete.
 
 use crate::net::{McNet, SlotStatus};
 use peerwindow_core::id::NodeId;
