@@ -64,6 +64,9 @@ use rpc::{PendingRpc, RpcKind};
 /// know the subject's own counter; terminal, so "largest wins" is safe).
 pub const LEAVE_SEQ: u64 = u64::MAX;
 
+/// Size of the top-node list ("commonly we set t = 8", §2).
+const TOP_LIST_SIZE: usize = 8;
+
 /// External stimulus for the machine.
 #[derive(Clone, Debug)]
 pub enum Input {
@@ -318,7 +321,6 @@ impl NodeMachine {
         seed: u64,
     ) -> Self {
         let window = cfg.bandwidth_window_us;
-        let t = cfg.top_list_size;
         let rng = seed | 1;
         NodeMachine {
             cfg,
@@ -327,7 +329,7 @@ impl NodeMachine {
             info,
             level: Level::MAX,
             peers: PeerList::keyed(Prefix::EMPTY, rng),
-            tops: TopList::new(t),
+            tops: TopList::new(TOP_LIST_SIZE),
             threshold_bps,
             phase: Phase::FindingTop,
             seq: 0,
@@ -1226,11 +1228,11 @@ mod tests {
         let seed = net.add_seed(0x80);
         let m = &net.machines[seed];
         let base = m.cfg.rpc_timeout_us;
-        let jitter = |wait: u64| (wait as f64 * m.cfg.rpc_backoff_jitter) as u64;
+        let jitter = |wait: u64| (wait as f64 * rpc::RPC_BACKOFF_JITTER) as u64;
         for attempt in 1..=6u32 {
             let wait = m.backoff_wait_us(attempt);
-            let nominal = ((base as f64 * m.cfg.rpc_backoff_mult.powi(attempt as i32 - 1)) as u64)
-                .min(m.cfg.rpc_backoff_max_us);
+            let nominal = ((base as f64 * rpc::RPC_BACKOFF_MULT.powi(attempt as i32 - 1)) as u64)
+                .min(rpc::RPC_BACKOFF_MAX_US);
             assert!(
                 (nominal..=nominal + jitter(nominal)).contains(&wait),
                 "attempt {attempt}: wait {wait} outside [{nominal}, +jitter]"
@@ -1239,15 +1241,8 @@ mod tests {
             assert_eq!(wait, m.backoff_wait_us(attempt));
         }
         // The cap binds eventually (2^k · base exceeds it).
-        assert!(
-            m.backoff_wait_us(40) <= m.cfg.rpc_backoff_max_us + jitter(m.cfg.rpc_backoff_max_us)
-        );
-        // mult = 1 restores the paper's fixed-interval retry (no growth).
-        let mut fixed = net.machines.remove(seed);
-        fixed.cfg.rpc_backoff_mult = 1.0;
-        fixed.cfg.rpc_backoff_jitter = 0.0;
-        assert_eq!(fixed.backoff_wait_us(1), base);
-        assert_eq!(fixed.backoff_wait_us(5), base);
+        let cap = rpc::RPC_BACKOFF_MAX_US;
+        assert!(m.backoff_wait_us(40) <= cap + jitter(cap));
     }
 
     /// An active machine at `level` holding exactly `list`: all the

@@ -9,6 +9,11 @@ use crate::level::Level;
 #[cfg(feature = "trace")]
 use peerwindow_trace::{CauseId, TraceEventKind};
 
+/// An l-level node re-multicasts its state every `2 · LT_l` (§4.6).
+const REFRESH_MULTIPLIER: u64 = 2;
+/// An m-level pointer unrefreshed for `3 · LT_m` is dropped (§4.6).
+const EXPIRE_MULTIPLIER: u64 = 3;
+
 /// Per-level observed lifetime accumulators (for `LT_l`, §4.6).
 #[derive(Clone, Debug, Default)]
 pub(super) struct LifetimeStats {
@@ -71,24 +76,23 @@ impl NodeMachine {
         }
     }
 
-    /// §4.6: refresh every `refresh_multiplier · LT_l` for our level; a
+    /// §4.6: refresh every `REFRESH_MULTIPLIER · LT_l` for our level; a
     /// generous default before any lifetime has been observed.
     fn refresh_period_us(&self) -> u64 {
         match self.lifetimes.mean_us(self.level) {
-            Some(lt) => (self.cfg.refresh_multiplier * lt as f64) as u64,
+            Some(lt) => REFRESH_MULTIPLIER.saturating_mul(lt),
             None => self.cfg.default_refresh_us,
         }
         .max(self.cfg.bandwidth_window_us)
     }
 
     pub(super) fn expire_stale(&mut self, now_us: u64) {
-        let mult = self.cfg.expire_multiplier;
         // Floor the horizon well above the tick/refresh quantisation so a
         // slightly late refresh can never evict a live neighbor.
         let floor_us = 3 * self.cfg.bandwidth_window_us;
         let deadline = |mean_us: Option<u64>| match mean_us {
-            // entries older than expire_multiplier · LT_l die
-            Some(lt) => now_us.saturating_sub(((mult * lt as f64) as u64).max(floor_us)),
+            // entries older than EXPIRE_MULTIPLIER · LT_l die
+            Some(lt) => now_us.saturating_sub(EXPIRE_MULTIPLIER.saturating_mul(lt).max(floor_us)),
             None => 0, // no estimate yet: never expire
         };
         // One deadline per level, priced before the walk, not per pointer.

@@ -14,6 +14,16 @@ use crate::multicast::{redirect_target, Target};
 #[cfg(feature = "trace")]
 use peerwindow_trace::{CauseId, TraceEventKind};
 
+/// Backoff multiplier: attempt `k` (1-based) waits `rpc_timeout_us ·
+/// 2^(k-1)` before the next re-send, where the paper's fixed interval
+/// would hammer a failing path at exactly its failing cadence.
+pub(super) const RPC_BACKOFF_MULT: f64 = 2.0;
+/// Cap on one backed-off wait, µs: give-up latency stays bounded.
+pub(super) const RPC_BACKOFF_MAX_US: u64 = 30_000_000;
+/// Each wait is stretched by up to this fraction, drawn from the seeded
+/// RNG, so nodes do not retry in lockstep after a partition heals.
+pub(super) const RPC_BACKOFF_JITTER: f64 = 0.1;
+
 /// Why an RPC was issued — determines the give-up behaviour. Calls that
 /// carry an event (a multicast forward, a report) read it back from
 /// [`PendingRpc::msg`].
@@ -216,10 +226,9 @@ impl NodeMachine {
     /// every node re-sends in lockstep — so retries now spread out).
     pub(super) fn backoff_wait_us(&self, attempt: u32) -> u64 {
         let base = self.cfg.rpc_timeout_us.max(1);
-        let mult = self.cfg.rpc_backoff_mult.max(1.0);
-        let wait = (base as f64 * mult.powi(attempt.saturating_sub(1) as i32))
-            .min(self.cfg.rpc_backoff_max_us.max(base) as f64) as u64;
-        let span = (wait as f64 * self.cfg.rpc_backoff_jitter.clamp(0.0, 1.0)) as u64;
+        let wait = (base as f64 * RPC_BACKOFF_MULT.powi(attempt.saturating_sub(1) as i32))
+            .min(RPC_BACKOFF_MAX_US.max(base) as f64) as u64;
+        let span = (wait as f64 * RPC_BACKOFF_JITTER) as u64;
         if span == 0 {
             wait
         } else {

@@ -1,12 +1,11 @@
 //! The model checker's concrete transition system: real [`NodeMachine`]s
-//! over a deterministic mini event loop, cloneable so the search can
-//! branch from any quiescent state, with optional fault-plan injection
-//! (every datagram is judged by a [`LinkConditioner`] exactly like the
-//! full simulators do it).
+//! stepped by the simulators' own [`World`] over a deterministic event
+//! queue, cloneable so the search can branch from any quiescent state,
+//! with optional fault-plan injection (every datagram is judged at
+//! departure, by the world, exactly as in the full simulators).
 //!
-//! This subsumes the PR 2 `SweepNet` that used to live in
-//! `peerwindow_core::invariants`; the checker in [`crate::check`] adds
-//! visited-state deduplication and temporal properties on top.
+//! The checker in [`mod@crate::check`] adds visited-state deduplication and
+//! temporal properties on top.
 
 use bytes::Bytes;
 use peerwindow_core::config::ProtocolConfig;
@@ -14,10 +13,13 @@ use peerwindow_core::id::NodeId;
 use peerwindow_core::invariants::InvariantViolation;
 use peerwindow_core::level::Level;
 use peerwindow_core::messages::Message;
-use peerwindow_core::node::{Command, Input, NodeMachine, Output, Timer};
-use peerwindow_core::pointer::Addr;
-use peerwindow_faults::{FaultPlan, LinkConditioner, Verdict};
+use peerwindow_core::multicast::Target;
+use peerwindow_core::node::{Command, NodeMachine, Timer};
+use peerwindow_faults::FaultPlan;
+use peerwindow_sim::{Event, World};
+use peerwindow_topology::UniformNetwork;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One membership operation applied between quiescent states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,8 +92,13 @@ pub struct McNet {
     /// The raw id table; slot `k`'s machine runs with id `table[k]` and
     /// address `Addr(k)` (so fault-plan node selectors address slots).
     table: Vec<u128>,
-    /// One slot per id-table entry; `None` until spawned.
-    slots: Vec<Option<NodeMachine>>,
+    /// The machines, and the protocol step the simulators run: every
+    /// start, delivery, timer and command goes through [`World::handle`].
+    world: World,
+    /// The machine the world retired from each slot (a drained leaver, or
+    /// one dead on a fatal error), kept so the slot still reads its final
+    /// state.
+    retired: Vec<Option<NodeMachine>>,
     /// Slots a graceful [`SweepOp::Leave`] was issued to.
     left: Vec<bool>,
     /// Slots killed by [`SweepOp::Crash`]. A crashed slot, and one whose
@@ -99,16 +106,12 @@ pub struct McNet {
     crashed: Vec<bool>,
     /// Slots that reached the `Active` phase at least once.
     ever_active: Vec<bool>,
-    /// Pending deliveries keyed by `(time, seq)` — a BTreeMap so clones
-    /// iterate identically. Values carry the destination slot.
-    queue: BTreeMap<(u64, u64), (usize, Input)>,
+    /// Pending events keyed by `(time, seq)` — a BTreeMap so clones
+    /// iterate identically. Each event names its destination slot.
+    queue: BTreeMap<(u64, u64), Event>,
     seq: u64,
     now: u64,
-    latency_us: u64,
     events_checked: u64,
-    /// Judges every datagram when a plan is installed.
-    cond: Option<LinkConditioner>,
-    protocol: ProtocolConfig,
     /// DESIGN.md gap-13 mutation switch (regression tests only).
     gap13: bool,
 }
@@ -123,35 +126,24 @@ impl McNet {
     ) -> Self {
         assert!(!table.is_empty(), "the net needs at least a seed id");
         let n = table.len();
+        let latency = Arc::new(UniformNetwork { latency_us: 10_000 });
+        let mut world = World::new(protocol.clone(), latency, n);
+        world.set_fault_plan(plan);
         let mut net = McNet {
             table: table.to_vec(),
-            slots: vec![None; n],
+            world,
+            retired: vec![None; n],
             left: vec![false; n],
             crashed: vec![false; n],
             ever_active: vec![false; n],
             queue: BTreeMap::new(),
             seq: 0,
             now: 0,
-            latency_us: 10_000,
             events_checked: 0,
-            cond: plan.map(|p| LinkConditioner::new(p.clone())),
-            protocol: protocol.clone(),
             gap13,
         };
-        let (mut m, outs) = NodeMachine::new_seed(
-            protocol.clone(),
-            NodeId(table[0]),
-            Addr(0),
-            Bytes::new(),
-            1e9,
-            1,
-        );
-        if gap13 {
-            m.reintroduce_gap13_false_obituary_bug();
-        }
-        net.slots[0] = Some(m);
+        net.start(0, None);
         net.ever_active[0] = true;
-        net.enqueue(0, outs);
         net
     }
 
@@ -182,10 +174,14 @@ impl McNet {
 
     /// The live machine in `slot`, if any.
     pub fn machine(&self, slot: usize) -> Option<&NodeMachine> {
-        match &self.slots[slot] {
-            Some(m) if !self.is_dead(slot) => Some(m),
-            _ => None,
-        }
+        self.spawned(slot).filter(|_| !self.is_dead(slot))
+    }
+
+    /// The machine ever started in `slot`, dead or retired ones included.
+    fn spawned(&self, slot: usize) -> Option<&NodeMachine> {
+        self.world
+            .machine(slot as u32)
+            .or(self.retired[slot].as_ref())
     }
 
     /// Whether `slot` was crashed or its machine died on a fatal error.
@@ -195,14 +191,13 @@ impl McNet {
 
     /// Whether `slot`'s machine died on a fatal error.
     fn is_fatal(&self, slot: usize) -> bool {
-        self.slots[slot]
-            .as_ref()
+        self.spawned(slot)
             .is_some_and(|m| m.fatal_error().is_some())
     }
 
     /// Live, fully-joined machines.
     pub fn active(&self) -> impl Iterator<Item = &NodeMachine> + '_ {
-        (0..self.slots.len()).filter_map(|s| self.machine(s).filter(|m| m.is_active()))
+        (0..self.len()).filter_map(|s| self.machine(s).filter(|m| m.is_active()))
     }
 
     /// The checker's view of `slot`'s lifecycle.
@@ -213,10 +208,11 @@ impl McNet {
         if self.crashed[slot] {
             return SlotStatus::Crashed;
         }
-        if self.left[slot] || self.slots[slot].as_ref().is_some_and(NodeMachine::has_left) {
+        let m = self.spawned(slot);
+        if self.left[slot] || m.is_some_and(NodeMachine::has_left) {
             return SlotStatus::Left;
         }
-        match &self.slots[slot] {
+        match m {
             None => SlotStatus::Unjoined,
             Some(m) if m.is_active() => SlotStatus::Active,
             Some(_) => SlotStatus::Joining,
@@ -238,17 +234,11 @@ impl McNet {
     /// rules — the instant after which the network is permanently clean
     /// (never-healing rules are excluded: they cannot be waited out).
     pub fn fault_horizon_us(&self) -> u64 {
-        match &self.cond {
-            None => 0,
-            Some(c) => c
-                .plan()
-                .rules
-                .iter()
-                .filter(|r| r.until_us != u64::MAX)
-                .map(|r| r.until_us)
-                .max()
-                .unwrap_or(0),
-        }
+        self.fault_rule_windows()
+            .map(|(_, until_us)| until_us)
+            .filter(|&until_us| until_us != u64::MAX)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The `(from_us, until_us)` activation window of every installed
@@ -256,101 +246,92 @@ impl McNet {
     /// encoding folds each rule's *phase* relative to the current clock
     /// into the state so pending faults distinguish futures.
     pub fn fault_rule_windows(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.cond
-            .iter()
-            .flat_map(|c| c.plan().rules.iter().map(|r| (r.from_us, r.until_us)))
+        self.world
+            .fault_plan()
+            .into_iter()
+            .flat_map(|p| p.rules.iter().map(|r| (r.from_us, r.until_us)))
     }
 
-    /// Pending queue shape: `(destination slot, input tag)` per entry,
+    /// Pending queue shape: `(destination slot, event tag)` per entry,
     /// in delivery order. Tags identify the timer/message kind only —
     /// tokens and payloads are deliberately excluded so the canonical
     /// projection quotients over them.
     pub fn queue_shape(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.queue
             .values()
-            .map(|(dest, input)| (*dest, input_tag(input)))
+            .map(|event| (event.actor() as usize, event_tag(event)))
     }
 
-    fn enqueue(&mut self, from: usize, outs: Vec<Output>) {
-        for o in outs {
-            match o {
-                Output::Send { to, msg, delay_us } => {
-                    let dest = to.addr.0 as usize;
-                    let sender = self.slots[from].as_ref();
-                    let (id, addr) = match sender {
-                        Some(m) => (m.id(), m.addr()),
-                        None => continue,
-                    };
-                    let depart = self.now + delay_us;
-                    // Judged once at departure, exactly like the sims.
-                    let verdict = match &mut self.cond {
-                        Some(c) => c.judge(depart, from as u32, dest as u32),
-                        None => Verdict::Deliver { extra_delay_us: 0 },
-                    };
-                    let input = Input::Message {
-                        from: id,
-                        from_addr: addr,
-                        msg,
-                    };
-                    let at = depart + self.latency_us;
-                    let [dup, original] = verdict.delays();
-                    if let Some(extra) = dup {
-                        self.seq += 1;
-                        self.queue
-                            .insert((at + extra, self.seq), (dest, input.clone()));
-                    }
-                    if let Some(extra) = original {
-                        self.seq += 1;
-                        self.queue.insert((at + extra, self.seq), (dest, input));
-                    }
-                }
-                Output::SetTimer { delay_us, timer } => {
-                    self.seq += 1;
-                    self.queue
-                        .insert((self.now + delay_us, self.seq), (from, Input::Timer(timer)));
-                }
-                Output::Joined | Output::FailureDetected { .. } | Output::LevelShifted { .. } => {}
-            }
+    /// Starts slot `k`'s machine, joining via `bootstrap` (`None`: the
+    /// seed). Not an event the checker counts or checks.
+    fn start(&mut self, k: usize, bootstrap: Option<Target>) {
+        self.world_step(Event::Start {
+            actor: k as u32,
+            id: NodeId(self.table[k]),
+            threshold_bps: 1e9,
+            info: Bytes::new(),
+            bootstrap,
+            seed: k as u64 + 1,
+        });
+        if self.gap13 {
+            let m = self.world.machine_mut(k as u32).expect("just started");
+            m.reintroduce_gap13_false_obituary_bug();
         }
     }
 
-    /// Drives one input into `slot`, checking local invariants afterwards.
-    fn step(&mut self, slot: usize, input: Input) -> Result<(), NetErr> {
-        let Some(m) = self.slots[slot].as_mut() else {
+    /// Hands `event` to the world at the current time: its follow-ups
+    /// join the queue, and a machine it retires is kept in `retired`.
+    fn world_step(&mut self, event: Event) {
+        let slot = event.actor() as usize;
+        let (queue, seq, now) = (&mut self.queue, &mut self.seq, self.now);
+        let retired = self.world.handle(now, event, |delay_us, e| {
+            *seq += 1;
+            queue.insert((now + delay_us, *seq), e);
+        });
+        if retired.is_some() {
+            self.retired[slot] = retired;
+        }
+    }
+
+    /// Drives one event into its slot, checking local invariants
+    /// afterwards. A slot never started drops it.
+    fn step(&mut self, event: Event) -> Result<(), NetErr> {
+        let slot = event.actor() as usize;
+        if self.spawned(slot).is_none() {
             return Ok(());
-        };
-        let outs = m.handle(self.now, input);
-        m.check_invariants().map_err(NetErr::Violation)?;
-        if m.is_active() {
-            self.ever_active[slot] = true;
         }
+        self.world_step(event);
+        let m = self
+            .spawned(slot)
+            .expect("a started slot keeps its machine");
+        m.check_invariants().map_err(NetErr::Violation)?;
+        let (active, fatal) = (m.is_active(), m.fatal_error().map(|e| (m.id(), e.as_str())));
+        self.ever_active[slot] |= active;
         self.events_checked += 1;
-        let fatal = m.fatal_error().map(|err| (m.id(), err.as_str()));
-        self.enqueue(slot, outs);
         match fatal {
             // Under faults a machine may legitimately give up (e.g. a
             // joiner whose bootstrap is unreachable): its slot is dead
             // from now on, and liveness properties decide whether that
             // matters.
-            Some((id, reason)) if self.cond.is_none() => Err(NetErr::Fatal(id, reason)),
+            Some((id, reason)) if self.world.fault_plan().is_none() => {
+                Err(NetErr::Fatal(id, reason))
+            }
             _ => Ok(()),
         }
     }
 
     /// Delivers everything due up to `t_us`, then advances the clock.
     pub fn run_until(&mut self, t_us: u64) -> Result<(), NetErr> {
-        while let Some((&(at, _), _)) = self.queue.first_key_value() {
-            if at > t_us {
+        while let Some(entry) = self.queue.first_entry() {
+            if entry.key().0 > t_us {
                 break;
             }
-            let Some(((at, _), (dest, input))) = self.queue.pop_first() else {
-                break;
-            };
+            let ((at, _), event) = entry.remove_entry();
             self.now = at;
-            if self.is_dead(dest) {
+            if self.is_dead(event.actor() as usize) {
                 continue;
             }
-            self.step(dest, input)?;
+            self.step(event)?;
         }
         self.now = t_us;
         Ok(())
@@ -358,45 +339,34 @@ impl McNet {
 
     /// Applies one operation and settles for `settle_us`.
     pub fn apply_op(&mut self, op: SweepOp, settle_us: u64) -> Result<(), NetErr> {
+        let cmd = |k: usize, cmd| Event::Cmd {
+            actor: k as u32,
+            cmd,
+        };
         match op {
             SweepOp::Join(k) => {
                 // Re-joining or joining over a live slot is a no-op (the
                 // shrinker replays arbitrary op subsets; `legal_ops`
                 // never emits it).
-                if self.slots[k].is_none() {
-                    let boot = self.active().next().map(|m| m.as_target());
-                    if let Some(boot) = boot {
-                        let (mut m, outs) = NodeMachine::new_joining(
-                            self.protocol.clone(),
-                            NodeId(self.table[k]),
-                            Addr(k as u64),
-                            Bytes::new(),
-                            1e9,
-                            boot,
-                            k as u64 + 1,
-                        );
-                        if self.gap13 {
-                            m.reintroduce_gap13_false_obituary_bug();
-                        }
-                        self.slots[k] = Some(m);
-                        self.enqueue(k, outs);
-                    }
+                let boot = self.active().next().map(|m| m.as_target());
+                if let (None, Some(boot)) = (self.spawned(k), boot) {
+                    self.start(k, Some(boot));
                 }
             }
             SweepOp::Leave(k) => {
                 if self.machine(k).is_some() {
                     self.left[k] = true;
-                    self.step(k, Input::Command(Command::Shutdown))?;
+                    self.step(cmd(k, Command::Shutdown))?;
                 }
             }
             SweepOp::Crash(k) => {
-                if self.slots[k].is_some() {
+                if self.spawned(k).is_some() {
                     self.crashed[k] = true;
                 }
             }
             SweepOp::Shift(k, l) => {
                 if self.machine(k).is_some() {
-                    self.step(k, Input::Command(Command::SetLevel(Level::new(l))))?;
+                    self.step(cmd(k, Command::SetLevel(Level::new(l))))?;
                 }
             }
         }
@@ -412,7 +382,7 @@ impl McNet {
     /// partition with no top is outside the protocol's §4 envelope).
     pub fn legal_ops(&self, joined: &[bool], levels: &[u8], allow_crash: bool) -> Vec<SweepOp> {
         let mut ops = Vec::new();
-        let live: Vec<usize> = (0..self.slots.len())
+        let live: Vec<usize> = (0..self.len())
             .filter(|&s| self.machine(s).is_some_and(NodeMachine::is_active))
             .collect();
         let tops: Vec<usize> = live
@@ -466,7 +436,7 @@ impl McNet {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        for s in 0..self.slots.len() {
+        for s in 0..self.len() {
             match self.machine(s) {
                 Some(m) if m.is_active() => {
                     mix(&m.id().raw().to_le_bytes());
@@ -484,13 +454,13 @@ impl McNet {
     }
 }
 
-/// A small stable tag per queued input kind. Payloads, RPC tokens, and
+/// A small stable tag per queued event kind. Payloads, RPC tokens, and
 /// exact due times are deliberately not part of the tag: the canonical
 /// projection wants the *shape* of the in-flight queue, quotiented over
 /// everything that varies between permutation-equivalent runs.
-fn input_tag(input: &Input) -> u64 {
-    match input {
-        Input::Timer(t) => match t {
+fn event_tag(event: &Event) -> u64 {
+    match event {
+        Event::Timer { timer, .. } => match timer {
             Timer::Probe => 1,
             Timer::RpcTimeout(_) => 2,
             Timer::Adapt => 3,
@@ -498,7 +468,7 @@ fn input_tag(input: &Input) -> u64 {
             Timer::Expire => 5,
             Timer::Reconcile => 6,
         },
-        Input::Message { msg, .. } => match msg {
+        Event::Net { msg, .. } => match msg {
             Message::Probe => 10,
             Message::ProbeAck => 11,
             Message::Report { .. } => 12,
@@ -514,7 +484,9 @@ fn input_tag(input: &Input) -> u64 {
             Message::TopListRequest => 22,
             Message::TopListReply { .. } => 23,
         },
-        Input::Command(_) => 30,
+        // Starts and commands are applied at once, never queued; the
+        // checker crashes a slot by flag.
+        Event::Start { .. } | Event::Crash { .. } | Event::Cmd { .. } => 30,
     }
 }
 
@@ -547,6 +519,22 @@ mod tests {
         assert!(!net.is_correct(1));
         // The seed must have detected the crash and cleaned up.
         assert!(net.machine(0).unwrap().peers().is_empty());
+    }
+
+    #[test]
+    fn a_drained_leaver_reads_as_the_machine_the_world_retired() {
+        let mut net = McNet::new(&[A, B], &mc_protocol_config(), None, false);
+        net.run_until(10_000_000).unwrap();
+        net.apply_op(SweepOp::Join(1), 10_000_000).unwrap();
+        net.apply_op(SweepOp::Leave(1), 10_000_000).unwrap();
+        assert!(
+            net.world.machine(1).is_none(),
+            "the world reaped the leaver"
+        );
+        assert_eq!(net.status(1), SlotStatus::Left);
+        let m = net.machine(1).expect("the retired machine stays readable");
+        assert!(m.has_left());
+        assert!(m.peers().contains(NodeId(A)));
     }
 
     #[test]

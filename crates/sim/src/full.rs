@@ -54,7 +54,7 @@ impl FullSim {
     /// Creates an empty world.
     pub fn new(protocol: ProtocolConfig, net: Box<dyn NetworkModel>, seed: u64) -> Self {
         FullSim {
-            sim: ParallelFullSim::with_models(0, protocol, vec![net], ONE_WINDOW_US, seed),
+            sim: ParallelFullSim::with_models(0, protocol, vec![net.into()], ONE_WINDOW_US, seed),
             rng: DetRng::for_stream(seed, 0xF00D),
         }
     }

@@ -13,10 +13,11 @@
 //!   planned per event and accounted analytically.
 //! * [`parallel_full`] — the full-fidelity harness on the *parallel*
 //!   engine: shards of real machines under barrier-synchronised windows.
-//! * `world` (private) — the protocol step each shard runs: the machines,
-//!   the crate's only interpreter of `Output`, the latency →
-//!   fault-verdict send path, trace draining and snapshot publication.
-//!   The engine only orders events.
+//! * `world` ([`World`], [`Event`]) — the protocol step each shard
+//!   runs, and the model checker's `McNet` steps too: the machines, the
+//!   one simulated interpreter of `Output`, the latency → fault-verdict
+//!   send path, trace draining and snapshot publication. The executor
+//!   only orders events.
 //! * [`directory`] — the oracle's membership structure, whose kept trie
 //!   plans each event's multicast tree; [`plan`] — the per-event planner
 //!   over an extracted audience, the reference that trie is tested
@@ -41,3 +42,4 @@ pub use full::{FullLog, FullSim};
 pub use oracle::{run_oracle, NetworkConfig, OracleConfig};
 pub use parallel_full::ParallelFullSim;
 pub use report::{LevelRow, OracleReport};
+pub use world::{Event, World};

@@ -10,7 +10,7 @@
 //! outcome is identical for any shard count** (asserted by tests), so
 //! parallelism is a pure speedup, exactly ONSP's pitch.
 //!
-//! Each shard is one [`crate::world`]. This is the crate's one
+//! Each shard is one [`crate::World`]. This is the crate's one
 //! full-fidelity harness: [`crate::FullSim`] is a synchronous front over
 //! a one-shard `ParallelFullSim` with a latency model of its own. What
 //! [`ParallelFullSim::new`] adds: nodes start by scheduled event, and
@@ -83,6 +83,7 @@ impl ShardLogic for World {
     fn handle(&mut self, now: SimTime, actor: u32, event: Event, out: &mut Outbox<Event>) {
         debug_assert_eq!(actor, event.actor());
         // A timer is a self-send: same shard, exempt from lookahead.
+        // A retired machine is dropped here: no reader wants it.
         World::handle(self, now.as_micros(), event, |delay_us, e| {
             out.send(delay_us, e.actor(), e)
         });
@@ -120,16 +121,12 @@ impl ParallelFullSim {
         lookahead_us: u64,
         seed: u64,
     ) -> Self {
-        let nets = (0..shards)
-            .map(|_| {
-                Box::new(PairJitter {
-                    base_latency_us,
-                    lookahead_us,
-                    seed,
-                }) as Box<dyn NetworkModel>
-            })
-            .collect();
-        Self::with_models(capacity, protocol, nets, lookahead_us, seed)
+        let net: Arc<dyn NetworkModel> = Arc::new(PairJitter {
+            base_latency_us,
+            lookahead_us,
+            seed,
+        });
+        Self::with_models(capacity, protocol, vec![net; shards], lookahead_us, seed)
     }
 
     /// One shard per latency model in `nets`; `lookahead_us` must
@@ -137,7 +134,7 @@ impl ParallelFullSim {
     pub(crate) fn with_models(
         capacity: usize,
         protocol: ProtocolConfig,
-        nets: Vec<Box<dyn NetworkModel>>,
+        nets: Vec<Arc<dyn NetworkModel>>,
         lookahead_us: u64,
         seed: u64,
     ) -> Self {

@@ -31,6 +31,14 @@ pub(crate) struct SnapshotHub {
     published: u64,
 }
 
+/// Publishers write to a directory that readers share, so a copy would
+/// publish over the original: a world that publishes is never cloned.
+impl Clone for SnapshotHub {
+    fn clone(&self) -> Self {
+        panic!("a world that publishes snapshots cannot be cloned")
+    }
+}
+
 impl SnapshotHub {
     /// A hub publishing into `dir` — the worlds of a sharded run each
     /// own a hub but share one directory.

@@ -1,4 +1,4 @@
-//! The protocol step of the full-fidelity harness.
+//! The protocol step of every in-process executor.
 //!
 //! A [`World`] owns everything about a set of [`NodeMachine`]s that does
 //! not depend on how events are ordered: the machines, the latency model,
@@ -6,10 +6,11 @@
 //! Its one step, [`World::handle`], turns one [`Event`] into follow-up
 //! events handed to an `emit(delay_us, event)` closure. Each world is one
 //! shard of [`crate::ParallelFullSim`] (and [`crate::FullSim`] runs one
-//! such shard); the engine only orders events, and the crate's one
+//! such shard), and the model checker's `McNet` steps one world through
+//! its own queue; the executor only orders events, and the one simulated
 //! interpreter of [`Output`] is here. A machine's fate is not an output:
-//! after each input the world reads `has_left()` (reap it) and
-//! `fatal_error()` (log why).
+//! after each input the world reads `has_left()` (reap it, and hand it
+//! to the caller) and `fatal_error()` (log why).
 //!
 //! What reads or configures a run across its worlds (accuracy, the
 //! partition audit, fault and snapshot and trace switches, their
@@ -27,38 +28,62 @@ use crate::snaphub::SnapshotHub;
 /// Everything that can happen to the node in slot `actor`. The actor
 /// travels inside each variant (the enum is 128 bytes either way), so an
 /// emitted event names the slot it is for.
-pub(crate) enum Event {
+#[derive(Clone)]
+pub enum Event {
     /// Bring the node up: no `bootstrap` = genesis node, `Some(target)` =
-    /// join via it. `seed` feeds the machine's own random stream.
+    /// join via it. The machine's address is `Addr(actor)`.
     Start {
+        /// The slot to start the node in.
         actor: u32,
+        /// The node's id.
         id: NodeId,
+        /// Its bandwidth budget for node collection, bps.
         threshold_bps: f64,
+        /// Its application info.
         info: Bytes,
+        /// Whom to join through; `None` starts a genesis node.
         bootstrap: Option<Target>,
+        /// Seeds the machine's own random stream.
         seed: u64,
     },
     /// A datagram that made it: loss, duplication and jitter were decided
     /// when it was sent.
     Net {
+        /// The receiving slot.
         actor: u32,
+        /// The sender's id.
         from: NodeId,
+        /// The sender's address.
         from_addr: Addr,
+        /// The datagram.
         msg: Message,
     },
     /// A machine timer fires.
-    Timer { actor: u32, timer: Timer },
+    Timer {
+        /// The slot whose timer fires.
+        actor: u32,
+        /// Which timer.
+        timer: Timer,
+    },
     /// Silent departure: the slot just stops responding.
-    Crash { actor: u32 },
+    Crash {
+        /// The slot that crashes.
+        actor: u32,
+    },
     /// Application command (info change, threshold, level pin, shutdown).
-    Cmd { actor: u32, cmd: Command },
+    Cmd {
+        /// The slot the command is for.
+        actor: u32,
+        /// The command.
+        cmd: Command,
+    },
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() <= 128);
 
 impl Event {
     /// The slot the event is addressed to.
-    pub(crate) fn actor(&self) -> u32 {
+    pub fn actor(&self) -> u32 {
         match *self {
             Event::Start { actor, .. }
             | Event::Net { actor, .. }
@@ -87,10 +112,13 @@ pub struct FullLog {
     pub invariant_violations: Vec<(u32, String)>,
 }
 
-/// Machines in slots, and what surrounds them on every event.
-pub(crate) struct World {
+/// Machines in slots, and what surrounds them on every event. A clone is
+/// a branch point for the model checker's search; a world that publishes
+/// snapshots cannot be cloned.
+#[derive(Clone)]
+pub struct World {
     protocol: ProtocolConfig,
-    net: Box<dyn NetworkModel>,
+    net: Arc<dyn NetworkModel>,
     /// A machine that has left (died on a fatal error or finished
     /// draining its departure) is taken out of its slot, so no read ever
     /// yields a departed node's stale state.
@@ -127,11 +155,7 @@ pub(crate) struct World {
 
 impl World {
     /// An empty world with `capacity` vacant slots (it grows on demand).
-    pub(crate) fn new(
-        protocol: ProtocolConfig,
-        net: Box<dyn NetworkModel>,
-        capacity: usize,
-    ) -> Self {
+    pub fn new(protocol: ProtocolConfig, net: Arc<dyn NetworkModel>, capacity: usize) -> Self {
         World {
             protocol,
             net,
@@ -149,13 +173,19 @@ impl World {
     }
 
     /// Handles one event at `now_us`; follow-up events go to
-    /// `emit(delay_us, event)`.
+    /// `emit(delay_us, event)`. Returns the machine this event retired,
+    /// if any.
     ///
     /// In order: the machine handles the input (a fatal error is logged)
     /// → its trace buffer is drained → its invariants are checked → its
     /// outputs are interpreted → it is reaped if it has left, or else its
     /// snapshot is published.
-    pub(crate) fn handle(&mut self, now_us: u64, event: Event, mut emit: impl FnMut(u64, Event)) {
+    pub fn handle(
+        &mut self,
+        now_us: u64,
+        event: Event,
+        mut emit: impl FnMut(u64, Event),
+    ) -> Option<NodeMachine> {
         let actor = event.actor();
         let outs = match event {
             Event::Start {
@@ -183,7 +213,7 @@ impl World {
                     self.machines.resize_with(actor as usize + 1, || None);
                 }
                 self.machines[actor as usize] = Some(m);
-                Some(outs)
+                outs
             }
             Event::Crash { .. } => {
                 #[cfg(feature = "trace")]
@@ -191,7 +221,7 @@ impl World {
                 if let Some(slot) = self.machines.get_mut(actor as usize) {
                     *slot = None;
                 }
-                return;
+                return None;
             }
             Event::Net {
                 from,
@@ -204,21 +234,16 @@ impl World {
                     from_addr,
                     msg,
                 };
-                self.input(now_us, actor, input)
+                self.input(now_us, actor, input)?
             }
-            Event::Timer { timer, .. } => self.input(now_us, actor, Input::Timer(timer)),
-            Event::Cmd { cmd, .. } => self.input(now_us, actor, Input::Command(cmd)),
-        };
-        let Some(outs) = outs else {
-            return;
+            Event::Timer { timer, .. } => self.input(now_us, actor, Input::Timer(timer))?,
+            Event::Cmd { cmd, .. } => self.input(now_us, actor, Input::Command(cmd))?,
         };
         // Drain before anything can take the machine out of its slot: the
         // records of its last handled event must survive it.
         #[cfg(feature = "trace")]
         self.drain_trace(actor);
-        let Some(machine) = self.machines[actor as usize].as_ref() else {
-            return;
-        };
+        let machine = self.machines[actor as usize].as_ref()?;
         #[cfg(feature = "invariants")]
         if let Err(v) = machine.check_invariants() {
             self.log.invariant_violations.push((actor, v.to_string()));
@@ -270,10 +295,12 @@ impl World {
         // and never publishes again: readers keep its last live epoch.
         let slot = &mut self.machines[actor as usize];
         if slot.as_ref().is_some_and(NodeMachine::has_left) {
-            *slot = None;
-        } else if let (Some(hub), Some(m)) = (self.snapshots.as_mut(), slot.as_ref()) {
+            return slot.take();
+        }
+        if let (Some(hub), Some(m)) = (self.snapshots.as_mut(), slot.as_ref()) {
             hub.publish(actor, m, now_us);
         }
+        None
     }
 
     /// Feeds `input` to the machine in `actor`'s slot. `None` when the
@@ -291,8 +318,13 @@ impl World {
     }
 
     /// Read access to the machine in `actor`'s slot.
-    pub(crate) fn machine(&self, actor: u32) -> Option<&NodeMachine> {
+    pub fn machine(&self, actor: u32) -> Option<&NodeMachine> {
         self.machines.get(actor as usize)?.as_ref()
+    }
+
+    /// Write access to the machine in `actor`'s slot (test switches).
+    pub fn machine_mut(&mut self, actor: u32) -> Option<&mut NodeMachine> {
+        self.machines.get_mut(actor as usize)?.as_mut()
     }
 
     /// Every slot, vacant ones included, in slot order.
@@ -316,8 +348,13 @@ impl World {
     /// Installs `plan` (replacing any previous model, counters included),
     /// or removes the model with `None`. Per-link random streams start
     /// fresh.
-    pub(crate) fn set_fault_plan(&mut self, plan: Option<&FaultPlan>) {
+    pub fn set_fault_plan(&mut self, plan: Option<&FaultPlan>) {
         self.faults = plan.map(|p| LinkConditioner::new(p.clone()));
+    }
+
+    /// The installed fault plan, `None` on a reliable network.
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.faults.as_ref().map(LinkConditioner::plan)
     }
 
     /// Totals of the installed fault model, `None` without one.

@@ -4,8 +4,9 @@
 //! * **One judging time.** A datagram is judged by the fault layer at
 //!   departure (`now + delay_us`), not when its sender handled the event
 //!   that sent it — in `FullSim`, in `ParallelFullSim` at any shard
-//!   count, and in the model checker's `McNet`. A `Blackhole` that opens
-//!   inside a sender's processing delay drops the datagram.
+//!   count, and in the model checker's `McNet`, which steps the same
+//!   `World` through its own queue. A `Blackhole` that opens inside a
+//!   sender's processing delay drops the datagram.
 //! * **The live set.** A node that is draining its graceful leave has
 //!   announced departure: `FullSim::spawn_joiner` never bootstraps off
 //!   it and `live_count()` does not count it.
