@@ -1,6 +1,6 @@
 //! The serving engine: high-QPS queries over published snapshots.
 //!
-//! [`select`](crate::select) answers the paper's §1/§3 queries directly
+//! [`select`] answers the paper's §1/§3 queries directly
 //! against a [`PeerList`](peerwindow_core::peer_list::PeerList) — correct,
 //! but every call re-decodes every pointer's attached info and the caller
 //! must hold the list (and therefore the protocol) still. This module is
@@ -60,7 +60,7 @@
 //! consecutive carried rows is `m` slice copies, a fresh filter `m`
 //! byte stores at the column stride.
 //!
-//! Every query here is *result-identical* to its [`select`](crate::select)
+//! Every query here is *result-identical* to its [`select`]
 //! counterpart on the same list content — pinned by the differential
 //! proptest below (patched indexes against a from-scratch reference
 //! build, plans against `select`, over random operation sequences with

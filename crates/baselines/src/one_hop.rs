@@ -1,4 +1,4 @@
-//! One-hop-DHT baseline (§6, Gupta–Liskov–Rodrigues [7]).
+//! One-hop-DHT baseline (§6, Gupta–Liskov–Rodrigues \[7\]).
 //!
 //! A one-hop DHT gives *every* node a complete membership table,
 //! disseminated through a fixed slice/unit-leader hierarchy. The paper's

@@ -26,7 +26,7 @@
 
 use bytes::Bytes;
 use peerwindow_core::prelude::*;
-use peerwindow_des::{DetRng, ModuloShardMap, Outbox, ParallelEngine, ShardLogic, SimTime};
+use peerwindow_des::{DetRng, Outbox, ParallelEngine, ShardLogic, SimTime};
 use peerwindow_sim::directory::{Charge, Directory};
 use std::time::Instant;
 
@@ -79,7 +79,7 @@ fn fanout(shards: usize) -> f64 {
             count: 0,
         })
         .collect();
-    let mut e = ParallelEngine::with_map(logics, 1_000, ModuloShardMap);
+    let mut e = ParallelEngine::new(logics, 1_000);
     for i in 0..8 {
         e.schedule(SimTime(0), i, 13);
     }

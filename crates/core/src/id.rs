@@ -87,12 +87,6 @@ impl NodeId {
         Prefix::new(self.0, len)
     }
 
-    /// Whether this id starts with `p`.
-    #[inline]
-    pub fn has_prefix(self, p: Prefix) -> bool {
-        p.contains(self)
-    }
-
     /// The successor on the identifier circle (wrapping).
     #[inline]
     pub fn circle_successor(self) -> NodeId {

@@ -21,7 +21,7 @@
 //!
 //! * [`id`] — 128-bit identifiers and prefix algebra.
 //! * [`level`] — levels, eigenstrings, the stronger/weaker order.
-//! * [`pointer`] — peer-list entries (§2) with attached info (§3).
+//! * [`pointer`](mod@pointer) — peer-list entries (§2) with attached info (§3).
 //! * [`peer_list`] — the indexed peer list and its queries.
 //! * [`event`] — state-changing events (§2).
 //! * [`multicast`] — the §4.2 tree multicast planner.

@@ -2,54 +2,50 @@
 //!
 //! The paper ran its experiments on ONSP, a parallel discrete-event
 //! platform using MPI across a 16-server cluster. This module provides the
-//! shared-memory analogue: actors are partitioned into shards, each shard
-//! owns a private event queue (the [`crate::sched`] binary heap), and
-//! execution proceeds in synchronised *windows* of length equal to the
-//! *lookahead* — the minimum cross-shard message latency, i.e. the
-//! minimum of the latency matrix for PeerWindow topologies. Within a
-//! window every shard processes its local events independently; messages
-//! to other shards are buffered, handed off in per-destination batches,
-//! and merged in a canonical order, so a run is **bit-deterministic for
-//! any shard and worker count**, and the *set* of deliveries is identical
-//! across shard counts (asserted by tests).
+//! shared-memory analogue: actors are partitioned into shards (actor `a`
+//! lives on shard `a % shards`), each shard owns a private event queue
+//! (the [`crate::sched`] binary heap), and execution proceeds in
+//! synchronised *windows* of length equal to the *lookahead* — the
+//! minimum cross-shard message latency, i.e. the minimum of the latency
+//! matrix for PeerWindow topologies. Within a window every shard processes
+//! its local events independently; messages to other shards are buffered,
+//! handed off in per-destination batches, and merged in a canonical order,
+//! so a run is **bit-deterministic for any shard and worker count**, and
+//! the *set* of deliveries is identical across shard counts (asserted by
+//! tests).
 //!
 //! ## Window protocol
 //!
-//! Earlier revisions spawned a fresh set of scoped threads for every
-//! window and merged all cross-shard traffic on the coordinating thread —
-//! a full OS-level barrier (two thread lifecycles plus a join) per
-//! lookahead window, which made throughput *drop* as shards were added.
-//! The engine now runs a fixed worker pool for the whole of
-//! [`ParallelEngine::run_until`], with windows sequenced by a
-//! sense-reversing **spin barrier** (a pair of `std` atomics; a window
-//! transition costs a fetch-add and a few cache-line bounces instead of
-//! thread spawns) and cross-shard handoff through a **mailbox matrix**:
-//! one padded slot per (source, destination) shard pair. A source flushes
-//! each non-empty per-destination bucket into its mailbox slot once per
-//! window (a `Vec` swap — the batch moves, not the messages), and after
-//! the phase barrier each destination drains its mailbox column, sorts the
-//! batch by the canonical `(at, src_shard, src_seq)` key, and schedules it
-//! into its own queue. Every slot is written only by its source's worker
-//! during phase 1 and read only by its destination's worker during phase
-//! 2, with a barrier between — the slot mutexes are therefore *never
-//! contended* (each `lock` is a single uncontended atomic exchange; the
-//! mutex exists to satisfy the compiler, the barrier is what excludes
-//! concurrent access).
+//! One loop runs the protocol (plan → execute → merge) for every worker
+//! count. [`ParallelEngine::run_until`] splits the shards into contiguous
+//! chunks, one per worker. When one worker owns every shard (one shard,
+//! `set_workers(1)`, a one-core host) it runs the loop on the calling
+//! thread; otherwise each worker is a scoped thread for the whole call.
+//! Windows are sequenced by a sense-reversing **spin barrier** (a pair of
+//! `std` atomics; a window transition costs a fetch-add and a few
+//! cache-line bounces instead of thread spawns, and a lone worker's waits
+//! return at once).
+//!
+//! A cross-shard send lands in its source shard's bucket for the
+//! destination. After the source's share of the window each non-empty
+//! bucket is handed off whole: straight into the destination's merge
+//! buffer when the same worker owns it, otherwise into the **mailbox
+//! matrix** — one padded slot per (source, destination) shard pair, filled
+//! by a `Vec` swap (the batch moves, not the messages). After the phase
+//! barrier each destination drains the slots of sources other workers
+//! own, sorts its merge buffer by the canonical `(at, src_shard, src_seq)`
+//! key, and schedules it into its own queue. Every slot is written only by
+//! its source's worker during phase 1 and read only by its destination's
+//! worker during phase 2, with a barrier between — the slot mutexes are
+//! therefore *never contended* (the mutex exists to satisfy the compiler,
+//! the barrier is what excludes concurrent access), and a lone worker
+//! takes none. Window boundaries and merge order are pure functions of
+//! simulated time, never of scheduling, so the worker count cannot change
+//! a run.
 //!
 //! Worker panics (e.g. a lookahead violation) poison the barrier: peers
 //! drain out cleanly instead of spinning forever, and the original panic
 //! payload is re-thrown by the coordinating thread.
-//!
-//! With a single worker (or a single shard) the engine takes a dedicated
-//! sequential path with no atomics, no mutexes, and no threads at all —
-//! the path a 1-core host measures — which is bit-identical to the
-//! threaded path because window boundaries and merge order are pure
-//! functions of simulated time, never of scheduling.
-//!
-//! Actor placement is pluggable through [`ShardMap`]; the default
-//! [`ModuloShardMap`] reproduces the historical `actor % shards`
-//! partition, while topology-aware maps (e.g. grouping overlay addresses
-//! by transit-stub domain) can cut cross-shard traffic dramatically.
 //!
 //! Correctness rests on the classic conservative-synchronisation argument:
 //! a message sent during window `[w, w+δ)` to another shard carries a
@@ -81,25 +77,10 @@ pub trait ShardLogic: Send {
     }
 }
 
-/// Maps actors to shards. Implementations must be pure functions of
-/// `(actor, shards)` — the partition is consulted on every send, from
-/// worker threads, and must never change during a run.
-pub trait ShardMap: Sync {
-    /// The shard owning `actor` when `shards` shards exist. Must return a
-    /// value in `0..shards`.
-    fn shard_of(&self, actor: u32, shards: usize) -> usize;
-}
-
-/// The default static partition: `actor % shards`.
+/// The engine's one partition, `actor % shards`, as the argument of
+/// [`ParallelEngine::with_map`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ModuloShardMap;
-
-impl ShardMap for ModuloShardMap {
-    #[inline]
-    fn shard_of(&self, actor: u32, shards: usize) -> usize {
-        actor as usize % shards
-    }
-}
 
 /// Collects the sends emitted by a handler.
 pub struct Outbox<M> {
@@ -136,7 +117,6 @@ struct Inbound<M> {
 /// adjacent slots never false-share.
 #[repr(align(64))]
 struct MailSlot<M>(Mutex<Vec<Inbound<M>>>);
-
 /// The sense-reversing spin barrier sequencing window phases. `wait`
 /// returns `true` for exactly one caller per generation (the "leader", the
 /// last to arrive), which is where the per-window coordination — picking
@@ -234,11 +214,10 @@ struct Shard<L: ShardLogic> {
     /// window boundary.
     remote: Vec<Vec<Inbound<L::Msg>>>,
     /// Destinations whose bucket went non-empty this window, so the flush
-    /// and the sequential merge touch only live buckets instead of
-    /// scanning all `shards²` pairs.
+    /// touches only live buckets instead of scanning all `shards²` pairs.
     dirty: Vec<u32>,
-    /// Phase-2 merge scratch (the threaded path needs one per shard, the
-    /// sequential path reuses shard 0's).
+    /// This shard's cross-shard arrivals for the window: filled by its
+    /// own worker's flushes and mailbox drains, committed in phase 2.
     merge: Vec<Inbound<L::Msg>>,
     /// Per-shard runtime-metrics slot (cache-line padded, off until
     /// enabled). Only ever touched by the worker that owns this shard, so
@@ -249,10 +228,9 @@ struct Shard<L: ShardLogic> {
 /// Runs one shard's share of a window: drain local events below
 /// `window_end`, keeping local follow-ups and bucketing cross-shard sends
 /// by destination.
-fn run_window_shard<L: ShardLogic, M: ShardMap>(
+fn run_window_shard<L: ShardLogic>(
     shard_idx: usize,
     shard: &mut Shard<L>,
-    map: &M,
     shards: usize,
     window_end: SimTime,
     lookahead_us: u64,
@@ -265,7 +243,7 @@ fn run_window_shard<L: ShardLogic, M: ShardMap>(
         shard.outbox.now = now;
         shard.logic.handle(now, actor, msg, &mut shard.outbox);
         for (at, dst_actor, m) in shard.outbox.sends.drain(..) {
-            let dest = map.shard_of(dst_actor, shards);
+            let dest = dst_actor as usize % shards;
             if dest == shard_idx {
                 shard.queue.schedule(at, (dst_actor, m));
             } else {
@@ -320,7 +298,7 @@ fn commit_merge<L: ShardLogic>(shard: &mut Shard<L>) {
     }
 }
 
-/// Shared per-run coordination state for the threaded path.
+/// Per-run coordination state the workers share.
 struct WindowCtrl {
     barrier: SpinBarrier,
     /// `fetch_min` target for the earliest pending event across shards;
@@ -335,42 +313,173 @@ struct WindowCtrl {
     done: AtomicBool,
 }
 
-/// The parallel engine: `S` shards advancing in lockstep windows, with an
-/// actor partition given by `M`.
-pub struct ParallelEngine<L: ShardLogic, M: ShardMap = ModuloShardMap> {
+/// What every worker of one [`ParallelEngine::run_until`] call shares.
+struct Run<'a, M> {
+    ctrl: WindowCtrl,
+    /// The mailbox matrix, `mail[src * shards + dest]`.
+    mail: &'a [MailSlot<M>],
+    shards: usize,
+    lookahead_us: u64,
+    until_us: u64,
+    metrics_on: bool,
+}
+
+/// One worker's run: owns the engine's shards `base..base + shards.len()`
+/// and steps them window by window, in lockstep with its siblings, until
+/// the leader finds no event before `until`. Returns the worker's private
+/// lap-based timeline; laps partition its wall-clock time exactly, so
+/// attribution fractions sum to 1.
+fn run_worker<L: ShardLogic>(
+    run: &Run<'_, L::Msg>,
+    base: usize,
+    shards: &mut [Shard<L>],
+) -> ShardSlot {
+    let ctrl = &run.ctrl;
+    let n = run.shards;
+    let owned = base..base + shards.len();
+    let _guard = PoisonGuard(&ctrl.barrier);
+    let mut tl = ShardSlot::default();
+    tl.set_enabled(run.metrics_on);
+    loop {
+        // Post the earliest pending time of the owned shards, then elect a
+        // leader to plan the window.
+        for shard in shards.iter() {
+            if let Some(t) = shard.queue.peek_min_at() {
+                // audit: ordering — AcqRel: concurrent posts chain through
+                // the RMW, and the barrier that follows publishes the min
+                // to the leader.
+                ctrl.next_min.fetch_min(t.as_micros(), Ordering::AcqRel);
+            }
+        }
+        tl.lap(TimeCat::Coord);
+        let Some(leader) = ctrl.barrier.wait() else {
+            return tl;
+        };
+        tl.lap(TimeCat::WaitPlan);
+        if leader {
+            // audit: ordering — AcqRel: the Acquire half sees every post
+            // from before the barrier; the Release half resets the slate
+            // for the posts of the next round.
+            let earliest = ctrl.next_min.swap(u64::MAX, Ordering::AcqRel);
+            if earliest >= run.until_us {
+                // audit: ordering — Release; readers take the barrier's
+                // Acquire edge before their `done` check, Release keeps
+                // the pair self-contained even without it.
+                ctrl.done.store(true, Ordering::Release);
+            } else {
+                // Skip idle gaps: the window starts at the earliest
+                // pending event.
+                // audit: ordering — only the leader ever stores `now_us`,
+                // and its own last store is visible to itself; Acquire
+                // also covers the first round's constructor store.
+                let start = ctrl.now_us.load(Ordering::Acquire).max(earliest);
+                let end = start.saturating_add(run.lookahead_us).min(run.until_us);
+                // audit: ordering — Release pairs with the workers'
+                // Acquire loads after the second barrier wait.
+                ctrl.window_end.store(end, Ordering::Release);
+                // audit: ordering — Release: the next round's leader may
+                // be another worker; the barrier orders it, Release keeps
+                // the pair self-contained.
+                ctrl.now_us.store(end, Ordering::Release);
+                // Exactly one worker (the leader) records the committed
+                // window, so window counts and widths are not multiplied
+                // by the worker count.
+                tl.add(Counter::Windows, 1);
+                tl.observe(SampleKind::WindowWidthUs, (end - start) as f64);
+            }
+        }
+        if ctrl.barrier.wait().is_none() {
+            return tl;
+        }
+        tl.lap(TimeCat::WaitPublish);
+        // audit: ordering — Acquire pairs with the leader's Release store;
+        // the barrier generation bump already ordered it, this keeps the
+        // flag readable on its own.
+        if ctrl.done.load(Ordering::Acquire) {
+            return tl;
+        }
+        // audit: ordering — Acquire pairs with the leader's Release store
+        // of this round's bound.
+        let window_end = SimTime(ctrl.window_end.load(Ordering::Acquire));
+
+        // Phase 1: local events, then hand each dirty bucket off whole —
+        // into the merge buffer of a destination this worker owns, else
+        // into the mailbox slot (a Vec swap: the slot's previous, empty,
+        // vector comes back, so capacity is recycled either way).
+        for j in 0..shards.len() {
+            let idx = base + j;
+            run_window_shard(idx, &mut shards[j], n, window_end, run.lookahead_us);
+            tl.lap(TimeCat::Execute);
+            let mut dirty = std::mem::take(&mut shards[j].dirty);
+            for dest in dirty.drain(..) {
+                let dest = dest as usize;
+                let mut bucket = std::mem::take(&mut shards[j].remote[dest]);
+                let stats = &mut shards[j].stats;
+                stats.add(Counter::HandoffMsgs, bucket.len() as u64);
+                stats.add(Counter::HandoffBatches, 1);
+                stats.observe(SampleKind::HandoffBatch, bucket.len() as f64);
+                if owned.contains(&dest) {
+                    shards[dest - base].merge.append(&mut bucket);
+                } else {
+                    let slot = &run.mail[idx * n + dest];
+                    let mut cell = slot.0.lock().expect("mailbox poisoned by sibling panic");
+                    debug_assert!(cell.is_empty());
+                    std::mem::swap(&mut *cell, &mut bucket);
+                }
+                shards[j].remote[dest] = bucket;
+            }
+            shards[j].dirty = dirty;
+            tl.lap(TimeCat::Flush);
+        }
+        if ctrl.barrier.wait().is_none() {
+            return tl;
+        }
+        tl.lap(TimeCat::WaitCommit);
+
+        // Phase 2: each destination drains the mailbox slots of sources
+        // other workers own and commits the canonical merge into its own
+        // queue.
+        for (j, shard) in shards.iter_mut().enumerate() {
+            let idx = base + j;
+            for src in (0..base).chain(owned.end..n) {
+                let slot = &run.mail[src * n + idx];
+                let mut cell = slot.0.lock().expect("mailbox poisoned by sibling panic");
+                shard.merge.append(&mut cell);
+            }
+            if !shard.merge.is_empty() {
+                commit_merge(shard);
+            }
+        }
+        tl.lap(TimeCat::Merge);
+        // No barrier needed before the next plan phase: a worker only
+        // posts minima for shards it owns, and those were last touched by
+        // this same worker.
+    }
+}
+
+/// The parallel engine: shards advancing in lockstep windows, actor `a`
+/// on shard `a % shards`.
+pub struct ParallelEngine<L: ShardLogic> {
     shards: Vec<Shard<L>>,
-    map: M,
     lookahead_us: u64,
     now: SimTime,
     workers: usize,
     /// Mailbox matrix, `mail[src * n + dest]`; see the module docs for the
     /// phase-disjoint access discipline that keeps every lock uncontended.
     mail: Vec<MailSlot<L::Msg>>,
-    /// Engine-level runtime-metrics timeline: the sequential path records
-    /// into it directly; the threaded path absorbs each worker's private
-    /// timeline into it when the pool drains.
+    /// Engine-level runtime-metrics timeline: absorbs each worker's
+    /// private timeline when a run ends.
     metrics: ShardSlot,
 }
 
-impl<L: ShardLogic> ParallelEngine<L, ModuloShardMap> {
-    /// Builds an engine over the given shard logics with the default
-    /// modulo partition. `lookahead_us` must be a lower bound on every
-    /// cross-shard message delay (for PeerWindow topologies: the minimum
-    /// link latency, 1 ms).
+impl<L: ShardLogic> ParallelEngine<L> {
+    /// Builds an engine over the given shard logics. `lookahead_us` must
+    /// be a lower bound on every cross-shard message delay (for PeerWindow
+    /// topologies: the minimum link latency, 1 ms).
     ///
     /// # Panics
     /// Panics if `shards` is empty or `lookahead_us == 0`.
     pub fn new(shards: Vec<L>, lookahead_us: u64) -> Self {
-        Self::with_map(shards, lookahead_us, ModuloShardMap)
-    }
-}
-
-impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
-    /// Builds an engine with an explicit actor-to-shard partition.
-    ///
-    /// # Panics
-    /// Panics if `shards` is empty or `lookahead_us == 0`.
-    pub fn with_map(shards: Vec<L>, lookahead_us: u64, map: M) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");
         assert!(lookahead_us > 0, "lookahead must be positive");
         let n = shards.len();
@@ -396,7 +505,6 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
                     stats: ShardSlot::default(),
                 })
                 .collect(),
-            map,
             lookahead_us,
             now: SimTime::ZERO,
             workers,
@@ -407,14 +515,19 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
         }
     }
 
+    /// [`Self::new`], under the name the benchmark harness builds with.
+    pub fn with_map(shards: Vec<L>, lookahead_us: u64, _map: ModuloShardMap) -> Self {
+        Self::new(shards, lookahead_us)
+    }
+
     /// Number of shards.
     #[inline]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// Number of worker threads `run_until` will use (1 means the
-    /// sequential path). Defaults to `min(available cores, shards)`.
+    /// Number of workers `run_until` will use (1 runs the window loop on
+    /// the calling thread). Defaults to `min(available cores, shards)`.
     #[inline]
     pub fn workers(&self) -> usize {
         self.workers
@@ -428,10 +541,10 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
         self.workers = workers.clamp(1, self.shards.len());
     }
 
-    /// The shard owning `actor` under the engine's partition.
+    /// The shard owning `actor`.
     #[inline]
     pub fn shard_of(&self, actor: u32) -> usize {
-        self.map.shard_of(actor, self.shards.len())
+        actor as usize % self.shards.len()
     }
 
     /// Current window start time.
@@ -483,11 +596,6 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
         }
     }
 
-    /// Whether runtime metrics are currently recording.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.enabled()
-    }
-
     /// Builds the merged wall-clock run report: per-phase time, counters,
     /// distributions, and per-shard event counts. Empty (all zeros, no
     /// shard rows) when metrics were never enabled.
@@ -520,7 +628,7 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
             "scheduling into the past (at {at:?} < now {:?}); the event will be clamped to now()",
             self.now
         );
-        let shard = self.map.shard_of(actor, self.shards.len());
+        let shard = self.shard_of(actor);
         self.shards[shard]
             .queue
             .schedule(at.max(self.now), (actor, msg));
@@ -529,286 +637,63 @@ impl<L: ShardLogic, M: ShardMap> ParallelEngine<L, M> {
     /// Runs windows until simulated time reaches `until` or all queues
     /// drain.
     pub fn run_until(&mut self, until: SimTime) {
-        if self.workers <= 1 || self.shards.len() == 1 {
-            self.run_until_sequential(until);
-        } else {
-            self.run_until_threaded(until);
-        }
-        self.now = self.now.max(until);
-    }
-
-    /// The no-thread path: all shards on the calling thread, no atomics,
-    /// no locks. Bit-identical to the threaded path.
-    fn run_until_sequential(&mut self, until: SimTime) {
         let n = self.shards.len();
-        let metrics_on = self.metrics.enabled();
-        if metrics_on {
-            self.metrics.mark();
-        }
-        while self.now < until {
-            let earliest = self
-                .shards
-                .iter()
-                .filter_map(|s| s.queue.peek_min_at())
-                .min();
-            let Some(earliest) = earliest else {
-                break; // all queues empty
-            };
-            if earliest >= until {
-                break;
-            }
-            // Skip idle gaps: jump the window to the earliest pending event.
-            let window_start = self.now.max(earliest);
-            let window_end = (window_start + self.lookahead_us).min(until);
-            if metrics_on {
-                self.metrics.lap(TimeCat::Coord);
-            }
-
-            // Phase 1: local processing per shard.
-            for (idx, shard) in self.shards.iter_mut().enumerate() {
-                run_window_shard(idx, shard, &self.map, n, window_end, self.lookahead_us);
-            }
-            if metrics_on {
-                self.metrics.lap(TimeCat::Execute);
-                self.metrics.add(Counter::Windows, 1);
-                self.metrics.observe(
-                    SampleKind::WindowWidthUs,
-                    (window_end.as_micros() - window_start.as_micros()) as f64,
-                );
-            }
-
-            // Phase 2: gather each source's dirty buckets into the
-            // destinations' merge buffers, then commit each destination
-            // canonically. Append order across sources is irrelevant —
-            // the sort key is unique — so draining by source is fine.
-            for src in 0..n {
-                for k in 0..self.shards[src].dirty.len() {
-                    let dest = self.shards[src].dirty[k] as usize;
-                    let mut bucket = std::mem::take(&mut self.shards[src].remote[dest]);
-                    if metrics_on {
-                        let stats = &mut self.shards[src].stats;
-                        stats.add(Counter::HandoffMsgs, bucket.len() as u64);
-                        stats.add(Counter::HandoffBatches, 1);
-                        stats.observe(SampleKind::HandoffBatch, bucket.len() as f64);
-                    }
-                    self.shards[dest].merge.append(&mut bucket);
-                    self.shards[src].remote[dest] = bucket; // keep capacity
-                }
-                self.shards[src].dirty.clear();
-            }
-            for shard in &mut self.shards {
-                if !shard.merge.is_empty() {
-                    commit_merge(shard);
-                }
-            }
-            if metrics_on {
-                self.metrics.lap(TimeCat::Merge);
-            }
-            self.now = window_end;
-        }
-    }
-
-    /// The worker-pool path: one thread per worker for the whole run,
-    /// windows sequenced by the spin barrier, handoff via the mailbox
-    /// matrix.
-    fn run_until_threaded(&mut self, until: SimTime) {
-        let n = self.shards.len();
-        let workers = self.workers.min(n);
-        let chunk = n.div_ceil(workers);
+        let chunk = n.div_ceil(self.workers);
         // chunks_mut(chunk) yields ceil(n/chunk) slices, which can be fewer
-        // than `workers` (e.g. 5 shards / 4 workers -> chunk 2 -> 3 threads).
-        // The barrier must be sized to the threads that actually arrive or
-        // every wait spins forever.
-        let spawned = n.div_ceil(chunk);
-        let ctrl = WindowCtrl {
-            barrier: SpinBarrier::new(spawned),
-            next_min: AtomicU64::new(u64::MAX),
-            window_end: AtomicU64::new(0),
-            now_us: AtomicU64::new(self.now.as_micros()),
-            done: AtomicBool::new(false),
+        // than `workers` (e.g. 5 shards / 4 workers -> chunk 2 -> 3
+        // workers). The barrier must be sized to the workers that actually
+        // arrive or every wait spins forever.
+        let workers = n.div_ceil(chunk);
+        let run = Run {
+            ctrl: WindowCtrl {
+                barrier: SpinBarrier::new(workers),
+                next_min: AtomicU64::new(u64::MAX),
+                window_end: AtomicU64::new(0),
+                now_us: AtomicU64::new(self.now.as_micros()),
+                done: AtomicBool::new(false),
+            },
+            mail: &self.mail,
+            shards: n,
+            lookahead_us: self.lookahead_us,
+            until_us: until.as_micros(),
+            metrics_on: self.metrics.enabled(),
         };
-        let map = &self.map;
-        let mail = &self.mail[..];
-        let lookahead = self.lookahead_us;
-        let until_us = until.as_micros();
-        let metrics_on = self.metrics.enabled();
-
-        let timelines = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(spawned);
-            for (c, shards) in self.shards.chunks_mut(chunk).enumerate() {
-                let ctrl = &ctrl;
-                handles.push(scope.spawn(move || {
-                    let _guard = PoisonGuard(&ctrl.barrier);
-                    let base = c * chunk;
-                    // Each worker keeps a private lap-based timeline and
-                    // returns it; the pool owner absorbs them after the
-                    // join. Laps partition the worker's wall-clock time
-                    // exactly, so attribution fractions sum to 1.
-                    let mut tl = ShardSlot::default();
-                    if metrics_on {
-                        tl.set_enabled(true);
-                    }
-                    loop {
-                        // Post the earliest pending time of the owned
-                        // shards, then elect a leader to plan the window.
-                        for shard in shards.iter() {
-                            if let Some(t) = shard.queue.peek_min_at() {
-                                // audit: ordering — AcqRel: concurrent
-                                // posts chain through the RMW, and the
-                                // barrier that follows publishes the min
-                                // to the leader.
-                                ctrl.next_min.fetch_min(t.as_micros(), Ordering::AcqRel);
-                            }
+        let metrics = &mut self.metrics;
+        if workers == 1 {
+            metrics.absorb(run_worker(&run, 0, &mut self.shards));
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .shards
+                    .chunks_mut(chunk)
+                    .enumerate()
+                    .map(|(c, shards)| {
+                        let run = &run;
+                        scope.spawn(move || run_worker(run, c * chunk, shards))
+                    })
+                    .collect();
+                // Join explicitly so a panicking shard (e.g. a lookahead
+                // violation) propagates its own payload instead of the
+                // scope's generic message. Workers that drained out due to
+                // a sibling's poison return cleanly, so the only Err
+                // payload is the original panic.
+                let mut panic = None;
+                for h in handles {
+                    match h.join() {
+                        Ok(tl) => metrics.absorb(tl),
+                        Err(p) => {
+                            panic.get_or_insert(p);
                         }
-                        if metrics_on {
-                            tl.lap(TimeCat::Coord);
-                        }
-                        let Some(leader) = ctrl.barrier.wait() else {
-                            return tl;
-                        };
-                        if metrics_on {
-                            tl.lap(TimeCat::WaitPlan);
-                        }
-                        if leader {
-                            // audit: ordering — AcqRel: the Acquire half
-                            // sees every post from before the barrier;
-                            // the Release half resets the slate for the
-                            // posts of the next round.
-                            let earliest = ctrl.next_min.swap(u64::MAX, Ordering::AcqRel);
-                            if earliest >= until_us {
-                                // audit: ordering — Release; readers take
-                                // the barrier's Acquire edge before their
-                                // `done` check, Release keeps the pair
-                                // self-contained even without it.
-                                ctrl.done.store(true, Ordering::Release);
-                            } else {
-                                // audit: ordering — only the leader ever
-                                // stores `now_us`, and its own last store
-                                // is visible to itself; Acquire also
-                                // covers the first round's constructor
-                                // store.
-                                let start = ctrl.now_us.load(Ordering::Acquire).max(earliest);
-                                let end = start.saturating_add(lookahead).min(until_us);
-                                // audit: ordering — Release pairs with
-                                // the workers' Acquire loads after the
-                                // second barrier wait.
-                                ctrl.window_end.store(end, Ordering::Release);
-                                // audit: ordering — Release: published to
-                                // the scope parent's Acquire load at the
-                                // end of the run.
-                                ctrl.now_us.store(end, Ordering::Release);
-                                // Exactly one worker (the leader) records
-                                // the committed window, so window counts
-                                // and widths are not multiplied by the
-                                // worker count.
-                                if metrics_on {
-                                    tl.add(Counter::Windows, 1);
-                                    tl.observe(SampleKind::WindowWidthUs, (end - start) as f64);
-                                }
-                            }
-                        }
-                        if ctrl.barrier.wait().is_none() {
-                            return tl;
-                        }
-                        if metrics_on {
-                            tl.lap(TimeCat::WaitPublish);
-                        }
-                        // audit: ordering — Acquire pairs with the
-                        // leader's Release store; the barrier generation
-                        // bump already ordered it, this keeps the flag
-                        // readable on its own.
-                        if ctrl.done.load(Ordering::Acquire) {
-                            return tl;
-                        }
-                        // audit: ordering — Acquire pairs with the
-                        // leader's Release store of this round's bound.
-                        let window_end = SimTime(ctrl.window_end.load(Ordering::Acquire));
-
-                        // Phase 1: local events, then batch-flush each
-                        // dirty bucket into its mailbox slot (a Vec swap;
-                        // the slot's previous — empty — vector comes back
-                        // so capacity is recycled).
-                        for (j, shard) in shards.iter_mut().enumerate() {
-                            let idx = base + j;
-                            run_window_shard(idx, shard, map, n, window_end, lookahead);
-                            if metrics_on {
-                                tl.lap(TimeCat::Execute);
-                            }
-                            for dest in shard.dirty.drain(..) {
-                                if metrics_on {
-                                    let len = shard.remote[dest as usize].len() as u64;
-                                    shard.stats.add(Counter::HandoffMsgs, len);
-                                    shard.stats.add(Counter::HandoffBatches, 1);
-                                    shard.stats.observe(SampleKind::HandoffBatch, len as f64);
-                                }
-                                let slot = &mail[idx * n + dest as usize];
-                                let mut cell =
-                                    slot.0.lock().expect("mailbox poisoned by sibling panic");
-                                debug_assert!(cell.is_empty());
-                                std::mem::swap(&mut *cell, &mut shard.remote[dest as usize]);
-                            }
-                            if metrics_on {
-                                tl.lap(TimeCat::Flush);
-                            }
-                        }
-                        if ctrl.barrier.wait().is_none() {
-                            return tl;
-                        }
-                        if metrics_on {
-                            tl.lap(TimeCat::WaitCommit);
-                        }
-
-                        // Phase 2: each destination drains its mailbox
-                        // column and commits the canonical merge into its
-                        // own queue.
-                        for (j, shard) in shards.iter_mut().enumerate() {
-                            let idx = base + j;
-                            for src in 0..n {
-                                let slot = &mail[src * n + idx];
-                                let mut cell =
-                                    slot.0.lock().expect("mailbox poisoned by sibling panic");
-                                shard.merge.append(&mut cell);
-                            }
-                            if !shard.merge.is_empty() {
-                                commit_merge(shard);
-                            }
-                        }
-                        if metrics_on {
-                            tl.lap(TimeCat::Merge);
-                        }
-                        // No barrier needed before the next plan phase: a
-                        // worker only posts minima for shards it owns, and
-                        // those were last touched by this same worker.
-                    }
-                }));
-            }
-            // Join explicitly so a panicking shard (e.g. a lookahead
-            // violation) propagates its own payload instead of the
-            // scope's generic message. Workers that drained out due to a
-            // sibling's poison return cleanly, so the only Err payload is
-            // the original panic.
-            let mut panic = None;
-            let mut timelines = Vec::with_capacity(spawned);
-            for h in handles {
-                match h.join() {
-                    Ok(tl) => timelines.push(tl),
-                    Err(p) => {
-                        panic.get_or_insert(p);
                     }
                 }
-            }
-            if let Some(p) = panic {
-                std::panic::resume_unwind(p);
-            }
-            timelines
-        });
-        for tl in timelines {
-            self.metrics.absorb(tl);
+                if let Some(p) = panic {
+                    std::panic::resume_unwind(p);
+                }
+            });
         }
-        // audit: ordering — Acquire pairs with the leader's Release
-        // stores; `scope` joining every worker already provides the
-        // happens-before edge, the explicit ordering documents it.
-        self.now = SimTime(ctrl.now_us.load(Ordering::Acquire)).max(self.now);
+        // The leader's committed time never passes `until`, so the run
+        // ends there whether or not the queues drained first.
+        self.now = self.now.max(until);
     }
 }
 
@@ -859,19 +744,7 @@ mod tests {
         }
     }
 
-    /// Groups actors into contiguous blocks, round-robin over shards — a
-    /// stand-in for locality-aware partitions.
-    struct BlockMap {
-        block: u32,
-    }
-
-    impl ShardMap for BlockMap {
-        fn shard_of(&self, actor: u32, shards: usize) -> usize {
-            (actor / self.block) as usize % shards
-        }
-    }
-
-    fn run_full<M: ShardMap>(shards: usize, actors: u32, map: M, workers: usize) -> (u64, u64) {
+    fn run_full(shards: usize, actors: u32, workers: usize) -> (u64, u64) {
         let logics: Vec<Gossip> = (0..shards)
             .map(|_| Gossip {
                 actors,
@@ -879,7 +752,7 @@ mod tests {
                 deliveries: 0,
             })
             .collect();
-        let mut e = ParallelEngine::with_map(logics, 1_000, map);
+        let mut e = ParallelEngine::new(logics, 1_000);
         e.set_workers(workers);
         for i in 0..4 {
             e.schedule(
@@ -896,12 +769,8 @@ mod tests {
         (e.fingerprint(), deliveries)
     }
 
-    fn run_with_map<M: ShardMap>(shards: usize, actors: u32, map: M) -> (u64, u64) {
-        run_full(shards, actors, map, 1)
-    }
-
     fn run(shards: usize, actors: u32) -> (u64, u64) {
-        run_with_map(shards, actors, ModuloShardMap)
+        run_full(shards, actors, 1)
     }
 
     #[test]
@@ -923,16 +792,16 @@ mod tests {
         assert_eq!(d1, 4 * 511);
     }
 
-    /// The threaded window protocol (spin barrier + mailbox matrix) is
-    /// bit-identical to the sequential path for every worker count, even
-    /// oversubscribed on a small host.
+    /// Threaded workers (spin barrier + mailbox matrix) give the run a
+    /// lone worker gives, for every worker count, even oversubscribed on a
+    /// small host.
     #[test]
     fn worker_count_never_changes_the_run() {
-        let sequential = run_full(8, 64, ModuloShardMap, 1);
+        let one_worker = run_full(8, 64, 1);
         for workers in [2usize, 3, 8] {
             assert_eq!(
-                sequential,
-                run_full(8, 64, ModuloShardMap, workers),
+                one_worker,
+                run_full(8, 64, workers),
                 "digest differs between 1 and {workers} workers"
             );
         }
@@ -944,33 +813,22 @@ mod tests {
     /// the spawned count or the run hangs forever.
     #[test]
     fn uneven_chunking_spawns_fewer_threads_than_workers() {
-        let sequential = run_full(5, 64, ModuloShardMap, 1);
+        let one_worker = run_full(5, 64, 1);
         for workers in [3usize, 4] {
             assert_eq!(
-                sequential,
-                run_full(5, 64, ModuloShardMap, workers),
+                one_worker,
+                run_full(5, 64, workers),
                 "digest differs between 1 and {workers} workers at 5 shards"
             );
         }
-        let sequential = run_full(8, 64, ModuloShardMap, 1);
+        let one_worker = run_full(8, 64, 1);
         for workers in [5usize, 6, 7] {
             assert_eq!(
-                sequential,
-                run_full(8, 64, ModuloShardMap, workers),
+                one_worker,
+                run_full(8, 64, workers),
                 "digest differs between 1 and {workers} workers at 8 shards"
             );
         }
-    }
-
-    #[test]
-    fn delivery_set_is_invariant_across_shard_maps() {
-        let (f_mod, d_mod) = run(4, 64);
-        let (f_blk, d_blk) = run_with_map(4, 64, BlockMap { block: 16 });
-        let (f_blk3, d_blk3) = run_with_map(3, 64, BlockMap { block: 8 });
-        assert_eq!(d_mod, d_blk);
-        assert_eq!(d_mod, d_blk3);
-        assert_eq!(f_mod, f_blk, "digest differs between modulo and block maps");
-        assert_eq!(f_mod, f_blk3, "digest differs for block map at 3 shards");
     }
 
     #[test]

@@ -213,12 +213,6 @@ impl FaultPlan {
             condition: Condition::Blackhole,
         })
     }
-
-    /// Whether any rule can ever match (false ⇒ the conditioner's fast
-    /// path is taken on every packet).
-    pub fn is_reliable(&self) -> bool {
-        self.rules.is_empty()
-    }
 }
 
 #[cfg(test)]

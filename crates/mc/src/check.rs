@@ -369,7 +369,7 @@ pub fn check(cfg: &McConfig, props: &[Property]) -> Result<McStats, McFailure> {
 }
 
 /// Replays `trace` linearly from the settled seed state, evaluating
-/// `props` at every step — the oracle [`crate::shrink`] minimizes
+/// `props` at every step — the oracle [`crate::shrink`](fn@crate::shrink) minimizes
 /// against. Returns the first failure, or `None` if the trace passes.
 pub fn replay(cfg: &McConfig, props: &[Property], trace: &[SweepOp]) -> Option<McFailure> {
     let fail = |t: &[SweepOp], e: NetErr| McFailure {

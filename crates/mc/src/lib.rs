@@ -20,7 +20,7 @@
 //!   properties: *partition-heal-reconverges* and
 //!   *no-correct-node-permanently-expunged*, checked under
 //!   [`peerwindow_faults::FaultPlan`]s injected into the net.
-//! * **Counterexample minimization** ([`shrink`]) — failing traces are
+//! * **Counterexample minimization** ([`shrink`](mod@shrink)) — failing traces are
 //!   reduced by oracle-verified op deletion and id-table compaction
 //!   before reporting.
 //!

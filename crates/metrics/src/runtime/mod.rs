@@ -41,11 +41,13 @@ pub enum Counter {
     /// Events executed (per shard).
     Events,
     /// Lookahead windows committed (engine-wide; recorded once per
-    /// window by the leader/sequential loop).
+    /// window by the window's leader).
     Windows,
-    /// Cross-shard messages handed off through the mailbox matrix.
+    /// Cross-shard messages handed off (through the mailbox matrix, or
+    /// straight into a merge buffer the same worker owns).
     HandoffMsgs,
-    /// Non-empty per-destination batches flushed (one mailbox swap each).
+    /// Non-empty per-destination batches flushed (one mailbox swap or
+    /// merge-buffer append each).
     HandoffBatches,
 }
 
@@ -86,7 +88,8 @@ pub enum TimeCat {
     WaitPublish,
     /// Executing local events (`run_window_shard`).
     Execute,
-    /// Flushing per-destination buckets into mailbox slots.
+    /// Flushing per-destination buckets into mailbox slots (or the
+    /// merge buffers of shards the same worker owns).
     Flush,
     /// Spinning in the pre-merge barrier.
     WaitCommit,

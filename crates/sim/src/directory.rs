@@ -295,11 +295,6 @@ impl Directory {
         }
     }
 
-    /// All live ids, sorted.
-    pub fn all_ids(&self) -> &[u128] {
-        &self.all
-    }
-
     /// The part of node `id` (§4.4): the smallest `l` such that some live
     /// node's eigenstring equals `id.prefix(l)`. Returns `(top_level,
     /// part_prefix)`; `None` only when the system is empty of coverers

@@ -1,7 +1,7 @@
 //! # peerwindow-topology
 //!
 //! Transit-stub Internet topology generation and latency modelling — the
-//! substitute for GT-ITM [20] used in the paper's §5.1 experiments
+//! substitute for GT-ITM \[20\] used in the paper's §5.1 experiments
 //! (120 transit domains × 4 transit nodes, 5 stub domains per transit node
 //! × 2 stub nodes = 4800 stub nodes; 100/20/5/1 ms latency constants).
 

@@ -1,6 +1,6 @@
 //! Node bandwidth distributions.
 //!
-//! §5.1 draws node bandwidths from the Gnutella measurements ([13],
+//! §5.1 draws node bandwidths from the Gnutella measurements (\[13\],
 //! figure 3). Two anchors from the paper's own reading of that figure
 //! drive everything downstream: *"only 20 % of nodes' available bandwidth
 //! is less than 1 Mbps"*, and enough mass above ≈3.7 Mbps that more than

@@ -1,9 +1,9 @@
 //! # peerwindow-workload
 //!
 //! Synthetic workloads calibrated to the Gnutella measurement study the
-//! paper builds on (Saroiu et al. [13]): heavy-tailed session lifetimes
-//! (figure 6 of [13]; mean ≈ 135 min), access-bandwidth mixture (figure 3
-//! of [13]; 20 % below 1 Mbps), Poisson join arrivals balancing the
+//! paper builds on (Saroiu et al. \[13\]): heavy-tailed session lifetimes
+//! (figure 6 of \[13\]; mean ≈ 135 min), access-bandwidth mixture (figure 3
+//! of \[13\]; 20 % below 1 Mbps), Poisson join arrivals balancing the
 //! departure rate, the §5.1 bandwidth-threshold policy, and the §5.3
 //! `Lifetime_Rate` scaling knob.
 

@@ -1,7 +1,7 @@
 //! Node lifetime (session duration) distributions.
 //!
 //! §5.1 requires lifetimes matching the Gnutella measurements of Saroiu et
-//! al. ([13], figure 6), whose raw traces are not available. The paper
+//! al. (\[13\], figure 6), whose raw traces are not available. The paper
 //! consumes two anchors: the average lifetime ≈ 135 minutes, and a heavy
 //! right tail (median well below the mean). A lognormal with median 60 min
 //! and mean 135 min reproduces both; `Lifetime_Rate` (§5.3) scales
@@ -15,7 +15,7 @@ const MIN: f64 = 60.0;
 /// A lifetime distribution.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LifetimeDist {
-    /// Lognormal calibrated to the Gnutella measurement ([13] fig 6):
+    /// Lognormal calibrated to the Gnutella measurement (\[13\] fig 6):
     /// median 60 min, mean 135 min.
     Gnutella,
     /// Exponential with the given mean (seconds) — used by ablations.

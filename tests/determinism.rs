@@ -163,7 +163,7 @@ fn runtime_metrics_do_not_perturb_the_fingerprint() {
 #[test]
 fn shard_invariance_holds_with_runtime_metrics_enabled() {
     // 1-vs-4-shard fingerprints stay byte-identical with runtime metrics
-    // enabled, sequential and threaded paths alike.
+    // enabled, at one worker and at four alike.
     let (f1, p1, _) = parallel_fingerprint_metered(1, 1);
     let (f4, p4, _) = parallel_fingerprint_metered(4, 1);
     let (f4t, p4t, _) = parallel_fingerprint_metered(4, 4);
@@ -206,6 +206,33 @@ fn runtime_metrics_report_is_coherent() {
 }
 
 #[test]
+fn runtime_counters_do_not_depend_on_the_worker_count() {
+    // Events, windows and handoffs are properties of the simulated run,
+    // so every worker count must count them alike; a lone worker runs the
+    // same window loop, so its attribution partitions its time as well.
+    let reports: Vec<_> = [1, 2, 4]
+        .into_iter()
+        .map(|workers| parallel_fingerprint_metered(4, workers).2)
+        .collect();
+    for name in ["events", "windows", "handoff_msgs", "handoff_batches"] {
+        let one_worker = reports[0].counter(name);
+        assert!(one_worker > 0, "no {name} counted at 1 worker");
+        for (r, workers) in reports[1..].iter().zip([2, 4]) {
+            assert_eq!(
+                r.counter(name),
+                one_worker,
+                "{name} differs between 1 and {workers} workers"
+            );
+        }
+    }
+    let sum: f64 = reports[0].attribution().iter().map(|(_, f)| f).sum();
+    assert!(
+        (sum - 1.0).abs() < 1e-9,
+        "one-worker attribution fractions sum to {sum}, expected 1.0"
+    );
+}
+
+#[test]
 fn one_and_four_shards_agree() {
     let (f1, p1) = parallel_fingerprint(1);
     let (f4, p4) = parallel_fingerprint(4);
@@ -242,9 +269,8 @@ fn shard_invariance_holds_under_fault_plan() {
 
 #[test]
 fn worker_count_never_changes_the_world() {
-    // The threaded window protocol (persistent workers, spin barrier,
-    // mailbox matrix) must be bit-identical to the sequential path, even
-    // oversubscribed on a 1-core host.
+    // Threaded workers (spin barrier, mailbox matrix) must give the run
+    // a lone worker gives, even oversubscribed on a 1-core host.
     let (f1, p1) = parallel_fingerprint_cfg(8, true, 1);
     let (f4, p4) = parallel_fingerprint_cfg(8, true, 4);
     let (f8, p8) = parallel_fingerprint_cfg(8, true, 8);
